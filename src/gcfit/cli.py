@@ -19,7 +19,7 @@ from . import __version__
 from .bayesnet import load_bayesnet, sample, sample_do
 from .errors import EnumerationLimit, GcfitError, ParseError
 from .graphs import DEFAULT_ENUMERATION_CAP, enumerate_orientations, load_pdgraph
-from .scoring import InterventionBundle, do_divergence_detail, score_set
+from .scoring import InterventionBundle, score_set
 from .svg import scatter_svg
 from .tables import Dataset
 
@@ -95,7 +95,7 @@ def cmd_score(args) -> int:
     records = score_set(
         dags,
         bundle,
-        edges_policy={"pd": "pd", "all": "all"}[args.edges],
+        edges_policy=args.edges,
         missing_policy=args.missing,
     )
 
@@ -119,11 +119,9 @@ def cmd_score(args) -> int:
     with open(os.path.join(args.out_dir, "scores.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    tables = bundle.tables()
     dd_lines = ["node,value,D_a,weight,D_node"]
-    nodes = sorted(records[0].do_divergences) if records else []
-    for node in nodes:
-        divergence, detail = do_divergence_detail(node, tables, args.missing)
+    do_detail = records[0].do_detail if records else {}
+    for node, (divergence, detail) in do_detail.items():
         for value, weight, d_value in detail:
             dd_lines.append(
                 ",".join(
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p_score.add_argument("--out-dir", default=".", help="output directory")
     p_score.add_argument("--smoothing", type=float, default=1.0,
-                         help="Laplace smoothing for empirical tables and CPT fits")
+                         help="Laplace smoothing for empirical tables")
     p_score.add_argument("--edges", choices=["pd", "all"], default="pd",
                          help="score the PD graph's undirected edges or each DAG's full edge set")
     p_score.add_argument("--missing", choices=["strict", "renormalize"], default="strict",

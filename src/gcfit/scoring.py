@@ -1,8 +1,8 @@
 """Scores for candidate DAGs: distributional fit (GF) and causal fit (GCF).
 
-GF measures how well a DAG's fitted joint reproduces the observational
-distribution and is blind to edge directions.  GCF compares, per node,
-the distribution obtained by *conditioning* on the node against the one
+GF measures how well the observational distribution factorizes along a
+DAG and is blind to edge directions.  GCF compares, per node, the
+distribution obtained by *conditioning* on the node against the one
 obtained by *intervening* on it; edges should point toward the node
 whose intervention disturbs the rest of the system more.
 """
@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bayesnet import BayesNet, Cpt, do_intervene, fit_cpts, joint
+from .bayesnet import do_intervene, joint
 from .divergences import kl_divergence
 from .errors import (
     GcfitError,
@@ -58,7 +58,7 @@ class InterventionTables:
         return self.observational.schema
 
     @classmethod
-    def from_net(cls, net: BayesNet) -> "InterventionTables":
+    def from_net(cls, net) -> "InterventionTables":
         """Exact tables for every (node, value) of a ground-truth net."""
         schema = net.schema
         do = {
@@ -118,53 +118,50 @@ class ScoreRecord:
     gcf_abs: float
     edge_details: tuple[tuple[tuple[str, str], int, float], ...]
     do_divergences: dict[str, float]
+    # node -> `do_divergence_detail` result; one mapping shared by the whole set
+    do_detail: Mapping[str, tuple[float, list[tuple[int, float, float]]]]
     flags: tuple[str, ...]
 
 
 def gf(dag: Dag, observational: Dataset, smoothing: float = 0.0) -> float:
-    """Goodness of fit: ln(1 / KL(empirical joint || fitted model joint)).
-
-    +inf when the fitted model reproduces the data exactly; -inf when
-    the model puts zero mass on an observed cell.
-    """
+    """GF of a DAG on the (optionally smoothed) empirical joint of a dataset;
+    see `gf_from_table`."""
     if observational.schema != dag.schema:
         raise SchemaMismatch("dataset schema differs from DAG schema")
-    empirical = empirical_from_dataset(observational, smoothing)
-    model = joint(fit_cpts(dag, observational, smoothing))
-    return _gf_from_kl(kl_divergence(empirical, model))
+    return gf_from_table(dag, empirical_from_dataset(observational, smoothing))
 
 
-def gf_from_table(dag: Dag, observational: ProbTable) -> float:
-    """GF with the model fitted directly from a joint table (exact MLE).
+def gf_from_table(dag: Dag, observational: ProbTable, *, _memo=None) -> float:
+    """Goodness of fit: ln(1 / KL(P || P projected onto the DAG)).
 
-    Each CPT row is the table's conditional of the child given its
-    parents, which is what maximum likelihood converges to.
+    The projection is the product of the table's own conditionals
+    P(x_i | pa_i), so KL = sum_i H(X_i | Pa_i) - H(X), summed in schema
+    order.  Markov-equivalent DAGs get the same value.  +inf when the
+    table factorizes exactly along the DAG.
+
+    ``_memo`` maps variable sets to marginal entropies of this one table;
+    `score_set` shares one across its candidates.
     """
     if observational.schema != dag.schema:
         raise SchemaMismatch("table schema differs from DAG schema")
-    schema = dag.schema
-    cpts = {}
-    for node in schema.names:
-        parents = dag.parents(node)
-        fam = parents + (node,)
-        marg = observational.marginalize(fam)
-        # axes of marg follow schema order; put parents first, child last
-        order = [marg.schema.index(v) for v in fam]
-        arr = np.transpose(marg.probs, order)
-        totals = arr.sum(axis=-1, keepdims=True)
-        card = schema.cardinality(node)
-        table = np.where(totals > 0, arr / np.where(totals > 0, totals, 1.0), 1.0 / card)
-        cpts[node] = Cpt(node, parents, table)
-    model = joint(BayesNet(dag, cpts))
-    return _gf_from_kl(kl_divergence(observational, model))
+    memo = {} if _memo is None else _memo
 
+    def entropy(names) -> float:
+        key = frozenset(names)
+        if key not in memo:
+            # the marginal over no variables is a point mass
+            p = observational.marginalize(key).flat() if key else np.ones(1)
+            p = p[p > 0]
+            memo[key] = -float(np.sum(p * np.log(p)))
+        return memo[key]
 
-def _gf_from_kl(d: float) -> float:
-    if d == 0:
-        return math.inf
-    if math.isinf(d):
-        return -math.inf
-    return -math.log(d)
+    names = dag.schema.names
+    conditional = sum(
+        entropy(dag.parents(n) + (n,)) - entropy(dag.parents(n)) for n in names
+    )
+    # Gibbs: the true value is >= 0; clamp away summation rounding error
+    d = max(conditional - entropy(names), 0.0)
+    return math.inf if d == 0 else -math.log(d)
 
 
 def do_divergence_detail(
@@ -304,16 +301,12 @@ def score_set(
     ``scored_edges`` defaults to the undirected edges of the generating
     PD graph (``edges_policy='pd'``); with ``edges_policy='all'`` each
     DAG's full edge set is scored instead (for sets with mixed
-    skeletons).  GF is computed per DAG from the observational data.
+    skeletons).  GF is computed per DAG from the observational table,
+    each family's entropy once for the whole set.
     """
     if edges_policy not in ("pd", "all"):
         raise GcfitError(f"unknown edges policy {edges_policy!r}")
-    if isinstance(data, InterventionBundle):
-        tables = data.tables()
-        gf_of = lambda dag: gf(dag, data.observational, data.smoothing)
-    else:
-        tables = data
-        gf_of = lambda dag: gf_from_table(dag, tables.observational)
+    tables = data.tables() if isinstance(data, InterventionBundle) else data
 
     needed = set()
     for member in dags:
@@ -324,8 +317,10 @@ def score_set(
         for a, b in scored_edges:
             needed.add(a)
             needed.add(b)
-    dmap = do_divergence_map(sorted(needed), tables, missing_policy)
+    do_detail = {n: do_divergence_detail(n, tables, missing_policy) for n in sorted(needed)}
+    dmap = {n: d for n, (d, _) in do_detail.items()}
 
+    memo = {}
     records = []
     for member in dags:
         if scored_edges is not None:
@@ -340,11 +335,12 @@ def score_set(
                 graph_id=member.graph_id,
                 orientation=member.orientation,
                 dag=member.dag,
-                gf=gf_of(member.dag),
+                gf=gf_from_table(member.dag, tables.observational, _memo=memo),
                 gcf=value,
                 gcf_abs=gcf_abs(member.dag, dmap),
                 edge_details=details,
-                do_divergences={n: dmap[n] for n in sorted(dmap)},
+                do_divergences=dict(dmap),
+                do_detail=do_detail,
                 flags=flags,
             )
         except GcfitError as exc:

@@ -106,6 +106,32 @@ def oracle_kl(po, pe):
     return max(total, 0.0)
 
 
+def oracle_gf(table, dag):
+    """GF as ln(1 / KL) over every cell, against the product of the table's
+    own conditionals P(x_i | pa_i) read off brute-force marginals."""
+    schema = table.schema
+    factors = []
+    for node in schema.names:
+        parents = dag.parents(node)
+        family = set(parents) | {node}
+        factors.append((
+            schema.subset(family).names, oracle_marginalize(table, family),
+            schema.subset(parents).names, oracle_marginalize(table, parents),
+        ))
+    total = 0.0
+    for cell in schema.cells():
+        p = table.cell(cell)
+        if p == 0:
+            continue
+        assign = dict(zip(schema.names, cell))
+        q = 1.0
+        for fam_names, fam, par_names, par in factors:
+            q *= fam[tuple(assign[n] for n in fam_names)] / par[tuple(assign[n] for n in par_names)]
+        total += p * np.log(p / q)
+    kl = max(total, 0.0)
+    return float("inf") if kl == 0 else -np.log(kl)
+
+
 def oracle_pearson(po, pe):
     total = 0.0
     for cell in po.schema.cells():

@@ -109,7 +109,7 @@ def test_criterion_3_example2_exact_distributions():
 
 def test_criterion_4_gf_observational_equivalence():
     """The three Markov-equivalent orientations get identical GF on any
-    shared dataset."""
+    shared dataset, with or without smoothing."""
     schema, truth, pd, net, shared = fig2_setup(seed=5)
     trio = [
         m.dag
@@ -120,11 +120,12 @@ def test_criterion_4_gf_observational_equivalence():
     spreads = []
     for seed in (1, 2, 3):
         data = g.sample(net, 20_000, seed)
-        values = [g.gf(dag, data, smoothing=0) for dag in trio]
-        spread = max(values) - min(values)
-        assert spread < 1e-9
-        spreads.append(spread)
-    report(4, f"max GF spread over 3 seeds = {max(spreads):.2e} < 1e-9")
+        for smoothing in (0, 1.0):
+            values = [g.gf(dag, data, smoothing=smoothing) for dag in trio]
+            spread = max(values) - min(values)
+            assert spread < 1e-9
+            spreads.append(spread)
+    report(4, f"max GF spread over 3 seeds x smoothing (0, 1) = {max(spreads):.2e} < 1e-9")
 
 
 def test_criterion_5_divergence_oracles():

@@ -34,7 +34,7 @@ from gcfit import (
     score_set,
 )
 from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL
-from conftest import random_net
+from conftest import oracle_gf, random_net, random_table
 
 
 @pytest.fixture
@@ -103,6 +103,43 @@ class TestGf:
 
     def test_gf_from_table_exact_truth_is_inf(self, fig1_net):
         assert gf_from_table(fig1_net.dag, joint(fig1_net)) == math.inf
+
+    def test_gf_from_table_matches_oracle_on_random_tables(self):
+        rng = np.random.default_rng(11)
+        schema = VariableSchema(("a", "b", "c", "d"), (2, 3, 2, 3))
+        pairs = list(itertools.combinations(schema.names, 2))
+        for _ in range(20):
+            order = rng.permutation(len(schema.names))
+            rank = {schema.names[i]: r for r, i in enumerate(order)}
+            edges = [
+                (a, b) if rank[a] < rank[b] else (b, a)
+                for a, b in pairs
+                if rng.random() < 0.5
+            ]
+            dag = Dag(schema, tuple(edges))
+            table = random_table(schema, rng)
+            assert gf_from_table(dag, table) == pytest.approx(oracle_gf(table, dag), abs=1e-9)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
+    def test_gf_matches_oracle_on_smoothed_empirical_tables(self, fig2_pdgraph, fig2_truth, smoothing):
+        net = random_net(fig2_truth, np.random.default_rng(5))
+        data = sample(net, 300, 2)  # sparse: most of the 32 cells are rare or empty
+        table = empirical_from_dataset(data, smoothing)
+        for member in enumerate_orientations(fig2_pdgraph):
+            expected = oracle_gf(table, member.dag)
+            assert gf(member.dag, data, smoothing) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("smoothing", [1.0, 5.0])
+    def test_markov_equivalent_dags_share_smoothed_gf(self, fig2_pdgraph, fig2_truth, smoothing):
+        net = random_net(fig2_truth, np.random.default_rng(5))
+        trio = [
+            m.dag
+            for m in enumerate_orientations(fig2_pdgraph)
+            if not (("x2", "x1") in m.dag.edges and ("x3", "x1") in m.dag.edges)
+        ]
+        data = sample(net, 2_000, 1)
+        values = [gf(dag, data, smoothing) for dag in trio]
+        assert max(values) - min(values) < 1e-9
 
 
 class TestDoDivergence:
@@ -340,6 +377,23 @@ class TestScoreSet:
             enumerate_orientations(fig1_pdgraph), InterventionTables.from_net(fig1_net)
         )
         assert records[0].do_divergences == records[1].do_divergences
+
+    def test_do_detail_is_one_shared_mapping(self, fig1_pdgraph, fig1_net):
+        tables = InterventionTables.from_net(fig1_net)
+        records = score_set(enumerate_orientations(fig1_pdgraph), tables)
+        assert records[0].do_detail is records[1].do_detail
+        for node, (divergence, detail) in records[0].do_detail.items():
+            assert (divergence, detail) == do_divergence_detail(node, tables)
+            assert records[0].do_divergences[node] == divergence
+
+    def test_gf_is_the_same_per_dag_and_from_bundle_or_tables(self, fig2_pdgraph, fig2_truth):
+        net = random_net(fig2_truth, np.random.default_rng(5))
+        bundle = make_bundle(net, n_obs=2_000, n_do=500, seed=4, smoothing=1.0)
+        dags = enumerate_orientations(fig2_pdgraph)
+        from_bundle = [r.gf for r in score_set(dags, bundle)]
+        from_tables = [r.gf for r in score_set(dags, bundle.tables())]
+        per_dag = [gf(m.dag, bundle.observational, bundle.smoothing) for m in dags]
+        assert from_bundle == from_tables == per_dag
 
     def test_records_in_dagset_order(self, fig2_pdgraph, fig2_truth):
         net = random_net(fig2_truth, np.random.default_rng(5))
