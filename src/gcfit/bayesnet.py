@@ -1,8 +1,11 @@
 """Discrete Bayesian networks: exact joints, do-interventions, CPT fitting
 and seeded forward sampling.
 
-Interventions use truncated factorization: the intervened node's CPT is
-deleted and the node clamped, leaving every other factor untouched.
+`joint` and `do_intervene` are one product of CPT factors.  An
+intervention uses truncated factorization: it drops the intervened node's
+factor and fixes that node's axis at the clamped value in every other
+factor, leaving them otherwise untouched.  `sample` and `sample_do` are
+one ancestral sampler; `sample_do` clamps the node instead of drawing it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch, UnknownVariable
-from .graphs import Dag
+from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch
+from .graphs import Dag, schema_from_obj, schema_to_obj
 from .tables import Dataset, ProbTable, VariableSchema, NORMALIZATION_TOL
 
 
@@ -73,27 +76,35 @@ class BayesNet:
         return self.dag.schema
 
 
-def _factor_array(net: BayesNet, node: str) -> np.ndarray:
-    """CPT of ``node`` broadcast to the full schema shape."""
+def _product(net: BayesNet, node: str | None = None, value: int = 0) -> np.ndarray:
+    """Product of the CPT factors as one array over the schema's axes.
+
+    With ``node`` its factor is dropped, every other factor is fixed at
+    ``node=value`` and the result has no ``node`` axis: the truncated
+    factorization, unnormalized.  Factors are multiplied left to right in
+    schema order (no ``optimize``).
+    """
     schema = net.schema
-    cpt = net.cpts[node]
-    axes_vars = cpt.parents + (node,)
-    # cpt axes are already in schema order (parents sorted by schema index,
-    # child last may be anywhere); permute to ascending schema index
-    order = sorted(range(len(axes_vars)), key=lambda i: schema.index(axes_vars[i]))
-    arr = np.transpose(cpt.table, order)
-    shape = [1] * len(schema.names)
-    for v in axes_vars:
-        shape[schema.index(v)] = schema.cardinality(v)
-    return arr.reshape(shape)
+    operands: list = []
+    for child in schema.names:
+        if child == node:
+            continue
+        cpt = net.cpts[child]
+        table, axes = cpt.table, []
+        for var in cpt.parents:
+            if var == node:
+                table = np.take(table, value, axis=len(axes))
+            else:
+                axes.append(schema.index(var))
+        operands += [table, axes + [schema.index(child)]]
+    if not operands:  # do() on a one-variable net leaves the empty product
+        return np.ones(())
+    return np.einsum(*operands, [i for i, var in enumerate(schema.names) if var != node])
 
 
 def joint(net: BayesNet) -> ProbTable:
     """Exact joint distribution: the product of all CPT factors."""
-    arr = np.ones(net.schema.shape)
-    for node in net.schema.names:
-        arr = arr * _factor_array(net, node)
-    return ProbTable(net.schema, arr)
+    return ProbTable(net.schema, _product(net))
 
 
 def do_intervene(net: BayesNet, node: str, value: int) -> ProbTable:
@@ -102,16 +113,10 @@ def do_intervene(net: BayesNet, node: str, value: int) -> ProbTable:
     Returns a normalized table over every variable except ``node``.
     """
     schema = net.schema
-    axis = schema.index(node)
     if not 0 <= value < schema.cardinality(node):
         raise InvalidState(f"state {value} out of range for {node!r}")
-    arr = np.ones(schema.shape)
-    for other in schema.names:
-        if other != node:
-            arr = arr * _factor_array(net, other)
-    sliced = np.take(arr, value, axis=axis)
     rest = schema.subset(set(schema.names) - {node})
-    return ProbTable.from_weights(rest, sliced)
+    return ProbTable.from_weights(rest, _product(net, node, value))
 
 
 def fit_cpts(dag: Dag, data: Dataset, smoothing: float = 0.0) -> BayesNet:
@@ -169,21 +174,29 @@ def _draw_column(net: BayesNet, node: str, columns: dict[str, np.ndarray], n: in
         cum = np.cumsum(cpt.table.reshape(-1, card), axis=1)[row_idx]
     else:
         cum = np.broadcast_to(np.cumsum(cpt.table), (n, card))
-    vals = (cum < u[:, None]).sum(axis=1)
+    vals = (cum <= u[:, None]).sum(axis=1)
     return np.minimum(vals, card - 1)
+
+
+def _forward(net: BayesNet, n: int, seed, node: str | None = None, value: int = 0) -> Dataset:
+    """Ancestral sampling in topological order, ``node`` (if any) clamped
+    to ``value``; each other node draws from its own substream."""
+    if n < 1:
+        raise GcfitError("n must be >= 1")
+    columns: dict[str, np.ndarray] = {}
+    for pos, other in enumerate(net.dag.topological_order()):
+        if other == node:
+            columns[other] = np.full(n, value, dtype=np.int64)
+        else:
+            columns[other] = _draw_column(net, other, columns, n, _node_rng(seed, pos))
+    rows = np.stack([columns[name] for name in net.schema.names], axis=1)
+    return Dataset(net.schema, rows)
 
 
 def sample(net: BayesNet, n: int, seed) -> Dataset:
     """Forward (ancestral) sampling; identical (net, n, seed) gives an
     identical dataset."""
-    if n < 1:
-        raise GcfitError("n must be >= 1")
-    schema = net.schema
-    columns: dict[str, np.ndarray] = {}
-    for pos, node in enumerate(net.dag.topological_order()):
-        columns[node] = _draw_column(net, node, columns, n, _node_rng(seed, pos))
-    rows = np.stack([columns[name] for name in schema.names], axis=1)
-    return Dataset(schema, rows)
+    return _forward(net, n, seed)
 
 
 def sample_do(net: BayesNet, node: str, value: int, n: int, seed) -> Dataset:
@@ -191,19 +204,9 @@ def sample_do(net: BayesNet, node: str, value: int, n: int, seed) -> Dataset:
 
     The output keeps all columns; the intervened column is constant.
     """
-    if n < 1:
-        raise GcfitError("n must be >= 1")
-    schema = net.schema
-    if not 0 <= value < schema.cardinality(node):
+    if not 0 <= value < net.schema.cardinality(node):
         raise InvalidState(f"state {value} out of range for {node!r}")
-    columns: dict[str, np.ndarray] = {}
-    for pos, other in enumerate(net.dag.topological_order()):
-        if other == node:
-            columns[other] = np.full(n, value, dtype=np.int64)
-        else:
-            columns[other] = _draw_column(net, other, columns, n, _node_rng(seed, pos))
-    rows = np.stack([columns[name] for name in schema.names], axis=1)
-    return Dataset(schema, rows)
+    return _forward(net, n, seed, node, value)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +215,7 @@ def sample_do(net: BayesNet, node: str, value: int, n: int, seed) -> Dataset:
 def bayesnet_to_json(net: BayesNet) -> str:
     schema = net.schema
     doc = {
-        "variables": [
-            {"name": n, "cardinality": c}
-            for n, c in zip(schema.names, schema.cardinalities)
-        ],
+        "variables": schema_to_obj(schema),
         "edges": [list(e) for e in net.dag.edges],
         "cpts": {
             node: {
@@ -237,15 +237,10 @@ def bayesnet_from_json(text: str, path=None) -> BayesNet:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
     if not isinstance(doc, dict) or "variables" not in doc:
         raise ParseError("missing 'variables' block", path=path)
-    names = []
-    cards = []
+    schema = schema_from_obj(doc["variables"], path=path)
     try:
-        for v in doc["variables"]:
-            names.append(v["name"])
-            cards.append(int(v["cardinality"]))
-        schema = VariableSchema(tuple(names), tuple(cards))
         dag = Dag(schema, tuple(tuple(e) for e in doc.get("edges", [])))
-    except (KeyError, TypeError, ValueError, GcfitError) as exc:
+    except (TypeError, ValueError, GcfitError) as exc:
         raise ParseError(f"bad network structure: {exc}", path=path) from None
     cpts = {}
     for node in schema.names:

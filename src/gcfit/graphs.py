@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import EnumerationLimit, GcfitError, ParseError, UnknownVariable
+from .errors import EnumerationLimit, GcfitError, ParseError
 from .tables import VariableSchema
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -80,10 +80,6 @@ class Dag:
     def skeleton(self) -> frozenset[tuple[str, str]]:
         """Edge set with orientations erased; pairs sorted lexicographically."""
         return frozenset(tuple(sorted(e)) for e in self.edges)
-
-    def has_edge(self, a: str, b: str) -> bool:
-        """True if a-b is present in either direction."""
-        return (a, b) in self.edges or (b, a) in self.edges
 
     def reversed(self) -> "Dag":
         return Dag(self.schema, tuple((b, a) for a, b in self.edges))

@@ -18,13 +18,13 @@ from .errors import (
     EmptyDataset,
     GcfitError,
     ParseError,
-    SchemaMismatch,
     UnknownVariable,
     InvalidState,
     ZeroProbabilityEvidence,
 )
 
 NORMALIZATION_TOL = 1e-9
+_CSV_WRITE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,12 @@ class Dataset:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.schema.names)
-        for row in self.rows:
-            writer.writerow([int(v) for v in row])
+        csv.writer(buf, lineterminator="\n").writerow(self.schema.names)
+        # one join per block of rows: a join over the whole rows.tolist()
+        # holds several times the output's size at once
+        for start in range(0, len(self), _CSV_WRITE_ROWS):
+            block = self.rows[start:start + _CSV_WRITE_ROWS].tolist()
+            buf.write("".join(",".join(map(str, r)) + "\n" for r in block))
         return buf.getvalue()
 
     def write_csv(self, path) -> None:

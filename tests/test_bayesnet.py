@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gcfit import bayesnet
 from gcfit import (
     BayesNet,
     Cpt,
@@ -11,6 +12,7 @@ from gcfit import (
     GcfitError,
     InvalidState,
     ParseError,
+    ProbTable,
     VariableSchema,
     bayesnet_from_json,
     bayesnet_to_json,
@@ -72,11 +74,14 @@ class TestJoint:
 
     def test_matches_brute_force_factor_multiplication(self):
         rng = np.random.default_rng(6)
-        schema = VariableSchema(("a", "b", "c", "d"), (2, 2, 2, 2))
-        for edges in [
-            (("a", "b"), ("b", "c"), ("c", "d")),
-            (("a", "c"), ("b", "c"), ("c", "d"), ("a", "d")),
-            (),
+        binary = VariableSchema(("a", "b", "c", "d"), (2, 2, 2, 2))
+        # edges against schema order, into and out of a 3-state variable
+        mixed = VariableSchema(("a", "b", "c", "d"), (2, 3, 2, 2))
+        for schema, edges in [
+            (binary, (("a", "b"), ("b", "c"), ("c", "d"))),
+            (binary, (("a", "c"), ("b", "c"), ("c", "d"), ("a", "d"))),
+            (binary, ()),
+            (mixed, (("d", "a"), ("c", "b"), ("d", "b"), ("b", "a"))),
         ]:
             net = random_net(Dag(schema, edges), rng)
             np.testing.assert_allclose(joint(net).probs, oracle_joint(net), atol=1e-12)
@@ -109,22 +114,20 @@ class TestDoIntervene:
         # Fig-1-style graph b->a, b->z, a->z with seeded CPTs
         dag = Dag(fig1_schema, (("b", "a"), ("b", "z"), ("a", "z")))
         net = random_net(dag, np.random.default_rng(8))
-        for value in (0, 1):
-            got = do_intervene(net, "a", value)
-            # oracle: replace a's CPT with a point mass, enumerate the joint,
-            # then condition on the clamp
-            delta = np.zeros(2)
-            delta[value] = 1.0
-            mutilated = BayesNet(
-                Dag(fig1_schema, (("b", "z"), ("a", "z"))),
-                {
-                    "a": Cpt("a", (), delta),
-                    "b": net.cpts["b"] if net.dag.parents("b") == () else None,
-                    "z": net.cpts["z"],
-                },
-            )
-            oracle = joint(mutilated).condition("a", value)
-            np.testing.assert_allclose(got.probs, oracle.probs, atol=1e-12)
+        for node in fig1_schema.names:
+            for value in (0, 1):
+                got = do_intervene(net, node, value)
+                # oracle: cut node's parent edges, replace its CPT with a point
+                # mass, enumerate the joint, then condition on the clamp
+                delta = np.zeros(2)
+                delta[value] = 1.0
+                cpts = dict(net.cpts)
+                cpts[node] = Cpt(node, (), delta)
+                mutilated = BayesNet(
+                    Dag(fig1_schema, tuple(e for e in dag.edges if e[1] != node)), cpts
+                )
+                oracle = ProbTable(fig1_schema, oracle_joint(mutilated)).condition(node, value)
+                np.testing.assert_allclose(got.probs, oracle.probs, atol=1e-12)
 
     def test_root_node_equivalence_property(self):
         rng = np.random.default_rng(13)
@@ -148,6 +151,12 @@ class TestDoIntervene:
     def test_invalid_state(self, chain_net):
         with pytest.raises(InvalidState):
             do_intervene(chain_net, "a", 7)
+
+    def test_only_variable_leaves_empty_table(self):
+        schema = VariableSchema(("a",), (2,))
+        net = BayesNet(Dag(schema, ()), {"a": Cpt("a", (), np.array([0.3, 0.7]))})
+        got = do_intervene(net, "a", 1)
+        assert got.schema.names == () and float(got.probs) == 1.0
 
 
 class TestFitCpts:
@@ -204,6 +213,25 @@ class TestSampling:
         )
         data = sample(net, 50, seed=0)
         assert (data.rows == [1, 0, 1]).all()
+
+    def test_zero_uniform_draw_skips_zero_probability_state(self, monkeypatch):
+        # Generator.random draws from [0, 1), so u = 0.0 can occur; it must
+        # not select a state of probability 0
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        monkeypatch.setattr(bayesnet, "_node_rng", lambda seed, position: Zeros())
+        schema = VariableSchema(("a", "b"), (2, 3))
+        net = BayesNet(
+            Dag(schema, ()),
+            {
+                "a": Cpt("a", (), np.array([0.0, 1.0])),
+                "b": Cpt("b", (), np.array([0.0, 0.0, 1.0])),
+            },
+        )
+        assert (sample(net, 5, seed=0).rows == [1, 2]).all()
+        assert (sample_do(net, "b", 0, 5, seed=0).column("a") == 1).all()
 
     def test_same_seed_identical(self, fig1_net):
         a = sample(fig1_net, 1_000, seed=99)

@@ -150,9 +150,20 @@ class TestCondition:
 
 class TestDatasetCsv:
     def test_round_trip(self, ab_schema):
-        data = Dataset(ab_schema, [[0, 1], [1, 0], [1, 1]])
-        again = Dataset.from_csv(data.to_csv(), ab_schema)
-        assert (again.rows == data.rows).all()
+        # the second schema's names need CSV quoting in the header; the
+        # third dataset spans several of the writer's row blocks
+        quoted = VariableSchema(("a,b", 'q"x', "c"), (2, 2, 3))
+        many = np.random.default_rng(0).integers(0, 2, (10_000, 2))
+        for schema, rows, header in [
+            (ab_schema, [[0, 1], [1, 0], [1, 1]], "a,b\n"),
+            (quoted, [[0, 1, 2], [1, 0, 0]], '"a,b","q""x",c\n'),
+            (ab_schema, many, "a,b\n"),
+        ]:
+            data = Dataset(schema, rows)
+            text = data.to_csv()
+            assert text.startswith(header)
+            again = Dataset.from_csv(text, schema)
+            assert (again.rows == data.rows).all()
 
     def test_header_mismatch(self, ab_schema):
         with pytest.raises(ParseError):
