@@ -8,6 +8,7 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -66,8 +67,11 @@ def load_manifest(path, schema):
     for entry in doc.get("interventions", []):
         try:
             node = entry["node"]
-            value = int(entry["value"])
+            value = entry["value"]
             file_ = entry["file"]
+            # only a JSON integer: coercing 1.7 or true would label the file with another state
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"value {value!r} is not an integer")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad intervention entry {entry!r}: {exc}", path=path) from None
         if (node, value) in interventional:
@@ -101,10 +105,13 @@ def cmd_score(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
 
-    lines = ["graph_id,orientation_vector,edges,gf,gcf,gcf_abs,flags"]
-    for r in records:
-        lines.append(
-            ",".join(
+    with open(os.path.join(args.out_dir, "scores.csv"), "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]
+        )
+        for r in records:
+            writer.writerow(
                 [
                     r.graph_id,
                     r.orientation or "-",
@@ -115,27 +122,22 @@ def cmd_score(args) -> int:
                     ";".join(r.flags),
                 ]
             )
-        )
-    with open(os.path.join(args.out_dir, "scores.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
-    dd_lines = ["node,value,D_a,weight,D_node"]
     do_detail = records[0].do_detail if records else {}
-    for node, (divergence, detail) in do_detail.items():
-        for value, weight, d_value in detail:
-            dd_lines.append(
-                ",".join(
+    with open(os.path.join(args.out_dir, "do_divergences.csv"), "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["node", "value", "D_a", "weight", "D_node"])
+        for node, (divergence, detail) in do_detail.items():
+            for value, weight, d_value in detail:
+                writer.writerow(
                     [
                         node,
-                        str(value),
+                        value,
                         format_number(d_value),
                         format_number(weight),
                         format_number(divergence),
                     ]
                 )
-            )
-    with open(os.path.join(args.out_dir, "do_divergences.csv"), "w") as fh:
-        fh.write("\n".join(dd_lines) + "\n")
 
     if args.svg:
         points = [(r.gf, r.gcf, r.graph_id) for r in records]

@@ -2,13 +2,12 @@
 
 A partially directed graph is what structure learning typically hands
 back: some edges oriented, some not.  The candidate set of fully
-directed models is obtained by orienting every undirected edge in every
-possible way and keeping the acyclic results.
+directed models is every acyclic orientation of the undirected edges,
+built one edge at a time so that a prefix closing a cycle is not extended.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -27,23 +26,21 @@ def _check_endpoints(schema: VariableSchema, pairs) -> None:
 
 
 def topological_order(schema: VariableSchema, edges) -> list[str] | None:
-    """Kahn's algorithm; ties broken by schema order.  None if cyclic."""
-    indeg = {n: 0 for n in schema.names}
-    children: dict[str, list[str]] = {n: [] for n in schema.names}
+    """Kahn's algorithm, ties broken by schema order: place the first node
+    in schema order whose parents are all placed.  None if cyclic."""
+    pending: dict[str, set[str]] = {n: set() for n in schema.names}
     for parent, child in edges:
-        indeg[child] += 1
-        children[parent].append(child)
-    ready = [n for n in schema.names if indeg[n] == 0]
-    order = []
-    while ready:
-        node = min(ready, key=schema.index)
-        ready.remove(node)
+        pending[parent]  # KeyError for an endpoint outside the schema, as for the child
+        pending[child].add(parent)
+    order, placed = [], set()
+    while pending:
+        node = next((n for n, ps in pending.items() if ps <= placed), None)
+        if node is None:
+            return None
+        del pending[node]
         order.append(node)
-        for c in children[node]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return order if len(order) == len(schema.names) else None
+        placed.add(node)
+    return order
 
 
 def is_acyclic(schema: VariableSchema, edges) -> bool:
@@ -155,22 +152,24 @@ class DagSet:
 def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP) -> DagSet:
     """All acyclic ways of orienting the undirected edges of ``g``.
 
-    Orientation vectors are emitted in lexicographic order; cyclic
-    orientations are dropped.
+    Edges are oriented one at a time, in ``g.undirected`` order; a prefix
+    that closes a cycle is not extended.  Vectors come out in lexicographic order.
     """
     und = g.undirected  # already sorted lexicographically
     if len(und) > max_undirected:
         raise EnumerationLimit(len(und), max_undirected)
     members = []
-    for bits in itertools.product("01", repeat=len(und)):
-        oriented = tuple(
-            (a, b) if bit == "0" else (b, a) for bit, (a, b) in zip(bits, und)
-        )
-        edges = g.directed + oriented
-        if not is_acyclic(g.schema, edges):
+    stack = [("", g.directed)]  # (orientation prefix, directed part + oriented edges)
+    while stack:
+        vec, edges = stack.pop()
+        if len(vec) == len(und):
+            members.append(TaggedDag("G" + vec, vec, Dag(g.schema, edges)))
             continue
-        vec = "".join(bits)
-        members.append(TaggedDag("G" + vec, vec, Dag(g.schema, edges)))
+        a, b = und[len(vec)]
+        for bit, edge in (("1", (b, a)), ("0", (a, b))):  # "0" pops first
+            grown = edges + (edge,)
+            if is_acyclic(g.schema, grown):
+                stack.append((vec + bit, grown))
     return DagSet(tuple(members), und)
 
 

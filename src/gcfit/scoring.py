@@ -292,17 +292,16 @@ def gcf_abs(dag: Dag, dmap: Mapping[str, float]) -> float:
 def score_set(
     dags: DagSet,
     data: InterventionBundle | InterventionTables,
-    scored_edges=None,
     edges_policy: str = "pd",
     missing_policy: str = "strict",
 ) -> list[ScoreRecord]:
     """Score every DAG of a set against one shared do-divergence map.
 
-    ``scored_edges`` defaults to the undirected edges of the generating
-    PD graph (``edges_policy='pd'``); with ``edges_policy='all'`` each
-    DAG's full edge set is scored instead (for sets with mixed
-    skeletons).  GF is computed per DAG from the observational table,
-    each family's entropy once for the whole set.
+    GCF scores the undirected edges of the generating PD graph
+    (``edges_policy='pd'``); with ``edges_policy='all'`` it scores each
+    DAG's full edge set instead (for sets with mixed skeletons).  GF is
+    computed per DAG from the observational table, each family's entropy
+    once for the whole set.
     """
     if edges_policy not in ("pd", "all"):
         raise GcfitError(f"unknown edges policy {edges_policy!r}")
@@ -313,22 +312,13 @@ def score_set(
         for a, b in member.dag.edges:
             needed.add(a)
             needed.add(b)
-    if scored_edges is not None:
-        for a, b in scored_edges:
-            needed.add(a)
-            needed.add(b)
     do_detail = {n: do_divergence_detail(n, tables, missing_policy) for n in sorted(needed)}
     dmap = {n: d for n, (d, _) in do_detail.items()}
 
     memo = {}
     records = []
     for member in dags:
-        if scored_edges is not None:
-            edges = scored_edges
-        elif edges_policy == "all":
-            edges = member.dag.edges
-        else:
-            edges = dags.source_undirected
+        edges = member.dag.edges if edges_policy == "all" else dags.source_undirected
         try:
             value, details, flags = gcf_detail(member.dag, edges, dmap)
             record = ScoreRecord(

@@ -162,3 +162,44 @@ def oracle_joint(net):
             p *= cpt.table[idx]
         out[cell] = p
     return out
+
+
+def oracle_has_cycle(names, edges):
+    """Depth-first search with white/grey/black colouring; a grey node
+    reached again closes a cycle."""
+    children = {n: [] for n in names}
+    for a, b in edges:
+        children[a].append(b)
+    colour = dict.fromkeys(names, "white")
+
+    def visit(node):
+        colour[node] = "grey"
+        for c in children[node]:
+            if colour[c] == "grey" or (colour[c] == "white" and visit(c)):
+                return True
+        colour[node] = "black"
+        return False
+
+    return any(colour[n] == "white" and visit(n) for n in names)
+
+
+def oracle_orientations(g):
+    """[(orientation vector, sorted edges)] of every acyclic orientation of a
+    PD graph: all 2^k vectors in lexicographic order, filtered."""
+    out = []
+    for bits in itertools.product("01", repeat=len(g.undirected)):
+        oriented = [(a, b) if bit == "0" else (b, a) for bit, (a, b) in zip(bits, g.undirected)]
+        edges = list(g.directed) + oriented
+        if not oracle_has_cycle(g.schema.names, edges):
+            out.append(("".join(bits), tuple(sorted(edges))))
+    return out
+
+
+def oracle_topological_order(names, edges):
+    """First permutation, in lexicographic order of schema index, that puts
+    every parent before its child; None if there is none."""
+    for perm in itertools.permutations(names):
+        pos = {n: i for i, n in enumerate(perm)}
+        if all(pos[a] < pos[b] for a, b in edges):
+            return list(perm)
+    return None

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from gcfit import PdGraph, save_bayesnet, save_pdgraph
+from gcfit import Dag, PdGraph, VariableSchema, save_bayesnet, save_pdgraph
 from gcfit.cli import format_number, main
 from conftest import random_net
 
@@ -247,6 +247,51 @@ class TestScore:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("value", [1.7, True, "0"])
+    def test_non_integer_intervention_value_exit_1(self, workdir, capsys, value):
+        run_synth(workdir)
+        manifest_path = workdir / "data" / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        entry = next(e for e in doc["interventions"] if e["file"] == "do_z_0.csv")
+        entry["value"] = value  # int() would read 1.7 and true as the real (z, 1)
+        manifest_path.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(manifest_path),
+                "--out-dir", str(workdir / "out"),
+            ]
+        )
+        assert rc == 1
+        assert "bad intervention entry" in capsys.readouterr().err
+
+    def test_variable_name_needing_quotes(self, tmp_path):
+        schema = VariableSchema(("a,b", "c"), (2, 2))
+        truth = Dag(schema, (("a,b", "c"),))
+        save_bayesnet(random_net(truth, np.random.default_rng(3)), tmp_path / "truth.json")
+        save_pdgraph(PdGraph(schema, (), (("a,b", "c"),)), tmp_path / "g.json")
+        assert run_synth(tmp_path, n_obs="2000", n_do="1000") == 0
+        rc = main(
+            [
+                "score",
+                "--graph", str(tmp_path / "g.json"),
+                "--manifest", str(tmp_path / "data" / "manifest.json"),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 0
+        rows = read_scores(tmp_path / "out" / "scores.csv")
+        assert [(r["graph_id"], r["edges"]) for r in rows] == [("G0", "a,b->c"), ("G1", "c->a,b")]
+        assert all(None not in r for r in rows)  # no row has more fields than the header
+        dd = read_scores(tmp_path / "out" / "do_divergences.csv")
+        assert [(r["node"], r["value"]) for r in dd] == [
+            ("a,b", "0"), ("a,b", "1"), ("c", "0"), ("c", "1"),
+        ]
+        for r in dd:
+            assert None not in r
+            assert float(r["weight"]) > 0
 
     def test_corrupt_dataset_exit_1(self, workdir):
         run_synth(workdir)

@@ -15,6 +15,8 @@ from gcfit import (
     pdgraph_from_json,
     pdgraph_to_json,
 )
+from gcfit.graphs import topological_order
+from conftest import oracle_orientations, oracle_topological_order
 
 
 @pytest.fixture
@@ -43,6 +45,22 @@ class TestDag:
         schema = VariableSchema(("a", "b", "c"), (2, 2, 2))
         dag = Dag(schema, (("c", "a"),))
         assert dag.topological_order() == ["b", "c", "a"]
+        # random edge sets, cyclic ones and duplicate edges included, with
+        # schema orders that are not alphabetical
+        rng = np.random.default_rng(11)
+        cyclic = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            names = tuple(str(x) for x in rng.permutation(list("abcdef"))[:n])
+            schema = VariableSchema(names, (2,) * n)
+            m = int(rng.integers(0, 2 * n + 1))
+            edges = [tuple(map(str, rng.choice(names, size=2, replace=n < 2))) for _ in range(m)]
+            edges += edges[: int(rng.integers(0, 2))]
+            expected = oracle_topological_order(names, edges)
+            cyclic += expected is None
+            assert topological_order(schema, edges) == expected
+            assert is_acyclic(schema, edges) == (expected is not None)
+        assert 0 < cyclic < 300
 
 
 class TestIsAcyclic:
@@ -53,6 +71,13 @@ class TestIsAcyclic:
     def test_two_cycle(self):
         schema = VariableSchema(("a", "b"), (2, 2))
         assert not is_acyclic(schema, (("a", "b"), ("b", "a")))
+
+    def test_endpoint_outside_schema_raises(self):
+        # an unknown parent must not read as a node that is never ready
+        schema = VariableSchema(("a", "b"), (2, 2))
+        for edges in ((("a", "z"),), (("z", "a"),)):
+            with pytest.raises(KeyError):
+                is_acyclic(schema, edges)
 
     def test_triangle_orientations(self, triangle):
         schema = triangle.schema
@@ -112,24 +137,25 @@ class TestEnumerateOrientations:
             assert m.dag.skeleton() == expected
 
     def test_count_bound_brute_force(self):
-        # every PD graph on 4 nodes with k <= 4 undirected edges
+        # random PD graphs on 5 nodes: an acyclic directed part (edges follow
+        # a random node order) plus k <= 6 undirected edges on other pairs
         rng = np.random.default_rng(5)
-        schema = VariableSchema(("a", "b", "c", "d"), (2, 2, 2, 2))
+        schema = VariableSchema(("a", "b", "c", "d", "e"), (2, 2, 2, 2, 2))
         pairs = list(itertools.combinations(schema.names, 2))
-        for _ in range(30):
-            k = rng.integers(0, 5)
-            chosen = rng.choice(len(pairs), size=k, replace=False)
-            und = tuple(pairs[i] for i in chosen)
-            g = PdGraph(schema, (), und)
+        for _ in range(60):
+            rank = {n: i for i, n in enumerate(rng.permutation(list(schema.names)))}
+            shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+            n_dir = int(rng.integers(0, 5))
+            k = int(rng.integers(0, 7))
+            directed = tuple(
+                (a, b) if rank[a] < rank[b] else (b, a) for a, b in shuffled[:n_dir]
+            )
+            g = PdGraph(schema, directed, tuple(shuffled[n_dir : n_dir + k]))
             dags = enumerate_orientations(g)
-            brute = 0
-            for bits in itertools.product((0, 1), repeat=k):
-                edges = tuple(
-                    (a, b) if bit == 0 else (b, a) for bit, (a, b) in zip(bits, g.undirected)
-                )
-                brute += is_acyclic(schema, edges)
-            assert len(dags) == brute
-            assert len(dags) <= 2**k
+            expected = oracle_orientations(g)
+            assert [(m.orientation, m.dag.edges) for m in dags] == expected
+            assert [m.graph_id for m in dags] == ["G" + v for v, _ in expected]
+            assert 1 <= len(dags) <= 2**k
 
     def test_enumeration_cap(self, triangle):
         with pytest.raises(EnumerationLimit) as exc:
