@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch
-from .graphs import Dag, schema_from_obj, schema_to_obj
-from .tables import Dataset, ProbTable, VariableSchema, NORMALIZATION_TOL
+from .graphs import Dag, json_object, schema_from_obj, schema_to_obj
+from .tables import Dataset, ProbTable, VariableSchema, NORMALIZATION_TOL, count_rows
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,7 @@ def fit_cpts(dag: Dag, data: Dataset, smoothing: float = 0.0) -> BayesNet:
     cpts = {}
     for node in schema.names:
         parents = dag.parents(node)
-        fam = parents + (node,)
-        fam_cards = tuple(schema.cardinality(v) for v in fam)
-        cols = data.rows[:, [schema.index(v) for v in fam]]
-        if len(data):
-            flat = np.ravel_multi_index(cols.T, fam_cards)
-            counts = np.bincount(flat, minlength=int(np.prod(fam_cards))).astype(float)
-        else:
-            counts = np.zeros(int(np.prod(fam_cards)))
-        counts = counts.reshape(fam_cards) + smoothing
+        counts = count_rows(data, parents + (node,)) + smoothing
         totals = counts.sum(axis=-1, keepdims=True)
         card = schema.cardinality(node)
         table = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / card)
@@ -150,13 +142,16 @@ def fit_cpts(dag: Dag, data: Dataset, smoothing: float = 0.0) -> BayesNet:
     return BayesNet(dag, cpts)
 
 
+def substream(seed, key: int) -> np.random.SeedSequence:
+    """Child ``key`` of ``seed`` (an int or a SeedSequence): the same
+    (seed, key) always gives the same stream, distinct keys independent ones."""
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(base.entropy, spawn_key=base.spawn_key + (key,))
+
+
 def _node_rng(seed, position: int) -> np.random.Generator:
     """One deterministic substream per node, keyed by topological position."""
-    if isinstance(seed, np.random.SeedSequence):
-        base = seed
-    else:
-        base = np.random.SeedSequence(int(seed))
-    return np.random.default_rng(np.random.SeedSequence(base.entropy, spawn_key=base.spawn_key + (position,)))
+    return np.random.default_rng(substream(seed, position))
 
 
 def _draw_column(net: BayesNet, node: str, columns: dict[str, np.ndarray], n: int,
@@ -231,12 +226,7 @@ def bayesnet_to_json(net: BayesNet) -> str:
 
 
 def bayesnet_from_json(text: str, path=None) -> BayesNet:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-    if not isinstance(doc, dict) or "variables" not in doc:
-        raise ParseError("missing 'variables' block", path=path)
+    doc = json_object(text, "variables", path)
     schema = schema_from_obj(doc["variables"], path=path)
     try:
         dag = Dag(schema, tuple(tuple(e) for e in doc.get("edges", [])))

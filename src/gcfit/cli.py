@@ -14,12 +14,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .bayesnet import load_bayesnet, sample, sample_do
+from .bayesnet import load_bayesnet, sample, sample_do, substream
 from .errors import EnumerationLimit, GcfitError, ParseError
-from .graphs import DEFAULT_ENUMERATION_CAP, enumerate_orientations, load_pdgraph
+from .graphs import DEFAULT_ENUMERATION_CAP, enumerate_orientations, json_object, load_pdgraph
 from .scoring import InterventionBundle, score_set
 from .svg import scatter_svg
 from .tables import Dataset
@@ -50,29 +48,31 @@ def load_manifest(path, schema):
              "interventions": [{"file": <csv path>, "node": ..., "value": ...}]}
     Relative paths resolve against the manifest's directory.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-    if not isinstance(doc, dict) or "observational" not in doc:
-        raise ParseError("manifest needs an 'observational' entry", path=path)
+    with open(path) as fh:
+        doc = json_object(fh.read(), "observational", path)
+    entries = doc.get("interventions", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError("'interventions' must be a list of objects", path=path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
+        if not isinstance(p, str):
+            raise ParseError(f"path {p!r} is not a string", path=path)
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     observational = Dataset.read_csv(resolve(doc["observational"]), schema)
     interventional = {}
-    for entry in doc.get("interventions", []):
+    for entry in entries:
         try:
             node = entry["node"]
             value = entry["value"]
             file_ = entry["file"]
+            if not isinstance(node, str):
+                raise ValueError(f"node {node!r} is not a string")
             # only a JSON integer: coercing 1.7 or true would label the file with another state
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"value {value!r} is not an integer")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ParseError(f"bad intervention entry {entry!r}: {exc}", path=path) from None
         if (node, value) in interventional:
             raise GcfitError(f"duplicate intervention entry for ({node}, {value})")
@@ -103,41 +103,32 @@ def cmd_score(args) -> int:
         missing_policy=args.missing,
     )
 
+    do_detail = records[0].do_detail  # every member shares it; a DagSet is never empty
+    files = {
+        "scores.csv": [["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]]
+        + [
+            [
+                r.graph_id,
+                r.orientation or "-",
+                _edges_str(r.dag.edges),
+                format_number(r.gf),
+                format_number(r.gcf),
+                format_number(r.gcf_abs),
+                ";".join(r.flags),
+            ]
+            for r in records
+        ],
+        "do_divergences.csv": [["node", "value", "D_a", "weight", "D_node"]]
+        + [
+            [node, value, format_number(d_value), format_number(weight), format_number(divergence)]
+            for node, (divergence, detail) in do_detail.items()
+            for value, weight, d_value in detail
+        ],
+    }
     os.makedirs(args.out_dir, exist_ok=True)
-
-    with open(os.path.join(args.out_dir, "scores.csv"), "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.graph_id,
-                    r.orientation or "-",
-                    _edges_str(r.dag.edges),
-                    format_number(r.gf),
-                    format_number(r.gcf),
-                    format_number(r.gcf_abs),
-                    ";".join(r.flags),
-                ]
-            )
-
-    do_detail = records[0].do_detail if records else {}
-    with open(os.path.join(args.out_dir, "do_divergences.csv"), "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", "value", "D_a", "weight", "D_node"])
-        for node, (divergence, detail) in do_detail.items():
-            for value, weight, d_value in detail:
-                writer.writerow(
-                    [
-                        node,
-                        value,
-                        format_number(d_value),
-                        format_number(weight),
-                        format_number(divergence),
-                    ]
-                )
+    for name, rows in files.items():
+        with open(os.path.join(args.out_dir, name), "w") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
     if args.svg:
         points = [(r.gf, r.gcf, r.graph_id) for r in records]
@@ -153,17 +144,14 @@ def cmd_synth(args) -> int:
     schema = net.schema
     os.makedirs(args.out_dir, exist_ok=True)
 
-    base = np.random.SeedSequence(args.seed)
-    obs = sample(net, args.n_obs, np.random.SeedSequence(base.entropy, spawn_key=(0,)))
+    obs = sample(net, args.n_obs, substream(args.seed, 0))
     obs.write_csv(os.path.join(args.out_dir, "obs.csv"))
 
     entries = []
-    stream = 1
     for node in schema.names:
         for value in range(schema.cardinality(node)):
-            seed = np.random.SeedSequence(base.entropy, spawn_key=(stream,))
-            stream += 1
-            data = sample_do(net, node, value, args.n_do, seed)
+            # substream 0 drew obs.csv; each (node, value) takes the next, in schema order
+            data = sample_do(net, node, value, args.n_do, substream(args.seed, len(entries) + 1))
             fname = f"do_{node}_{value}.csv"
             data.write_csv(os.path.join(args.out_dir, fname))
             entries.append({"file": fname, "node": node, "value": value})

@@ -183,10 +183,27 @@ def schema_to_obj(schema: VariableSchema) -> list:
     ]
 
 
+def json_object(text: str, required: str, path=None) -> dict:
+    """Decode a JSON input file whose top level must be an object with a
+    ``required`` entry; any other content is a `ParseError`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    if not isinstance(doc, dict) or required not in doc:
+        raise ParseError(f"missing {required!r} block", path=path)
+    return doc
+
+
 def schema_from_obj(obj, path=None) -> VariableSchema:
     try:
         names = tuple(v["name"] for v in obj)
-        cards = tuple(int(v["cardinality"]) for v in obj)
+        cards = tuple(v["cardinality"] for v in obj)
+        # only JSON strings and integers: int() would read 2.7 as 2 and "3" as 3
+        if not all(isinstance(n, str) for n in names):
+            raise ValueError("variable names must be strings")
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in cards):
+            raise ValueError("cardinalities must be integers")
         return VariableSchema(names, cards)
     except (KeyError, TypeError, ValueError, GcfitError) as exc:
         raise ParseError(f"bad variables block: {exc}", path=path) from None
@@ -202,12 +219,7 @@ def pdgraph_to_json(g: PdGraph) -> str:
 
 
 def pdgraph_from_json(text: str, path=None) -> PdGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-    if not isinstance(doc, dict) or "variables" not in doc:
-        raise ParseError("missing 'variables' block", path=path)
+    doc = json_object(text, "variables", path)
     schema = schema_from_obj(doc["variables"], path=path)
     try:
         directed = tuple(tuple(e) for e in doc.get("directed", []))

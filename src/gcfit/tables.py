@@ -230,6 +230,14 @@ class Dataset:
             return cls.from_csv(fh.read(), schema, path=path)
 
 
+def count_rows(data: Dataset, names) -> np.ndarray:
+    """Row counts of every joint state of the ``names`` columns, as a float
+    array with one axis per name, in the order given."""
+    shape = tuple(data.schema.cardinality(n) for n in names)
+    flat = np.ravel_multi_index([data.column(n) for n in names], shape)
+    return np.bincount(flat, minlength=int(np.prod(shape))).astype(float).reshape(shape)
+
+
 def empirical_from_dataset(data: Dataset, smoothing: float = 0.0) -> ProbTable:
     """Plug-in (optionally Laplace-smoothed) joint distribution of a dataset.
 
@@ -237,10 +245,8 @@ def empirical_from_dataset(data: Dataset, smoothing: float = 0.0) -> ProbTable:
     """
     if smoothing < 0:
         raise GcfitError("smoothing must be nonnegative")
-    if len(data) == 0 and smoothing == 0:
+    counts = count_rows(data, data.schema.names) + smoothing
+    total = counts.sum()
+    if total == 0:
         raise EmptyDataset("cannot estimate from an empty dataset without smoothing")
-    schema = data.schema
-    flat_idx = np.ravel_multi_index(data.rows.T, schema.shape) if len(data) else np.empty(0, int)
-    counts = np.bincount(flat_idx, minlength=schema.n_cells).astype(float)
-    counts += smoothing
-    return ProbTable(schema, (counts / counts.sum()).reshape(schema.shape))
+    return ProbTable(data.schema, counts / total)

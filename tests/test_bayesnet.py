@@ -172,6 +172,10 @@ class TestFitCpts:
         data = Dataset(fig1_schema, [[0, 1, 0]] * 4)  # a=1 never occurs
         net = fit_cpts(dag, data)
         assert net.cpts["b"].table[1].tolist() == [0.5, 0.5]
+        # with no rows at all, every row of every CPT is unseen
+        empty = fit_cpts(dag, Dataset(fig1_schema, np.empty((0, 3), dtype=int)))
+        for cpt in empty.cpts.values():
+            assert (cpt.table == 0.5).all()
 
     def test_recovery_from_large_sample(self, fig1_net):
         data = sample(fig1_net, 50_000, seed=21)
@@ -295,3 +299,12 @@ class TestJson:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             bayesnet_from_json("nope{")
+
+    @pytest.mark.parametrize("value", [2.7, "2"])
+    def test_cardinality_must_be_a_json_integer(self, chain_net, value):
+        import json
+
+        doc = json.loads(bayesnet_to_json(chain_net))
+        doc["variables"][0]["cardinality"] = value  # int() would read both as 2
+        with pytest.raises(ParseError, match="bad variables block"):
+            bayesnet_from_json(json.dumps(doc))

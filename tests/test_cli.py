@@ -9,6 +9,7 @@ import pytest
 
 from gcfit import Dag, PdGraph, VariableSchema, save_bayesnet, save_pdgraph
 from gcfit.cli import format_number, main
+from gcfit.svg import scatter_svg
 from conftest import random_net
 
 
@@ -157,6 +158,12 @@ class TestScore:
         assert svg.startswith("<svg")
         assert "G0" in svg and "G1" in svg
 
+    def test_svg_finite_points_are_circles(self):
+        # fig1 data at smoothing 1 gives +inf GF, so the CLI plots only diamonds
+        svg = scatter_svg([(1.0, 0.5, "G0"), (2.0, -0.5, "G1"), (math.inf, 1.0, "G2")])
+        assert svg.count("<circle") == 2 and svg.count("<polygon") == 1
+        assert svg.index("G0") < svg.index("G1") < svg.index("<polygon") < svg.index("G2")
+
     def test_reruns_byte_identical(self, workdir, scored):
         rc = main(
             [
@@ -266,6 +273,36 @@ class TestScore:
         )
         assert rc == 1
         assert "bad intervention entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("observational", 5),
+            ("interventions", 5),
+            ("interventions", [5]),
+            ("file", 5),
+            ("node", ["z"]),
+        ],
+    )
+    def test_mistyped_manifest_field_exit_1(self, workdir, capsys, field, value):
+        run_synth(workdir, n_obs="200", n_do="100")
+        manifest_path = workdir / "data" / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        if field in doc:
+            doc[field] = value
+        else:
+            doc["interventions"][0][field] = value
+        manifest_path.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(manifest_path),
+                "--out-dir", str(workdir / "out"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_variable_name_needing_quotes(self, tmp_path):
         schema = VariableSchema(("a,b", "c"), (2, 2))

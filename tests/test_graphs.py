@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -194,9 +195,20 @@ class TestJson:
         assert pdgraph_to_json(pdgraph_from_json(text)) == text
 
     def test_invalid_json_reports_location(self):
-        with pytest.raises(ParseError):
-            pdgraph_from_json("{not json", path="x.json")
+        with pytest.raises(ParseError) as exc:
+            pdgraph_from_json('{\n"variables": nope}', path="x.json")
+        assert str(exc.value).startswith("x.json:2: invalid JSON")
 
     def test_missing_variables_block(self):
-        with pytest.raises(ParseError):
-            pdgraph_from_json("{}")
+        for text in ("{}", "[]"):
+            with pytest.raises(ParseError, match="^missing 'variables' block$"):
+                pdgraph_from_json(text)
+
+    @pytest.mark.parametrize(
+        "key, value", [("cardinality", 2.7), ("cardinality", "3"), ("cardinality", True), ("name", 5)]
+    )
+    def test_variables_must_be_json_strings_and_integers(self, fig2_pdgraph, key, value):
+        doc = json.loads(pdgraph_to_json(fig2_pdgraph))
+        doc["variables"][0][key] = value  # int() would read 2.7 as 2 and "3" as 3
+        with pytest.raises(ParseError, match="bad variables block"):
+            pdgraph_from_json(json.dumps(doc))

@@ -33,7 +33,7 @@ from gcfit import (
     sample_do,
     score_set,
 )
-from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL
+from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE
 from conftest import oracle_gf, random_net, random_table
 
 
@@ -273,6 +273,17 @@ class TestGcf:
         value, _, flags = gcf_detail(dag, (("a", "b"),), {"a": 0.3, "b": 0.3})
         assert value == 0.0
         assert FLAG_NO_CAUSAL_SIGNAL in flags
+
+    def test_infinite_denominator(self):
+        schema = VariableSchema(("a", "b", "c"), (2, 2, 2))
+        dag = Dag(schema, (("a", "b"), ("b", "c")))
+        scored = (("a", "b"), ("b", "c"))
+        # the two infinite distances have opposite signs: no answer
+        value, _, flags = gcf_detail(dag, scored, {"a": 0.1, "b": math.inf, "c": 0.2})
+        assert (value, flags) == (0.0, (FLAG_NO_CAUSAL_SIGNAL,))
+        # inf - inf is no distance; the one infinite distance decides
+        value, _, flags = gcf_detail(dag, scored, {"a": math.inf, "b": math.inf, "c": 0.2})
+        assert (value, flags) == (-1.0, (FLAG_UNDEFINED_DISTANCE,))
 
     def test_bounds_random(self, fig1_schema):
         rng = np.random.default_rng(7)

@@ -81,8 +81,9 @@ class TestEmpirical:
 
     def test_empty_with_smoothing_is_uniform(self, ab_schema):
         data = Dataset(ab_schema, np.empty((0, 2), dtype=int))
-        table = empirical_from_dataset(data, smoothing=2.0)
-        assert table.flat() == pytest.approx([0.25] * 4)
+        for smoothing in (1.0, 2.0):
+            table = empirical_from_dataset(data, smoothing=smoothing)
+            assert table.flat().tolist() == [0.25] * 4
 
     def test_large_sample_close_to_joint(self, fig1_truth):
         from conftest import random_net
@@ -170,10 +171,21 @@ class TestDatasetCsv:
             Dataset.from_csv("a,c\n0,0\n", ab_schema)
 
     def test_non_integer_cell_names_location(self, ab_schema):
-        with pytest.raises(ParseError) as exc:
-            Dataset.from_csv("a,b\n0,0\n1,x\n", ab_schema)
-        assert exc.value.line == 3
-        assert exc.value.column == 2
+        # a blank line is skipped but still counted
+        for text, line in [("a,b\n0,0\n1,x\n", 3), ("a,b\n0,0\n\n1,x\n", 4)]:
+            with pytest.raises(ParseError) as exc:
+                Dataset.from_csv(text, ab_schema)
+            assert exc.value.line == line
+            assert exc.value.column == 2
+
+    @pytest.mark.parametrize(
+        "text, message, line", [("", "empty file", 1), ("a,b\n0,0,1\n", "expected 2 fields, got 3", 2)]
+    )
+    def test_malformed_file_names_line(self, ab_schema, text, message, line):
+        with pytest.raises(ParseError, match=message) as exc:
+            Dataset.from_csv(text, ab_schema)
+        assert exc.value.line == line
+        assert exc.value.column is None
 
     def test_out_of_range_cell(self, ab_schema):
         with pytest.raises(ParseError) as exc:
