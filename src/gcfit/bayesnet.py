@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch
-from .graphs import Dag, json_object, schema_from_obj, schema_to_obj
+from .graphs import Dag, edges_from_obj, json_object, schema_from_obj, schema_to_obj
 from .tables import Dataset, ProbTable, VariableSchema, NORMALIZATION_TOL, count_rows
 
 
@@ -225,19 +225,31 @@ def bayesnet_to_json(net: BayesNet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_numbers(obj) -> bool:
+    """True if ``obj`` is a JSON number (not a bool) or nested arrays of them."""
+    if isinstance(obj, list):
+        return all(map(_json_numbers, obj))
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def bayesnet_from_json(text: str, path=None) -> BayesNet:
     doc = json_object(text, "variables", path)
     schema = schema_from_obj(doc["variables"], path=path)
     try:
-        dag = Dag(schema, tuple(tuple(e) for e in doc.get("edges", [])))
+        dag = Dag(schema, edges_from_obj(doc.get("edges", [])))
     except (TypeError, ValueError, GcfitError) as exc:
         raise ParseError(f"bad network structure: {exc}", path=path) from None
     cpts = {}
     for node in schema.names:
         try:
             entry = doc["cpts"][node]
-            parents = tuple(entry["parents"])
-            rows = np.asarray(entry["rows"], dtype=float)
+            parents, rows = entry["parents"], entry["rows"]
+            # np.asarray(dtype=float) would read "0.5" and true as numbers
+            if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+                raise ValueError(f"parents {parents!r} are not a list of strings")
+            if not isinstance(rows, list) or not _json_numbers(rows):
+                raise ValueError("rows are not nested arrays of numbers")
+            parents, rows = tuple(parents), np.asarray(rows, dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad CPT for {node!r}: {exc}", path=path) from None
         if np.any(np.abs(rows.sum(axis=-1) - 1.0) > 1e-6):
@@ -256,10 +268,10 @@ def bayesnet_from_json(text: str, path=None) -> BayesNet:
 
 
 def load_bayesnet(path) -> BayesNet:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return bayesnet_from_json(fh.read(), path=path)
 
 
 def save_bayesnet(net: BayesNet, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(bayesnet_to_json(net))

@@ -48,7 +48,7 @@ def load_manifest(path, schema):
              "interventions": [{"file": <csv path>, "node": ..., "value": ...}]}
     Relative paths resolve against the manifest's directory.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json_object(fh.read(), "observational", path)
     entries = doc.get("interventions", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -127,12 +127,12 @@ def cmd_score(args) -> int:
     }
     os.makedirs(args.out_dir, exist_ok=True)
     for name, rows in files.items():
-        with open(os.path.join(args.out_dir, name), "w") as fh:
+        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
 
     if args.svg:
         points = [(r.gf, r.gcf, r.graph_id) for r in records]
-        with open(os.path.join(args.out_dir, "plot.svg"), "w") as fh:
+        with open(os.path.join(args.out_dir, "plot.svg"), "w", encoding="utf-8") as fh:
             fh.write(scatter_svg(points))
     return EXIT_OK
 
@@ -141,6 +141,8 @@ def cmd_synth(args) -> int:
     net = load_bayesnet(args.net)
     if args.n_obs < 1 or args.n_do < 1:
         raise GcfitError("sample counts must be positive")
+    if args.seed < 0:
+        raise GcfitError("seed must be non-negative")
     schema = net.schema
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -156,7 +158,7 @@ def cmd_synth(args) -> int:
             data.write_csv(os.path.join(args.out_dir, fname))
             entries.append({"file": fname, "node": node, "value": value})
     manifest = {"observational": "obs.csv", "interventions": entries}
-    with open(os.path.join(args.out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return EXIT_OK

@@ -209,6 +209,17 @@ def schema_from_obj(obj, path=None) -> VariableSchema:
         raise ParseError(f"bad variables block: {exc}", path=path) from None
 
 
+def edges_from_obj(obj) -> tuple:
+    """Edges from a JSON array of ``[parent, child]`` string pairs; any
+    other value is a ValueError (tuple() would read ``"ab"`` as a->b)."""
+    if not isinstance(obj, list):
+        raise ValueError(f"edges {obj!r} are not a list")
+    for e in obj:
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
+            raise ValueError(f"edge {e!r} is not a [parent, child] pair of strings")
+    return tuple(map(tuple, obj))
+
+
 def pdgraph_to_json(g: PdGraph) -> str:
     doc = {
         "variables": schema_to_obj(g.schema),
@@ -222,18 +233,18 @@ def pdgraph_from_json(text: str, path=None) -> PdGraph:
     doc = json_object(text, "variables", path)
     schema = schema_from_obj(doc["variables"], path=path)
     try:
-        directed = tuple(tuple(e) for e in doc.get("directed", []))
-        undirected = tuple(tuple(e) for e in doc.get("undirected", []))
+        directed = edges_from_obj(doc.get("directed", []))
+        undirected = edges_from_obj(doc.get("undirected", []))
         return PdGraph(schema, directed, undirected)
     except (GcfitError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph: {exc}", path=path) from None
 
 
 def load_pdgraph(path) -> PdGraph:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return pdgraph_from_json(fh.read(), path=path)
 
 
 def save_pdgraph(g: PdGraph, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(pdgraph_to_json(g))

@@ -25,6 +25,7 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-9
 _CSV_WRITE_ROWS = 4096
+_ZERO = ord("0")
 
 
 @dataclass(frozen=True)
@@ -166,23 +167,46 @@ class Dataset:
         return Dataset(sub, self.rows[:, idx])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(self.schema.names)
+        """CSV text: the header as `csv.writer` renders the names, then one
+        line per row.  With every cardinality at most 10 each cell is one
+        digit, so the rows are built as one byte grid (the canonical layout
+        `from_csv` decodes without the strict parser)."""
+        header = _csv_header(self.schema.names)
+        if max(self.schema.cardinalities) <= 10:
+            grid = np.empty((len(self), 2 * len(self.schema.names)), dtype=np.uint8)
+            grid[:, 1::2] = ord(",")
+            grid[:, -1] = ord("\n")
+            np.add(self.rows, _ZERO, out=grid[:, ::2], casting="unsafe")
+            return header + grid.tobytes().decode("ascii")
+        parts = [header]
         # one join per block of rows: a join over the whole rows.tolist()
         # holds several times the output's size at once
         for start in range(0, len(self), _CSV_WRITE_ROWS):
             block = self.rows[start:start + _CSV_WRITE_ROWS].tolist()
-            buf.write("".join(",".join(map(str, r)) + "\n" for r in block))
-        return buf.getvalue()
+            parts.append("".join(",".join(map(str, r)) + "\n" for r in block))
+        return "".join(parts)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(self.to_csv())
 
     @classmethod
     def from_csv(cls, text: str, schema: VariableSchema, path=None) -> "Dataset":
         """Strict CSV parse: header must equal the schema names, cells must be
-        in-range integers.  Errors report line and column numbers (1-based)."""
+        in-range integers.  Errors report line and column numbers (1-based).
+
+        Text in the canonical layout (the header as `csv.writer` renders the
+        names, then rows of single-digit cells separated by commas, each
+        ended by one LF) is checked and decoded as one byte grid instead.
+        That layout is a strict subset of what the strict parser accepts,
+        and on it both give the identical rows; everything `to_csv` writes
+        with every cardinality at most 10 is in it (unless a name holds a
+        bare CR, which neither can read back).  Any other text (CRLF,
+        blank lines, quoted or padded cells, multi-digit states, ...) goes
+        to the strict parser, the only source of error messages."""
+        rows = _canonical_rows(text, schema)
+        if rows is not None:
+            return cls(schema, rows)
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
@@ -226,8 +250,41 @@ class Dataset:
 
     @classmethod
     def read_csv(cls, path, schema: VariableSchema) -> "Dataset":
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
             return cls.from_csv(fh.read(), schema, path=path)
+
+
+def _csv_header(names) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(names)
+    return buf.getvalue()
+
+
+def _canonical_rows(text: str, schema: VariableSchema):
+    """The rows of ``text`` as an int64 array if it is in the canonical
+    layout of `Dataset.from_csv`, else None."""
+    header = _csv_header(schema.names)
+    if not text.startswith(header):
+        return None
+    try:
+        # a name with a bare "\r" renders to a header the strict parser rejects
+        if list(csv.reader(io.StringIO(header))) != [list(schema.names)]:
+            return None
+        body = text[len(header):].encode("ascii")
+    except (csv.Error, UnicodeEncodeError):
+        return None
+    width = 2 * len(schema.names)
+    if not width or len(body) % width:
+        return None
+    grid = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+    digits = grid[:, ::2] - np.uint8(_ZERO)  # a byte below "0" wraps past 9
+    if not (
+        (grid[:, 1:-1:2] == ord(",")).all()
+        and (grid[:, -1] == ord("\n")).all()
+        and (digits < np.minimum(schema.cardinalities, 10)).all()
+    ):
+        return None
+    return digits.astype(np.int64)
 
 
 def count_rows(data: Dataset, names) -> np.ndarray:

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -203,3 +205,20 @@ def oracle_topological_order(names, edges):
         if all(pos[a] < pos[b] for a, b in edges):
             return list(perm)
     return None
+
+
+def oracle_csv_text(schema, rows):
+    """Dataset CSV written with one csv.writer call per data row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(schema.names)
+    for row in rows:
+        writer.writerow([int(v) for v in row])
+    return buf.getvalue()
+
+
+def oracle_csv_rows(text):
+    """(header, data rows as lists of ints) of a dataset CSV, read with
+    csv.reader; blank lines are skipped."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return header, [[int(c) for c in row] for row in rows if row]

@@ -308,3 +308,25 @@ class TestJson:
         doc["variables"][0]["cardinality"] = value  # int() would read both as 2
         with pytest.raises(ParseError, match="bad variables block"):
             bayesnet_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("edges", ["ab"], "bad network structure"),  # tuple() would read "ab" as a->b
+            ("parents", "a", "bad CPT for 'b'"),
+            ("parents", [["a"]], "bad CPT for 'b'"),
+            ("rows", [["0.1", "0.9"], ["0.8", "0.2"]], "bad CPT for 'b'"),
+            ("rows", [[True, False], [False, True]], "bad CPT for 'b'"),
+            ("rows", 1, "bad CPT for 'b'"),
+        ],
+    )
+    def test_list_fields_must_be_json_arrays(self, chain_net, field, value, message):
+        import json
+
+        doc = json.loads(bayesnet_to_json(chain_net))
+        if field == "edges":
+            doc["edges"] = value
+        else:
+            doc["cpts"]["b"][field] = value
+        with pytest.raises(ParseError, match=message):
+            bayesnet_from_json(json.dumps(doc))

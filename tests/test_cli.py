@@ -3,6 +3,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +117,10 @@ class TestSynth:
         assert run_synth(workdir, out="d1") == 0
         assert run_synth(workdir, out="d2") == 0
         assert tree_digest(workdir / "d1") == tree_digest(workdir / "d2")
+
+    def test_negative_seed_exit_2(self, workdir, capsys):
+        assert run_synth(workdir, seed="-1") == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
     def test_missing_net_file(self, workdir):
         rc = main(["synth", "--net", str(workdir / "nope.json"), "--out-dir", str(workdir)])
@@ -343,3 +350,48 @@ class TestScore:
             ]
         )
         assert rc == 1
+
+    def test_crlf_copy_scores_identically(self, workdir, scored):
+        # CRLF files miss the canonical layout and go through the strict parser
+        shutil.copytree(workdir / "data", workdir / "crlf")
+        for path in (workdir / "crlf").glob("*.csv"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(workdir / "crlf" / "manifest.json"),
+                "--out-dir", str(workdir / "out_crlf"),
+                "--svg",
+            ]
+        )
+        assert rc == 0
+        assert tree_digest(workdir / "out_crlf") == tree_digest(scored)
+
+    def test_score_independent_of_locale(self, tmp_path):
+        schema = VariableSchema(("é", "名前"), (2, 3))
+        truth = Dag(schema, (("é", "名前"),))
+        save_bayesnet(random_net(truth, np.random.default_rng(4)), tmp_path / "truth.json")
+        save_pdgraph(PdGraph(schema, (), (("é", "名前"),)), tmp_path / "g.json")
+        assert run_synth(tmp_path, n_obs="500", n_do="200") == 0
+        assert (tmp_path / "data" / "obs.csv").read_bytes().startswith("é,名前\n".encode())
+        score = ["score", "--graph", str(tmp_path / "g.json"), "--svg", "--manifest"]
+        assert main([*score, str(tmp_path / "data" / "manifest.json"), "--out-dir", str(tmp_path / "out")]) == 0
+        # the same data under ASCII file names, scored in an ASCII locale with
+        # Python's UTF-8 mode and locale coercion off
+        doc = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        os.makedirs(tmp_path / "ascii")
+        for i, entry in enumerate([doc, *doc["interventions"]]):
+            key = "observational" if entry is doc else "file"
+            shutil.copy(tmp_path / "data" / entry[key], tmp_path / "ascii" / f"{i}.csv")
+            entry[key] = f"{i}.csv"
+        (tmp_path / "ascii" / "manifest.json").write_text(json.dumps(doc))
+        env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcfit.cli", *score, str(tmp_path / "ascii" / "manifest.json"),
+             "--out-dir", str(tmp_path / "out_c")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert tree_digest(tmp_path / "out_c") == tree_digest(tmp_path / "out")

@@ -212,3 +212,19 @@ class TestJson:
         doc["variables"][0][key] = value  # int() would read 2.7 as 2 and "3" as 3
         with pytest.raises(ParseError, match="bad variables block"):
             pdgraph_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("directed", ["az", "bz"]),  # tuple() would read "az" as the edge a->z
+            ("undirected", ["ab"]),
+            ("directed", [["a", "z", "b"]]),
+            ("undirected", [["a", 5]]),
+            ("directed", "az"),
+        ],
+    )
+    def test_edges_must_be_pairs_of_json_strings(self, fig1_pdgraph, key, value):
+        doc = json.loads(pdgraph_to_json(fig1_pdgraph))
+        doc[key] = value
+        with pytest.raises(ParseError, match="bad graph"):
+            pdgraph_from_json(json.dumps(doc))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from gcfit import tables
 
 from gcfit import (
     Dataset,
@@ -15,7 +18,13 @@ from gcfit import (
     ZeroProbabilityEvidence,
     empirical_from_dataset,
 )
-from conftest import oracle_condition, oracle_marginalize, random_table
+from conftest import (
+    oracle_condition,
+    oracle_csv_rows,
+    oracle_csv_text,
+    oracle_marginalize,
+    random_table,
+)
 
 
 @pytest.fixture
@@ -150,21 +159,28 @@ class TestCondition:
 
 
 class TestDatasetCsv:
-    def test_round_trip(self, ab_schema):
-        # the second schema's names need CSV quoting in the header; the
-        # third dataset spans several of the writer's row blocks
+    def test_round_trip(self, ab_schema, tmp_path):
+        # the second and fourth schemas' names need CSV quoting in the header,
+        # the fourth's are not ASCII; the third dataset spans several of the
+        # wide writer's row blocks
         quoted = VariableSchema(("a,b", 'q"x', "c"), (2, 2, 3))
+        wide = VariableSchema(("a", "b"), (2, 12))
         many = np.random.default_rng(0).integers(0, 2, (10_000, 2))
+        unicode = VariableSchema(("é,x", "名前"), (2, 3))
         for schema, rows, header in [
             (ab_schema, [[0, 1], [1, 0], [1, 1]], "a,b\n"),
             (quoted, [[0, 1, 2], [1, 0, 0]], '"a,b","q""x",c\n'),
-            (ab_schema, many, "a,b\n"),
+            (wide, many, "a,b\n"),
+            (unicode, [[1, 2], [0, 0]], '"é,x",名前\n'),
         ]:
             data = Dataset(schema, rows)
             text = data.to_csv()
             assert text.startswith(header)
             again = Dataset.from_csv(text, schema)
             assert (again.rows == data.rows).all()
+            data.write_csv(tmp_path / "d.csv")
+            assert (tmp_path / "d.csv").read_bytes() == text.encode("utf-8")
+            assert (Dataset.read_csv(tmp_path / "d.csv", schema).rows == data.rows).all()
 
     def test_header_mismatch(self, ab_schema):
         with pytest.raises(ParseError):
@@ -203,3 +219,95 @@ class TestDatasetCsv:
         sub = data.select({"c", "a"})
         assert sub.schema.names == ("a", "c")
         assert (sub.rows == [[0, 1], [1, 1]]).all()
+
+
+# names that need quoting, are not ASCII, or are empty
+NAME_POOL = ("a", "b,c", 'q"x', "é", "名前", " s", "")
+
+
+@st.composite
+def datasets(draw):
+    cards = draw(st.lists(st.integers(2, 12), min_size=1, max_size=5))
+    names = draw(st.permutations(NAME_POOL))[: len(cards)]
+    n_rows = draw(st.integers(0, 30))
+    rows = [[draw(st.integers(0, c - 1)) for c in cards] for _ in range(n_rows)]
+    return VariableSchema(tuple(names), tuple(cards)), rows
+
+
+def strict_from_csv(monkeypatch, text, schema):
+    """`parse_outcome` with the canonical layout check switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(tables, "_canonical_rows", lambda text, schema: None)
+        return parse_outcome(text, schema)
+
+
+def parse_outcome(text, schema):
+    """The parsed rows, or the (message, line, column) of the ParseError."""
+    try:
+        return Dataset.from_csv(text, schema, path="d.csv").rows.tolist()
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+class TestCsvFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(datasets())
+    def test_matches_row_by_row_oracle(self, case):
+        # both writer branches (a cardinality above 10 or not), zero rows,
+        # one-column schemas
+        schema, rows = case
+        text = Dataset(schema, np.array(rows, dtype=np.int64).reshape(-1, len(schema.names))).to_csv()
+        assert text == oracle_csv_text(schema, rows)
+        assert oracle_csv_rows(text) == (list(schema.names), rows)
+        assert Dataset.from_csv(text, schema).rows.tolist() == rows
+        # single-digit data is canonical whatever the schema's cardinalities
+        canonical = tables._canonical_rows(text, schema)
+        assert (canonical is not None) == all(v < 10 for row in rows for v in row)
+        if canonical is not None:
+            assert canonical.dtype == np.int64 and canonical.tolist() == rows
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\r\n0,1\r\n", [[0, 1]]),  # CRLF
+            ("a,b\n0,1\r\n1,0\r\n0,0\r\n1,1\r\n", [[0, 1], [1, 0], [0, 0], [1, 1]]),  # CRLF body, 4-byte multiple
+            ("a,b\n0,1\n\n1,0\n", [[0, 1], [1, 0]]),  # blank line
+            ("a,b\n0,1", [[0, 1]]),  # no final newline
+            ('a,b\n"0",1\n', [[0, 1]]),  # quoted cell
+            ("a,b\n 0,1\n", [[0, 1]]),  # padded cell
+            ("a,b\n+1,0\n", [[1, 0]]),
+            ("a,b\n01,0\n", [[1, 0]]),
+            ('"a",b\n0,1\n', [[0, 1]]),  # differently quoted header
+            ("a,b\n0,2\n", ("d.csv:2:2: state 2 out of range 0..1", 2, 2)),
+            ("a,b\n0;1\n", ("d.csv:2: expected 2 fields, got 1", 2, None)),  # separator slot
+            ("a,b\n0,1,1,0\n", ("d.csv:2: expected 2 fields, got 4", 2, None)),  # newline slot
+            ("a,b\n0,x\n", ("d.csv:2:2: non-integer cell 'x'", 2, 2)),
+            ("a,b\n/,0\n", ("d.csv:2:1: non-integer cell '/'", 2, 1)),  # the byte below "0"
+        ],
+    )
+    def test_fallback_trigger(self, monkeypatch, ab_schema, text, expected):
+        assert tables._canonical_rows(text, ab_schema) is None
+        assert parse_outcome(text, ab_schema) == expected
+        assert strict_from_csv(monkeypatch, text, ab_schema) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\n11,0\n", [[11, 0]]),  # two-digit state
+            ("a,b\n:,0\n", ("d.csv:2:1: non-integer cell ':'", 2, 1)),  # the byte above "9"
+            ("a,b\n0,2\n", ("d.csv:2:2: state 2 out of range 0..1", 2, 2)),  # in range for a, not for b
+            ("a,b\n9,0\n0,2\n", ("d.csv:3:2: state 2 out of range 0..1", 3, 2)),
+        ],
+    )
+    def test_fallback_trigger_per_column(self, monkeypatch, text, expected):
+        schema = VariableSchema(("a", "b"), (12, 2))
+        assert tables._canonical_rows(text, schema) is None
+        assert parse_outcome(text, schema) == expected
+        assert strict_from_csv(monkeypatch, text, schema) == expected
+
+    def test_header_the_strict_parser_rejects_is_not_canonical(self):
+        # csv.writer leaves a bare "\r" unquoted, and csv.reader cannot read it back
+        schema = VariableSchema(("a\rb",), (2,))
+        text = Dataset(schema, [[0]]).to_csv()
+        assert text == "a\rb\n0\n"
+        assert tables._canonical_rows(text, schema) is None
