@@ -4,13 +4,16 @@ and seeded forward sampling.
 `joint` and `do_intervene` are one product of CPT factors.  An
 intervention uses truncated factorization: it drops the intervened node's
 factor and fixes that node's axis at the clamped value in every other
-factor, leaving them otherwise untouched.  `sample` and `sample_do` are
+factor, leaving them otherwise untouched.  `marginal` gives the
+distribution of a few variables without the dense joint, by elimination
+over their ancestral set.  `sample` and `sample_do` are
 one ancestral sampler; `sample_do` clamps the node instead of drawing it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +103,57 @@ def _product(net: BayesNet, node: str | None = None, value: int = 0) -> np.ndarr
     if not operands:  # do() on a one-variable net leaves the empty product
         return np.ones(())
     return np.einsum(*operands, [i for i, var in enumerate(schema.names) if var != node])
+
+
+def _multiply(factors, out) -> np.ndarray:
+    """Product of ``(table, scope)`` factors, summed onto the variables
+    ``out`` (axes in that order).  Each einsum takes two operands labelled
+    only by the variables they span."""
+    table, scope = np.ones(()), ()
+    for other, other_scope in factors:
+        merged = scope + tuple(v for v in other_scope if v not in scope)
+        label = {v: i for i, v in enumerate(merged)}
+        table = np.einsum(table, [label[v] for v in scope],
+                          other, [label[v] for v in other_scope], list(range(len(merged))))
+        scope = merged
+    label = {v: i for i, v in enumerate(scope)}
+    return np.einsum(table, list(range(len(scope))), [label[v] for v in out])
+
+
+def marginal(net: BayesNet, names) -> np.ndarray:
+    """P(names) as an array with one axis per name, in the order given.
+
+    Only the CPTs of the ancestral set of ``names`` enter: the factor of a
+    barren node sums to 1.  The other ancestors are summed out one at a
+    time, each time the one whose factors span the fewest cells (ties to
+    the earliest in the schema), so the cost follows the width of the
+    ancestral set, not its size.  No einsum sees more than two operands or
+    more labels than the variables they span, whatever the number of nodes.
+    """
+    names = tuple(names)
+    ancestral, stack = set(names), list(names)
+    while stack:
+        for parent in net.cpts[stack.pop()].parents:
+            if parent not in ancestral:
+                ancestral.add(parent)
+                stack.append(parent)
+    schema = net.schema
+    card = dict(zip(schema.names, schema.cardinalities))
+    factors = [(net.cpts[n].table, net.cpts[n].parents + (n,))
+               for n in schema.names if n in ancestral]
+    hidden = [n for n in schema.names if n in ancestral and n not in names]
+
+    def span(var) -> int:
+        return math.prod(card[v] for v in set().union(*(s for _, s in factors if var in s)))
+
+    while hidden:
+        var = min(hidden, key=span)
+        hidden.remove(var)
+        touching = [f for f in factors if var in f[1]]
+        scope = tuple(dict.fromkeys(v for _, s in touching for v in s if v != var))
+        factors = [f for f in factors if var not in f[1]]
+        factors.append((_multiply(touching, scope), scope))
+    return _multiply(factors, names)
 
 
 def joint(net: BayesNet) -> ProbTable:

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bayesnet import do_intervene, joint
+from .bayesnet import do_intervene, joint, marginal
 from .divergences import kl_divergence
 from .errors import (
     GcfitError,
@@ -30,43 +30,113 @@ FLAG_NO_CAUSAL_SIGNAL = "no_causal_signal"
 FLAG_UNDEFINED_DISTANCE = "undefined_distance"
 
 
-@dataclass(frozen=True)
 class InterventionTables:
     """Observational joint plus one do-distribution per (node, value).
 
     Each do-table covers every variable except the intervened node, in
     schema order.  This is the data object all GCF machinery consumes;
     it can come from finite samples (`InterventionBundle.tables`) or
-    from a ground-truth net (`InterventionTables.from_net`).
+    from a ground-truth net (`InterventionTables.from_net`).  Scoring asks
+    it two things: the observational `entropy` over a set of names
+    (memoized per set; `joint_entropy` over all of them) and, per node,
+    the terms of `do_divergence_detail`.  Tables from a net answer both
+    from the CPTs; their dense tables are built only when
+    ``observational`` or ``do`` is read.
     """
 
-    observational: ProbTable
-    do: Mapping[tuple[str, int], ProbTable]
-
-    def __post_init__(self):
-        schema = self.observational.schema
-        for (node, value), table in self.do.items():
+    def __init__(self, observational: ProbTable, do: Mapping[tuple[str, int], ProbTable]):
+        schema = observational.schema
+        for (node, value), table in do.items():
             expected = schema.subset(set(schema.names) - {node})
             if table.schema != expected:
                 raise SchemaMismatch(
                     f"do-table for ({node}, {value}) has schema {table.schema.names}, "
                     f"expected {expected.names}"
                 )
-
-    @property
-    def schema(self) -> VariableSchema:
-        return self.observational.schema
+        self._net = None
+        self._observational = observational
+        self._do = do
+        self._entropies: dict[frozenset, float] = {}
 
     @classmethod
     def from_net(cls, net) -> "InterventionTables":
         """Exact tables for every (node, value) of a ground-truth net."""
-        schema = net.schema
-        do = {
-            (node, value): do_intervene(net, node, value)
-            for node in schema.names
-            for value in range(schema.cardinality(node))
-        }
-        return cls(joint(net), do)
+        tables = cls.__new__(cls)
+        tables._net, tables._observational, tables._do, tables._entropies = net, None, None, {}
+        return tables
+
+    @property
+    def schema(self) -> VariableSchema:
+        return self._net.schema if self._net is not None else self._observational.schema
+
+    @property
+    def observational(self) -> ProbTable:
+        if self._observational is None:
+            self._observational = joint(self._net)
+        return self._observational
+
+    @property
+    def do(self) -> Mapping[tuple[str, int], ProbTable]:
+        if self._do is None:
+            schema = self._net.schema
+            self._do = {
+                (node, value): do_intervene(self._net, node, value)
+                for node in schema.names
+                for value in range(schema.cardinality(node))
+            }
+        return self._do
+
+    def entropy(self, names) -> float:
+        """Entropy (nats) of the observational marginal over ``names``; from
+        a net, the marginal comes from `marginal`, not the dense joint."""
+        key = frozenset(names)
+        if key not in self._entropies:
+            if not key:  # the marginal over no variables is a point mass
+                h = 0.0
+            elif self._net is None:
+                h = _entropy(self._observational.marginalize(key).flat())
+            else:
+                h = _entropy(marginal(self._net, [n for n in self.schema.names if n in key]))
+            self._entropies[key] = h
+        return self._entropies[key]
+
+    def joint_entropy(self) -> float:
+        """H(X) of the observational table; from a net, sum_i H(X_i | Pa_i)
+        along its DAG, summed as `gf_from_table` sums a candidate's."""
+        if self._net is None:
+            return self.entropy(self.schema.names)
+        return _conditional_entropy(self._net.dag, self.entropy)
+
+    def _do_terms(self, node: str):
+        """(value, P(value), D_value) for each value of positive probability,
+        D_value None when there is no do-table for it.
+
+        From a net, P(rest, a) / P(rest | do(node)=a) = P(a | pa), so
+        D_a = sum_pa P(pa | a) ln(P(a | pa) / P(a)), read from the CPT and
+        the family marginal; weighted by P(a) it sums to I(node; Pa(node)).
+        """
+        card = self.schema.cardinality(node)
+        if self._net is None:
+            obs = self._observational
+            weights = obs.marginalize([node]).probs
+            for value in range(card):
+                if weights[value] <= 0:
+                    continue
+                table = self._do.get((node, value))
+                yield value, float(weights[value]), (
+                    None if table is None else kl_divergence(obs.condition(node, value), table)
+                )
+            return
+        cpt = self._net.cpts[node]
+        family = marginal(self._net, cpt.parents + (node,))
+        for value in range(card):
+            joint_a = family[..., value]
+            weight = joint_a.sum()
+            if weight <= 0:
+                continue
+            seen = joint_a > 0
+            ratio = cpt.table[..., value][seen] / weight
+            yield value, float(weight), float(np.sum(joint_a[seen] / weight * np.log(ratio)))
 
 
 @dataclass(frozen=True)
@@ -131,36 +201,43 @@ def gf(dag: Dag, observational: Dataset, smoothing: float = 0.0) -> float:
     return gf_from_table(dag, empirical_from_dataset(observational, smoothing))
 
 
-def gf_from_table(dag: Dag, observational: ProbTable, *, _memo=None) -> float:
+def _entropy(p: np.ndarray) -> float:
+    p = p[p > 0]
+    return -float(np.sum(p * np.log(p)))
+
+
+def _conditional_entropy(dag: Dag, entropy) -> float:
+    """sum_i H(X_i | Pa_i) along ``dag`` from marginal entropies.
+
+    `math.fsum` rounds the exact sum of the family and parent-set terms
+    once.  Markov-equivalent DAGs differ by covered edge reversals, which
+    leave that signed multiset of terms unchanged, so they get the same
+    float."""
+    return math.fsum(
+        term
+        for n in dag.schema.names
+        for term in (entropy(dag.parents(n) + (n,)), -entropy(dag.parents(n)))
+    )
+
+
+def gf_from_table(dag: Dag, observational: ProbTable | InterventionTables) -> float:
     """Goodness of fit: ln(1 / KL(P || P projected onto the DAG)).
 
     The projection is the product of the table's own conditionals
-    P(x_i | pa_i), so KL = sum_i H(X_i | Pa_i) - H(X), summed in schema
-    order.  Markov-equivalent DAGs get the same value.  +inf when the
-    table factorizes exactly along the DAG.
+    P(x_i | pa_i), so KL = sum_i H(X_i | Pa_i) - H(X).  Markov-equivalent
+    DAGs get the same value.  +inf when the table factorizes exactly along
+    the DAG; on tables from a net, every DAG Markov equivalent to the net's
+    gets +inf.
 
-    ``_memo`` maps variable sets to marginal entropies of this one table;
-    `score_set` shares one across its candidates.
+    ``observational`` is a table, or `InterventionTables` whose memo of
+    entropies `score_set` shares across its candidates.
     """
+    if isinstance(observational, ProbTable):
+        observational = InterventionTables(observational, {})
     if observational.schema != dag.schema:
         raise SchemaMismatch("table schema differs from DAG schema")
-    memo = {} if _memo is None else _memo
-
-    def entropy(names) -> float:
-        key = frozenset(names)
-        if key not in memo:
-            # the marginal over no variables is a point mass
-            p = observational.marginalize(key).flat() if key else np.ones(1)
-            p = p[p > 0]
-            memo[key] = -float(np.sum(p * np.log(p)))
-        return memo[key]
-
-    names = dag.schema.names
-    conditional = sum(
-        entropy(dag.parents(n) + (n,)) - entropy(dag.parents(n)) for n in names
-    )
     # Gibbs: the true value is >= 0; clamp away summation rounding error
-    d = max(conditional - entropy(names), 0.0)
+    d = max(_conditional_entropy(dag, observational.entropy) - observational.joint_entropy(), 0.0)
     return math.inf if d == 0 else -math.log(d)
 
 
@@ -172,6 +249,7 @@ def do_divergence_detail(
     For each value a with positive observational marginal,
     D_a = KL( P(rest | node=a)  ||  P(rest | do(node)=a) ),
     and the do-divergence is the marginal-weighted average of the D_a.
+    On tables from a net that is I(node; Pa(node)), in closed form.
     Returns (divergence, [(value, weight, D_a), ...]).
 
     ``missing_policy``: 'strict' raises when a positive-probability
@@ -180,21 +258,13 @@ def do_divergence_detail(
     """
     if missing_policy not in ("strict", "renormalize"):
         raise GcfitError(f"unknown missing policy {missing_policy!r}")
-    obs = tables.observational
-    marginal = obs.marginalize([node])
-    card = obs.schema.cardinality(node)
     covered = []
-    for value in range(card):
-        weight = marginal.probs[value]
-        if weight <= 0:
-            continue
-        key = (node, value)
-        if key not in tables.do:
+    for value, weight, divergence in tables._do_terms(node):
+        if divergence is None:
             if missing_policy == "strict":
                 raise MissingIntervention(node, value)
             continue
-        conditional = obs.condition(node, value)
-        covered.append((value, float(weight), kl_divergence(conditional, tables.do[key])))
+        covered.append((value, weight, divergence))
     if not covered:
         raise MissingIntervention(node, "any")
     total_weight = sum(w for _, w, _ in covered)
@@ -315,7 +385,6 @@ def score_set(
     do_detail = {n: do_divergence_detail(n, tables, missing_policy) for n in sorted(needed)}
     dmap = {n: d for n, (d, _) in do_detail.items()}
 
-    memo = {}
     records = []
     for member in dags:
         edges = member.dag.edges if edges_policy == "all" else dags.source_undirected
@@ -325,7 +394,7 @@ def score_set(
                 graph_id=member.graph_id,
                 orientation=member.orientation,
                 dag=member.dag,
-                gf=gf_from_table(member.dag, tables.observational, _memo=memo),
+                gf=gf_from_table(member.dag, tables),
                 gcf=value,
                 gcf_abs=gcf_abs(member.dag, dmap),
                 edge_details=details,

@@ -207,11 +207,10 @@ class Dataset:
         rows = _canonical_rows(text, schema)
         if rows is not None:
             return cls(schema, rows)
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", path=path, line=1) from None
+        reader = _csv_records(text, path)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file", path=path, line=1)
         if tuple(header) != schema.names:
             raise ParseError(
                 f"header {header!r} does not match schema {list(schema.names)!r}",
@@ -252,6 +251,20 @@ class Dataset:
     def read_csv(cls, path, schema: VariableSchema) -> "Dataset":
         with open(path, "r", newline="", encoding="utf-8") as fh:
             return cls.from_csv(fh.read(), schema, path=path)
+
+
+def _csv_records(text: str, path):
+    """The records of ``text`` as `csv.reader` splits them; a line it
+    cannot split (a bare CR outside quotes, ...) raises ParseError."""
+    reader = csv.reader(io.StringIO(text))
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", path=path, line=reader.line_num) from None
+        yield record
 
 
 def _csv_header(names) -> str:

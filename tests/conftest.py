@@ -29,6 +29,34 @@ def random_net(dag, rng, lo=0.1, hi=0.9):
     return BayesNet(dag, cpts)
 
 
+def random_dag(rng, min_nodes=3, max_nodes=6, max_card=3):
+    """Seeded DAG of ``min_nodes``..``max_nodes`` nodes of cardinality
+    2..``max_card``; each pair is an edge with probability 1/2, directed
+    along a random order."""
+    n = int(rng.integers(min_nodes, max_nodes + 1))
+    names = tuple(f"v{i}" for i in range(n))
+    schema = VariableSchema(names, tuple(int(c) for c in rng.integers(2, max_card + 1, n)))
+    rank = rng.permutation(n)
+    edges = [
+        (names[i], names[j]) if rank[i] < rank[j] else (names[j], names[i])
+        for i, j in itertools.combinations(range(n), 2)
+        if rng.random() < 0.5
+    ]
+    return Dag(schema, tuple(edges))
+
+
+def oracle_v_structures(dag):
+    """{(a, c, b)}: a -> c <- b with a and b not adjacent, a before b.  Two
+    DAGs on one skeleton are Markov equivalent iff these sets are equal."""
+    edges = set(dag.edges)
+    return {
+        (a, c, b)
+        for c in dag.schema.names
+        for a, b in itertools.combinations(dag.parents(c), 2)
+        if (a, b) not in edges and (b, a) not in edges
+    }
+
+
 # --- Figure-style fixtures: the three-node and five-node running examples ---
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from gcfit import (
     sample,
     sample_do,
 )
-from conftest import oracle_joint, random_net
+from conftest import oracle_joint, random_dag, random_net
 
 
 @pytest.fixture
@@ -101,6 +101,32 @@ class TestJoint:
                 np.testing.assert_allclose(
                     cond.probs, fig1_net.cpts[node].table[pa], atol=1e-9
                 )
+
+
+class TestMarginal:
+    def test_matches_the_dense_joint_on_random_nets(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            net = random_net(random_dag(rng), rng)
+            names = list(net.schema.names)
+            full = joint(net)
+            for size in range(1, len(names) + 1):
+                keep = [str(n) for n in rng.permutation(names)[:size]]
+                # the dense marginal has schema order; compare in ``keep`` order
+                order = [full.schema.subset(keep).names.index(n) for n in keep]
+                expected = full.marginalize(keep).probs.transpose(order)
+                np.testing.assert_allclose(bayesnet.marginal(net, keep), expected, rtol=1e-12, atol=1e-15)
+
+    def test_barren_nodes_are_left_out(self):
+        # b's first row sums to 1 only within the CPT tolerance: had b's
+        # factor been multiplied in and summed out, P(a=0) would carry that slack
+        schema = VariableSchema(("a", "b"), (2, 2))
+        cpts = {
+            "a": Cpt("a", (), np.array([0.7, 0.3])),
+            "b": Cpt("b", ("a",), np.array([[0.8, 0.2 + 5e-10], [0.1, 0.9]])),
+        }
+        net = BayesNet(Dag(schema, (("a", "b"),)), cpts)
+        assert np.array_equal(bayesnet.marginal(net, ["a"]), cpts["a"].table)
 
 
 class TestDoIntervene:

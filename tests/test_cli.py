@@ -351,6 +351,24 @@ class TestScore:
         )
         assert rc == 1
 
+    def test_bare_cr_in_data_exit_1(self, workdir, capsys):
+        # old Mac line endings: csv.reader cannot split the first line
+        run_synth(workdir)
+        obs = workdir / "data" / "obs.csv"
+        obs.write_bytes(obs.read_bytes().replace(b"\n", b"\r", 3))
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(workdir / "data" / "manifest.json"),
+                "--out-dir", str(workdir / "out"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {obs}:1: malformed CSV: new-line character")
+        assert "Traceback" not in err
+
     def test_crlf_copy_scores_identically(self, workdir, scored):
         # CRLF files miss the canonical layout and go through the strict parser
         shutil.copytree(workdir / "data", workdir / "crlf")

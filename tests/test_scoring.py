@@ -34,7 +34,7 @@ from gcfit import (
     score_set,
 )
 from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE
-from conftest import oracle_gf, random_net, random_table
+from conftest import oracle_gf, oracle_v_structures, random_dag, random_net, random_table
 
 
 @pytest.fixture
@@ -425,3 +425,96 @@ class TestScoreSet:
         )
         for r in records:
             assert -1.0 <= r.gcf <= 1.0 or r.flags
+
+
+def dense_tables(net):
+    """The explicitly dense tables of a net: its joint and every do-table."""
+    schema = net.schema
+    do = {
+        (node, value): do_intervene(net, node, value)
+        for node in schema.names
+        for value in range(schema.cardinality(node))
+    }
+    return InterventionTables(joint(net), do)
+
+
+def entropy_of(p):
+    p = p[p > 0]
+    return -float(np.sum(p * np.log(p)))
+
+
+class TestNetTables:
+    """`InterventionTables.from_net` answers from CPTs and marginals over
+    ancestral sets; the explicitly dense tables are the oracle."""
+
+    def test_public_tables_are_the_dense_ones(self, fig2_truth):
+        net = random_net(fig2_truth, np.random.default_rng(2))
+        tables = InterventionTables.from_net(net)
+        assert np.array_equal(tables.observational.probs, joint(net).probs)
+        assert set(tables.do) == {(n, v) for n in net.schema.names for v in range(2)}
+        for (node, value), table in tables.do.items():
+            assert np.array_equal(table.probs, do_intervene(net, node, value).probs)
+
+    def test_identity_and_gf_on_random_nets(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            truth = random_dag(rng)
+            net = random_net(truth, rng)
+            exact, dense = InterventionTables.from_net(net), dense_tables(net)
+            full = joint(net)
+            for node in truth.schema.names:
+                # D(X) = I(X; Pa(X)) = H(X) + H(Pa) - H(X, Pa)
+                parents = truth.parents(node)
+                mutual = entropy_of(full.marginalize([node]).flat()) - entropy_of(
+                    full.marginalize(parents + (node,)).flat()
+                ) + (entropy_of(full.marginalize(parents).flat()) if parents else 0.0)
+                value, detail = do_divergence_detail(node, exact)
+                expected_value, expected_detail = do_divergence_detail(node, dense)
+                assert value == pytest.approx(expected_value, abs=1e-12)
+                assert value == pytest.approx(mutual, abs=1e-12)
+                assert [v for v, _, _ in detail] == [v for v, _, _ in expected_detail]
+                for (_, w, d), (_, ew, ed) in zip(detail, expected_detail):
+                    assert w == pytest.approx(ew, abs=1e-12)
+                    assert d == pytest.approx(ed, abs=1e-12)
+
+            # candidates on the truth's skeleton: an I-map of the truth is
+            # then exactly a DAG with the truth's v-structures
+            undirected = truth.edges[:6]
+            pd = PdGraph(truth.schema, tuple(e for e in truth.edges if e not in undirected), undirected)
+            records = score_set(enumerate_orientations(pd), exact)
+            by_class = {}
+            for r in records:
+                dense_gf = gf_from_table(r.dag, full)
+                i_map = oracle_v_structures(r.dag) == oracle_v_structures(truth)
+                if i_map:
+                    assert r.gf == math.inf
+                    assert math.exp(-dense_gf) < 1e-12
+                else:
+                    assert math.isfinite(r.gf)
+                    assert math.exp(-r.gf) == pytest.approx(math.exp(-dense_gf), abs=1e-12)
+                by_class.setdefault(frozenset(oracle_v_structures(r.dag)), []).append((r.gf, dense_gf))
+            # Markov-equivalent candidates: bitwise-equal GF on both paths
+            for values in by_class.values():
+                assert len(set(values)) == 1
+
+    def test_sixty_node_net(self):
+        # a dense table would need 2**60 cells; the last node's ancestral set
+        # has 60 CPT factors, past numpy 1.x's 32 einsum operands and 52
+        # sublist labels
+        names = tuple(f"x{i:02d}" for i in range(60))
+        schema = VariableSchema(names, (2,) * 60)
+        chain = [(a, b) for a, b in zip(names, names[1:])]
+        skip = [(a, b) for a, b in zip(names, names[2:])]
+        truth = Dag(schema, tuple(chain + skip))
+        net = random_net(truth, np.random.default_rng(6))
+        undirected = tuple(chain[i] for i in (3, 20, 40, 57))
+        pd = PdGraph(schema, tuple(e for e in truth.edges if e not in undirected), undirected)
+        tables = InterventionTables.from_net(net)
+        records = score_set(enumerate_orientations(pd), tables)
+        assert len(records) == 16
+        for r in records:
+            is_truth = set(r.dag.edges) == set(truth.edges)
+            assert (r.gf == math.inf) == is_truth
+            assert math.isfinite(r.gcf) and -1.0 <= r.gcf <= 1.0
+        assert records[0].do_divergences[names[0]] == 0.0  # a root
+        assert all(d > 0 for n, d in records[0].do_divergences.items() if n != names[0])

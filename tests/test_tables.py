@@ -203,6 +203,13 @@ class TestDatasetCsv:
         assert exc.value.line == line
         assert exc.value.column is None
 
+    @pytest.mark.parametrize("text, line", [("a,b\r0,1\r1,0\n", 1), ("a,b\n0,1\n1,0\r0,0\n", 3)])
+    def test_bare_cr_names_line(self, ab_schema, text, line):
+        # csv.reader cannot split a line with a bare CR outside quotes
+        with pytest.raises(ParseError, match="malformed CSV: new-line character") as exc:
+            Dataset.from_csv(text, ab_schema, path="d.csv")
+        assert (exc.value.path, exc.value.line, exc.value.column) == ("d.csv", line, None)
+
     def test_out_of_range_cell(self, ab_schema):
         with pytest.raises(ParseError) as exc:
             Dataset.from_csv("a,b\n0,2\n", ab_schema)
