@@ -1,13 +1,12 @@
 """Discrete Bayesian networks: exact joints, do-interventions, CPT fitting
 and seeded forward sampling.
 
-`joint` and `do_intervene` are one product of CPT factors.  An
-intervention uses truncated factorization: it drops the intervened node's
-factor and fixes that node's axis at the clamped value in every other
-factor, leaving them otherwise untouched.  `marginal` gives the
-distribution of a few variables without the dense joint, by elimination
-over their ancestral set.  `sample` and `sample_do` are
-one ancestral sampler; `sample_do` clamps the node instead of drawing it.
+do(X=x) has one definition, `_mutilate`: the same DAG with X's CPT
+replaced by a point mass at x in every parent configuration.  Every exact
+quantity is one elimination over CPT factors, `marginal`: `joint` is the
+marginal of all variables, `do_intervene` that of every variable but X in
+the mutilated net.  `sample` and `sample_do` are one ancestral sampler;
+`sample_do` samples the mutilated net.
 """
 
 from __future__ import annotations
@@ -79,30 +78,17 @@ class BayesNet:
         return self.dag.schema
 
 
-def _product(net: BayesNet, node: str | None = None, value: int = 0) -> np.ndarray:
-    """Product of the CPT factors as one array over the schema's axes.
-
-    With ``node`` its factor is dropped, every other factor is fixed at
-    ``node=value`` and the result has no ``node`` axis: the truncated
-    factorization, unnormalized.  Factors are multiplied left to right in
-    schema order (no ``optimize``).
-    """
-    schema = net.schema
-    operands: list = []
-    for child in schema.names:
-        if child == node:
-            continue
-        cpt = net.cpts[child]
-        table, axes = cpt.table, []
-        for var in cpt.parents:
-            if var == node:
-                table = np.take(table, value, axis=len(axes))
-            else:
-                axes.append(schema.index(var))
-        operands += [table, axes + [schema.index(child)]]
-    if not operands:  # do() on a one-variable net leaves the empty product
-        return np.ones(())
-    return np.einsum(*operands, [i for i, var in enumerate(schema.names) if var != node])
+def _mutilate(net: BayesNet, node: str, value: int) -> BayesNet:
+    """The net under do(node=value): the same DAG, ``node``'s CPT replaced
+    by point-mass rows at ``value`` in every parent configuration.  The
+    incoming edges stay, so every node keeps its topological position and
+    with it its sampling substream."""
+    if not 0 <= value < net.schema.cardinality(node):
+        raise InvalidState(f"state {value} out of range for {node!r}")
+    cpt = net.cpts[node]
+    table = np.zeros(cpt.table.shape)
+    table[..., value] = 1.0
+    return BayesNet(net.dag, {**net.cpts, node: Cpt(node, cpt.parents, table)})
 
 
 def _multiply(factors, out) -> np.ndarray:
@@ -143,11 +129,14 @@ def marginal(net: BayesNet, names) -> np.ndarray:
                for n in schema.names if n in ancestral]
     hidden = [n for n in schema.names if n in ancestral and n not in names]
 
-    def span(var) -> int:
-        return math.prod(card[v] for v in set().union(*(s for _, s in factors if var in s)))
-
     while hidden:
-        var = min(hidden, key=span)
+        # the variables each hidden one shares a factor with, in one pass
+        near = {v: set() for v in hidden}
+        for _, scope in factors:
+            for v in scope:
+                if v in near:
+                    near[v].update(scope)
+        var = min(hidden, key=lambda v: math.prod(card[u] for u in near[v]))
         hidden.remove(var)
         touching = [f for f in factors if var in f[1]]
         scope = tuple(dict.fromkeys(v for _, s in touching for v in s if v != var))
@@ -158,19 +147,14 @@ def marginal(net: BayesNet, names) -> np.ndarray:
 
 def joint(net: BayesNet) -> ProbTable:
     """Exact joint distribution: the product of all CPT factors."""
-    return ProbTable(net.schema, _product(net))
+    return ProbTable(net.schema, marginal(net, net.schema.names))
 
 
 def do_intervene(net: BayesNet, node: str, value: int) -> ProbTable:
-    """P(rest | do(node)=value) by truncated factorization.
-
-    Returns a normalized table over every variable except ``node``.
-    """
-    schema = net.schema
-    if not 0 <= value < schema.cardinality(node):
-        raise InvalidState(f"state {value} out of range for {node!r}")
-    rest = schema.subset(set(schema.names) - {node})
-    return ProbTable.from_weights(rest, _product(net, node, value))
+    """P(rest | do(node)=value): the marginal of every other variable in
+    the mutilated net, as a normalized table."""
+    rest = net.schema.subset(set(net.schema.names) - {node})
+    return ProbTable.from_weights(rest, marginal(_mutilate(net, node, value), rest.names))
 
 
 def fit_cpts(dag: Dag, data: Dataset, smoothing: float = 0.0) -> BayesNet:
@@ -227,17 +211,14 @@ def _draw_column(net: BayesNet, node: str, columns: dict[str, np.ndarray], n: in
     return np.minimum(vals, card - 1)
 
 
-def _forward(net: BayesNet, n: int, seed, node: str | None = None, value: int = 0) -> Dataset:
-    """Ancestral sampling in topological order, ``node`` (if any) clamped
-    to ``value``; each other node draws from its own substream."""
+def _forward(net: BayesNet, n: int, seed) -> Dataset:
+    """Ancestral sampling in topological order; each node draws from its
+    own substream."""
     if n < 1:
         raise GcfitError("n must be >= 1")
     columns: dict[str, np.ndarray] = {}
-    for pos, other in enumerate(net.dag.topological_order()):
-        if other == node:
-            columns[other] = np.full(n, value, dtype=np.int64)
-        else:
-            columns[other] = _draw_column(net, other, columns, n, _node_rng(seed, pos))
+    for pos, node in enumerate(net.dag.topological_order()):
+        columns[node] = _draw_column(net, node, columns, n, _node_rng(seed, pos))
     rows = np.stack([columns[name] for name in net.schema.names], axis=1)
     return Dataset(net.schema, rows)
 
@@ -249,13 +230,11 @@ def sample(net: BayesNet, n: int, seed) -> Dataset:
 
 
 def sample_do(net: BayesNet, node: str, value: int, n: int, seed) -> Dataset:
-    """Forward sampling of the mutilated net with ``node`` clamped.
+    """Forward sampling of the mutilated net.
 
     The output keeps all columns; the intervened column is constant.
     """
-    if not 0 <= value < net.schema.cardinality(node):
-        raise InvalidState(f"state {value} out of range for {node!r}")
-    return _forward(net, n, seed, node, value)
+    return _forward(_mutilate(net, node, value), n, seed)
 
 
 # ---------------------------------------------------------------------------

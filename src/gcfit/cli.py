@@ -8,7 +8,6 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -20,7 +19,7 @@ from .errors import EnumerationLimit, GcfitError, ParseError
 from .graphs import DEFAULT_ENUMERATION_CAP, enumerate_orientations, json_object, load_pdgraph
 from .scoring import InterventionBundle, score_set
 from .svg import scatter_svg
-from .tables import Dataset
+from .tables import Dataset, csv_lines
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -127,8 +126,8 @@ def cmd_score(args) -> int:
     }
     os.makedirs(args.out_dir, exist_ok=True)
     for name, rows in files.items():
-        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        with open(os.path.join(args.out_dir, name), "w", newline="", encoding="utf-8") as fh:
+            fh.write(csv_lines(rows))
 
     if args.svg:
         points = [(r.gf, r.gcf, r.graph_id) for r in records]

@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -167,11 +168,11 @@ class Dataset:
         return Dataset(sub, self.rows[:, idx])
 
     def to_csv(self) -> str:
-        """CSV text: the header as `csv.writer` renders the names, then one
+        """CSV text: the header as `csv_lines` renders the names, then one
         line per row.  With every cardinality at most 10 each cell is one
         digit, so the rows are built as one byte grid (the canonical layout
         `from_csv` decodes without the strict parser)."""
-        header = _csv_header(self.schema.names)
+        header = csv_lines([self.schema.names])
         if max(self.schema.cardinalities) <= 10:
             grid = np.empty((len(self), 2 * len(self.schema.names)), dtype=np.uint8)
             grid[:, 1::2] = ord(",")
@@ -195,13 +196,12 @@ class Dataset:
         """Strict CSV parse: header must equal the schema names, cells must be
         in-range integers.  Errors report line and column numbers (1-based).
 
-        Text in the canonical layout (the header as `csv.writer` renders the
+        Text in the canonical layout (the header as `csv_lines` renders the
         names, then rows of single-digit cells separated by commas, each
         ended by one LF) is checked and decoded as one byte grid instead.
         That layout is a strict subset of what the strict parser accepts,
         and on it both give the identical rows; everything `to_csv` writes
-        with every cardinality at most 10 is in it (unless a name holds a
-        bare CR, which neither can read back).  Any other text (CRLF,
+        with every cardinality at most 10 is in it.  Any other text (CRLF,
         blank lines, quoted or padded cells, multi-digit states, ...) goes
         to the strict parser, the only source of error messages."""
         rows = _canonical_rows(text, schema)
@@ -267,20 +267,23 @@ def _csv_records(text: str, path):
         yield record
 
 
-def _csv_header(names) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(names)
-    return buf.getvalue()
+def csv_lines(records) -> str:
+    """``records`` as `csv.writer` renders them, each line ended by one LF.
+    They are rendered with a CRLF terminator, which quotes every field
+    holding a CR or an LF; an LF terminator leaves a bare CR unquoted."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(records)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def _canonical_rows(text: str, schema: VariableSchema):
     """The rows of ``text`` as an int64 array if it is in the canonical
     layout of `Dataset.from_csv`, else None."""
-    header = _csv_header(schema.names)
+    header = csv_lines([schema.names])
     if not text.startswith(header):
         return None
     try:
-        # a name with a bare "\r" renders to a header the strict parser rejects
+        # a header the csv module on this Python cannot read back is not canonical
         if list(csv.reader(io.StringIO(header))) != [list(schema.names)]:
             return None
         body = text[len(header):].encode("ascii")

@@ -137,23 +137,31 @@ class TestDoIntervene:
         assert do_intervene(chain_net, "b", 1).flat() == pytest.approx([0.7, 0.3])
 
     def test_matches_mutilate_then_enumerate_oracle(self, fig1_schema):
-        # Fig-1-style graph b->a, b->z, a->z with seeded CPTs
-        dag = Dag(fig1_schema, (("b", "a"), ("b", "z"), ("a", "z")))
-        net = random_net(dag, np.random.default_rng(8))
-        for node in fig1_schema.names:
-            for value in (0, 1):
-                got = do_intervene(net, node, value)
-                # oracle: cut node's parent edges, replace its CPT with a point
-                # mass, enumerate the joint, then condition on the clamp
-                delta = np.zeros(2)
-                delta[value] = 1.0
-                cpts = dict(net.cpts)
-                cpts[node] = Cpt(node, (), delta)
-                mutilated = BayesNet(
-                    Dag(fig1_schema, tuple(e for e in dag.edges if e[1] != node)), cpts
-                )
-                oracle = ProbTable(fig1_schema, oracle_joint(mutilated)).condition(node, value)
-                np.testing.assert_allclose(got.probs, oracle.probs, atol=1e-12)
+        mixed = VariableSchema(("a", "b", "c", "d"), (2, 3, 2, 2))
+        for dag, seed in [
+            # Fig-1-style graph b->a, b->z, a->z
+            (Dag(fig1_schema, (("b", "a"), ("b", "z"), ("a", "z"))), 8),
+            # edges against schema order; 3-state b has two parents and a child
+            (Dag(mixed, (("d", "a"), ("c", "b"), ("d", "b"), ("b", "a"))), 9),
+            # 3-state b a root whose child has two parents
+            (Dag(mixed, (("a", "c"), ("b", "c"), ("c", "d"), ("a", "d"))), 10),
+        ]:
+            schema = dag.schema
+            net = random_net(dag, np.random.default_rng(seed))
+            for node in schema.names:
+                for value in range(schema.cardinality(node)):
+                    got = do_intervene(net, node, value)
+                    # oracle: cut node's parent edges, replace its CPT with a point
+                    # mass, enumerate the joint, then condition on the clamp
+                    delta = np.zeros(schema.cardinality(node))
+                    delta[value] = 1.0
+                    cpts = dict(net.cpts)
+                    cpts[node] = Cpt(node, (), delta)
+                    mutilated = BayesNet(
+                        Dag(schema, tuple(e for e in dag.edges if e[1] != node)), cpts
+                    )
+                    oracle = ProbTable(schema, oracle_joint(mutilated)).condition(node, value)
+                    np.testing.assert_allclose(got.probs, oracle.probs, atol=1e-12)
 
     def test_root_node_equivalence_property(self):
         rng = np.random.default_rng(13)
@@ -293,6 +301,25 @@ class TestSampleDo:
         emp = empirical_from_dataset(data.select({"b", "z"}))
         expected = joint(fig1_net).condition("a", 0)
         assert np.abs(emp.flat() - expected.flat()).sum() < 0.02
+
+    def test_non_descendant_columns_match_sample(self):
+        # clamping a node leaves every other node's substream, so the
+        # columns it cannot reach equal those of the unclamped draw
+        rng = np.random.default_rng(41)
+        for k in range(20):
+            net = random_net(random_dag(rng), rng)
+            schema = net.schema
+            base = sample(net, 200, seed=k)
+            for node in schema.names:
+                reached = {node}
+                for other in net.dag.topological_order():
+                    if reached.intersection(net.dag.parents(other)):
+                        reached.add(other)
+                for value in range(schema.cardinality(node)):
+                    data = sample_do(net, node, value, 200, seed=k)
+                    assert (data.column(node) == value).all()
+                    for other in set(schema.names) - reached:
+                        assert np.array_equal(data.column(other), base.column(other))
 
     def test_matches_do_intervene_at_large_n(self, fig1_net):
         from gcfit import empirical_from_dataset

@@ -38,7 +38,7 @@ def run_synth(workdir, out="data", seed="7", n_obs="20000", n_do="10000"):
 
 
 def read_scores(path):
-    with open(path) as fh:
+    with open(path, newline="") as fh:  # keeps a quoted "\r" as written
         return list(csv.DictReader(fh))
 
 
@@ -312,30 +312,35 @@ class TestScore:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_variable_name_needing_quotes(self, tmp_path):
-        schema = VariableSchema(("a,b", "c"), (2, 2))
-        truth = Dag(schema, (("a,b", "c"),))
-        save_bayesnet(random_net(truth, np.random.default_rng(3)), tmp_path / "truth.json")
-        save_pdgraph(PdGraph(schema, (), (("a,b", "c"),)), tmp_path / "g.json")
-        assert run_synth(tmp_path, n_obs="2000", n_do="1000") == 0
-        rc = main(
-            [
-                "score",
-                "--graph", str(tmp_path / "g.json"),
-                "--manifest", str(tmp_path / "data" / "manifest.json"),
-                "--out-dir", str(tmp_path / "out"),
+        for i, name in enumerate(["a,b", "a\rb"]):  # csv quotes both; a bare CR only with CRLF
+            root = tmp_path / str(i)
+            root.mkdir()
+            schema = VariableSchema((name, "c"), (2, 2))
+            truth = Dag(schema, ((name, "c"),))
+            save_bayesnet(random_net(truth, np.random.default_rng(3)), root / "truth.json")
+            save_pdgraph(PdGraph(schema, (), ((name, "c"),)), root / "g.json")
+            assert run_synth(root, n_obs="2000", n_do="1000") == 0
+            rc = main(
+                [
+                    "score",
+                    "--graph", str(root / "g.json"),
+                    "--manifest", str(root / "data" / "manifest.json"),
+                    "--out-dir", str(root / "out"),
+                ]
+            )
+            assert rc == 0
+            rows = read_scores(root / "out" / "scores.csv")
+            assert [(r["graph_id"], r["edges"]) for r in rows] == [
+                ("G0", f"{name}->c"), ("G1", f"c->{name}"),
             ]
-        )
-        assert rc == 0
-        rows = read_scores(tmp_path / "out" / "scores.csv")
-        assert [(r["graph_id"], r["edges"]) for r in rows] == [("G0", "a,b->c"), ("G1", "c->a,b")]
-        assert all(None not in r for r in rows)  # no row has more fields than the header
-        dd = read_scores(tmp_path / "out" / "do_divergences.csv")
-        assert [(r["node"], r["value"]) for r in dd] == [
-            ("a,b", "0"), ("a,b", "1"), ("c", "0"), ("c", "1"),
-        ]
-        for r in dd:
-            assert None not in r
-            assert float(r["weight"]) > 0
+            assert all(None not in r for r in rows)  # no row has more fields than the header
+            dd = read_scores(root / "out" / "do_divergences.csv")
+            assert [(r["node"], r["value"]) for r in dd] == [
+                (name, "0"), (name, "1"), ("c", "0"), ("c", "1"),
+            ]
+            for r in dd:
+                assert None not in r
+                assert float(r["weight"]) > 0
 
     def test_corrupt_dataset_exit_1(self, workdir):
         run_synth(workdir)

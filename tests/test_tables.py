@@ -312,9 +312,10 @@ class TestCsvFastPath:
         assert parse_outcome(text, schema) == expected
         assert strict_from_csv(monkeypatch, text, schema) == expected
 
-    def test_header_the_strict_parser_rejects_is_not_canonical(self):
-        # csv.writer leaves a bare "\r" unquoted, and csv.reader cannot read it back
+    def test_name_with_bare_cr_round_trips(self, monkeypatch):
+        # the header quotes the "\r", so both readers split it back out
         schema = VariableSchema(("a\rb",), (2,))
         text = Dataset(schema, [[0]]).to_csv()
-        assert text == "a\rb\n0\n"
-        assert tables._canonical_rows(text, schema) is None
+        assert text == '"a\rb"\n0\n'
+        assert tables._canonical_rows(text, schema).tolist() == [[0]]
+        assert strict_from_csv(monkeypatch, text, schema) == [[0]]
