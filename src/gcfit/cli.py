@@ -92,7 +92,8 @@ def cmd_score(args) -> int:
     graph = load_pdgraph(args.graph)
     dags = enumerate_orientations(graph, args.max_undirected)
     if args.subset:
-        dags = dags.subset(args.subset)
+        # "-" is how enumerate and scores.csv print the empty vector
+        dags = dags.subset("" if v == "-" else v for v in args.subset)
     observational, interventional = load_manifest(args.manifest, graph.schema)
     bundle = InterventionBundle(observational, interventional, smoothing=args.smoothing)
     records = score_set(

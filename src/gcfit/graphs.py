@@ -64,6 +64,18 @@ class Dag:
             raise GcfitError("edge set contains a directed cycle")
         object.__setattr__(self, "edges", edges)
 
+    @classmethod
+    def _trusted(cls, schema: VariableSchema, edges) -> "Dag":
+        """A Dag built without validation; ``edges`` are only sorted.
+
+        Precondition: the edges are acyclic, pairwise distinct, string
+        pairs, and every endpoint is a name on ``schema``.
+        """
+        dag = object.__new__(cls)
+        object.__setattr__(dag, "schema", schema)
+        object.__setattr__(dag, "edges", tuple(sorted(edges)))
+        return dag
+
     def parents(self, node: str) -> tuple[str, ...]:
         self.schema.index(node)
         ps = [a for a, b in self.edges if b == node]
@@ -149,27 +161,54 @@ class DagSet:
         )
 
 
+def _reaches(children: dict[str, set[str]], src: str, dst: str) -> bool:
+    """True iff a directed path leads from ``src`` to ``dst``."""
+    seen, todo = {src}, [src]
+    while todo:
+        node = todo.pop()
+        if node == dst:
+            return True
+        fresh = children[node] - seen
+        seen |= fresh
+        todo.extend(fresh)
+    return False
+
+
 def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP) -> DagSet:
     """All acyclic ways of orienting the undirected edges of ``g``.
 
     Edges are oriented one at a time, in ``g.undirected`` order; a prefix
-    that closes a cycle is not extended.  Vectors come out in lexicographic order.
+    is extended by u->v only if v does not already reach u, so no prefix
+    that closes a cycle is extended.  Vectors come out in lexicographic order.
     """
     und = g.undirected  # already sorted lexicographically
     if len(und) > max_undirected:
         raise EnumerationLimit(len(und), max_undirected)
+    children: dict[str, set[str]] = {n: set() for n in g.schema.names}
+    for a, b in g.directed:
+        children[a].add(b)
+    oriented: list[tuple[str, str]] = []  # edges of the prefix held in ``children``
     members = []
-    stack = [("", g.directed)]  # (orientation prefix, directed part + oriented edges)
+    stack = [""]
     while stack:
-        vec, edges = stack.pop()
+        vec = stack.pop()
+        if vec:
+            # the stack is depth-first, so vec[:-1] is a prefix of the last expansion
+            while len(oriented) >= len(vec):
+                a, b = oriented.pop()
+                children[a].discard(b)
+            a, b = und[len(vec) - 1]
+            a, b = (a, b) if vec[-1] == "0" else (b, a)
+            oriented.append((a, b))
+            children[a].add(b)
         if len(vec) == len(und):
-            members.append(TaggedDag("G" + vec, vec, Dag(g.schema, edges)))
+            edges = g.directed + tuple(oriented)
+            members.append(TaggedDag("G" + vec, vec, Dag._trusted(g.schema, edges)))
             continue
         a, b = und[len(vec)]
-        for bit, edge in (("1", (b, a)), ("0", (a, b))):  # "0" pops first
-            grown = edges + (edge,)
-            if is_acyclic(g.schema, grown):
-                stack.append((vec + bit, grown))
+        for bit, (u, v) in (("1", (b, a)), ("0", (a, b))):  # "0" pops first
+            if not _reaches(children, v, u):
+                stack.append(vec + bit)
     return DagSet(tuple(members), und)
 
 

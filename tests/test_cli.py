@@ -201,6 +201,21 @@ class TestScore:
         assert len(rows) == 1
         assert float(rows[0]["gcf"]) == 1.0
 
+    def test_subset_dash_names_the_empty_vector(self, workdir, fig1_schema):
+        # enumerate and scores.csv print the empty orientation vector as "-"
+        run_synth(workdir)
+        pd = PdGraph(fig1_schema, (("a", "b"), ("a", "z"), ("b", "z")), ())
+        save_pdgraph(pd, workdir / "full.json")
+        args = [
+            "score",
+            "--graph", str(workdir / "full.json"),
+            "--manifest", str(workdir / "data" / "manifest.json"),
+            "--svg",
+        ]
+        assert main(args + ["--out-dir", str(workdir / "all")]) == 0
+        assert main(args + ["--out-dir", str(workdir / "dash"), "--subset", "-"]) == 0
+        assert tree_digest(workdir / "dash") == tree_digest(workdir / "all")
+
     def test_subset_filter(self, workdir):
         run_synth(workdir)
         rc = main(

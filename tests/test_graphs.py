@@ -138,25 +138,44 @@ class TestEnumerateOrientations:
             assert m.dag.skeleton() == expected
 
     def test_count_bound_brute_force(self):
-        # random PD graphs on 5 nodes: an acyclic directed part (edges follow
-        # a random node order) plus k <= 6 undirected edges on other pairs
+        # random PD graphs: an acyclic directed part (edges follow a random
+        # node order) plus k undirected edges on other pairs; 60 on 5 nodes
+        # (<= 4 directed, k <= 6), then 40 on 7 nodes (<= 12 directed,
+        # k <= 8), where cycles through multi-hop directed paths are common
         rng = np.random.default_rng(5)
-        schema = VariableSchema(("a", "b", "c", "d", "e"), (2, 2, 2, 2, 2))
-        pairs = list(itertools.combinations(schema.names, 2))
-        for _ in range(60):
-            rank = {n: i for i, n in enumerate(rng.permutation(list(schema.names)))}
-            shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
-            n_dir = int(rng.integers(0, 5))
-            k = int(rng.integers(0, 7))
-            directed = tuple(
-                (a, b) if rank[a] < rank[b] else (b, a) for a, b in shuffled[:n_dir]
-            )
-            g = PdGraph(schema, directed, tuple(shuffled[n_dir : n_dir + k]))
-            dags = enumerate_orientations(g)
-            expected = oracle_orientations(g)
-            assert [(m.orientation, m.dag.edges) for m in dags] == expected
-            assert [m.graph_id for m in dags] == ["G" + v for v, _ in expected]
-            assert 1 <= len(dags) <= 2**k
+        for names, n_graphs, max_dir, max_k in (("abcde", 60, 4, 6), ("abcdefg", 40, 12, 8)):
+            schema = VariableSchema(tuple(names), (2,) * len(names))
+            pairs = list(itertools.combinations(schema.names, 2))
+            for _ in range(n_graphs):
+                rank = {n: i for i, n in enumerate(rng.permutation(list(schema.names)))}
+                shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+                n_dir = int(rng.integers(0, max_dir + 1))
+                k = int(rng.integers(0, max_k + 1))
+                directed = tuple(
+                    (a, b) if rank[a] < rank[b] else (b, a) for a, b in shuffled[:n_dir]
+                )
+                g = PdGraph(schema, directed, tuple(shuffled[n_dir : n_dir + k]))
+                dags = enumerate_orientations(g)
+                expected = oracle_orientations(g)
+                assert [(m.orientation, m.dag.edges) for m in dags] == expected
+                assert [m.graph_id for m in dags] == ["G" + v for v, _ in expected]
+                assert 1 <= len(dags) <= 2**k
+                # the members are built unchecked; they must equal checked Dags
+                assert all(m.dag == Dag(g.schema, m.dag.edges) for m in dags)
+
+    def test_deep_forced_chain_needs_no_recursion(self):
+        # v_i -> v_{i+1} with v_i - v_{i+2} undirected: reversing any
+        # undirected edge closes a 3-cycle, so each is forced to "0", and the
+        # search goes 1198 levels deep, past the default recursion limit
+        n = 1200
+        names = tuple(f"v{i:04d}" for i in range(n))
+        g = PdGraph(
+            VariableSchema(names, (2,) * n),
+            tuple((names[i], names[i + 1]) for i in range(n - 1)),
+            tuple((names[i], names[i + 2]) for i in range(n - 2)),
+        )
+        dags = enumerate_orientations(g, max_undirected=2000)
+        assert [m.orientation for m in dags] == ["0" * 1198]
 
     def test_enumeration_cap(self, triangle):
         with pytest.raises(EnumerationLimit) as exc:
