@@ -19,7 +19,14 @@ import numpy as np
 
 from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch
 from .graphs import Dag, edges_from_obj, json_object, schema_from_obj, schema_to_obj
-from .tables import Dataset, ProbTable, VariableSchema, NORMALIZATION_TOL, count_rows
+from .tables import (
+    NORMALIZATION_TOL,
+    Dataset,
+    ProbTable,
+    VariableSchema,
+    check_smoothing,
+    count_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -37,10 +44,11 @@ class Cpt:
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
         arr = np.asarray(self.table, dtype=float).copy()
-        if np.any(arr < 0):
-            raise GcfitError(f"CPT for {self.child!r} has negative entries")
+        # written as what is accepted, so that NaN fails both checks
+        if not np.all(arr >= 0):
+            raise GcfitError(f"CPT for {self.child!r} has negative or NaN entries")
         sums = arr.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
+        if not np.all(np.abs(sums - 1.0) <= NORMALIZATION_TOL):
             raise GcfitError(f"CPT rows for {self.child!r} do not sum to 1")
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
@@ -166,8 +174,7 @@ def fit_cpts(dag: Dag, data: Dataset, smoothing: float = 0.0) -> BayesNet:
     """
     if data.schema != dag.schema:
         raise SchemaMismatch("dataset schema differs from DAG schema")
-    if smoothing < 0:
-        raise GcfitError("smoothing must be nonnegative")
+    check_smoothing(smoothing)
     schema = dag.schema
     cpts = {}
     for node in schema.names:
@@ -199,14 +206,11 @@ def _draw_column(net: BayesNet, node: str, columns: dict[str, np.ndarray], n: in
     cpt = net.cpts[node]
     card = schema.cardinality(node)
     u = rng.random(n)
-    if cpt.parents:
-        pcards = tuple(schema.cardinality(p) for p in cpt.parents)
-        row_idx = np.ravel_multi_index(
-            tuple(columns[p] for p in cpt.parents), pcards
-        )
-        cum = np.cumsum(cpt.table.reshape(-1, card), axis=1)[row_idx]
-    else:
-        cum = np.broadcast_to(np.cumsum(cpt.table), (n, card))
+    # row-major index of each row's parent configuration; a root's is row 0
+    row = 0
+    for parent in cpt.parents:
+        row = row * schema.cardinality(parent) + columns[parent]
+    cum = np.cumsum(cpt.table.reshape(-1, card), axis=1)[row]
     vals = (cum <= u[:, None]).sum(axis=1)
     return np.minimum(vals, card - 1)
 
@@ -285,7 +289,7 @@ def bayesnet_from_json(text: str, path=None) -> BayesNet:
             parents, rows = tuple(parents), np.asarray(rows, dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad CPT for {node!r}: {exc}", path=path) from None
-        if np.any(np.abs(rows.sum(axis=-1) - 1.0) > 1e-6):
+        if not np.all(np.abs(rows.sum(axis=-1) - 1.0) <= 1e-6):  # NaN fails too
             raise ParseError(f"CPT rows for {node!r} fail normalization", path=path)
         shape = tuple(schema.cardinality(p) for p in parents) + (schema.cardinality(node),)
         # renormalize within the accepted 1e-6 slack so the Cpt invariant holds

@@ -9,6 +9,7 @@ whose intervention disturbs the rest of the system more.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -39,9 +40,9 @@ class InterventionTables:
     from a ground-truth net (`InterventionTables.from_net`).  Scoring asks
     it two things: the observational `entropy` over a set of names
     (memoized per set; `joint_entropy` over all of them) and, per node,
-    the terms of `do_divergence_detail`.  Tables from a net answer both
-    from the CPTs; their dense tables are built only when
-    ``observational`` or ``do`` is read.
+    the terms of `do_divergence_detail`, both from one memo of marginals
+    per variable set.  Tables from a net answer from the CPTs; their dense
+    tables are built only when ``observational`` or ``do`` is read.
     """
 
     def __init__(self, observational: ProbTable, do: Mapping[tuple[str, int], ProbTable]):
@@ -53,51 +54,47 @@ class InterventionTables:
                     f"do-table for ({node}, {value}) has schema {table.schema.names}, "
                     f"expected {expected.names}"
                 )
+        self.schema: VariableSchema = schema
         self._net = None
-        self._observational = observational
-        self._do = do
+        self.observational, self.do = observational, do  # shadow net tables' lazy properties
+        self._marginals: dict[frozenset, np.ndarray] = {}
         self._entropies: dict[frozenset, float] = {}
 
     @classmethod
     def from_net(cls, net) -> "InterventionTables":
         """Exact tables for every (node, value) of a ground-truth net."""
         tables = cls.__new__(cls)
-        tables._net, tables._observational, tables._do, tables._entropies = net, None, None, {}
+        tables.schema, tables._net, tables._marginals, tables._entropies = net.schema, net, {}, {}
         return tables
 
-    @property
-    def schema(self) -> VariableSchema:
-        return self._net.schema if self._net is not None else self._observational.schema
-
-    @property
+    @functools.cached_property
     def observational(self) -> ProbTable:
-        if self._observational is None:
-            self._observational = joint(self._net)
-        return self._observational
+        return joint(self._net)
 
-    @property
+    @functools.cached_property
     def do(self) -> Mapping[tuple[str, int], ProbTable]:
-        if self._do is None:
-            schema = self._net.schema
-            self._do = {
-                (node, value): do_intervene(self._net, node, value)
-                for node in schema.names
-                for value in range(schema.cardinality(node))
-            }
-        return self._do
+        return {(node, value): do_intervene(self._net, node, value)
+                for node in self.schema.names for value in range(self.schema.cardinality(node))}
+
+    def _marginal(self, key: frozenset) -> np.ndarray:
+        """Observational P(key), axes in schema order, memoized per set: from a net
+        by `marginal`, else the table summed over the rest (the full set: no copy)."""
+        if key not in self._marginals:
+            names = self.schema.names
+            if self._net is not None:
+                self._marginals[key] = marginal(self._net, [n for n in names if n in key])
+            else:
+                drop = tuple(i for i, n in enumerate(names) if n not in key)
+                probs = self.observational.probs
+                self._marginals[key] = probs.sum(axis=drop) if drop else probs
+        return self._marginals[key]
 
     def entropy(self, names) -> float:
-        """Entropy (nats) of the observational marginal over ``names``; from
-        a net, the marginal comes from `marginal`, not the dense joint."""
+        """Entropy (nats) of the observational marginal over ``names``; 0 over
+        no names, where the marginal is a point mass."""
         key = frozenset(names)
         if key not in self._entropies:
-            if not key:  # the marginal over no variables is a point mass
-                h = 0.0
-            elif self._net is None:
-                h = _entropy(self._observational.marginalize(key).flat())
-            else:
-                h = _entropy(marginal(self._net, [n for n in self.schema.names if n in key]))
-            self._entropies[key] = h
+            self._entropies[key] = _entropy(self._marginal(key)) if key else 0.0
         return self._entropies[key]
 
     def joint_entropy(self) -> float:
@@ -117,18 +114,21 @@ class InterventionTables:
         """
         card = self.schema.cardinality(node)
         if self._net is None:
-            obs = self._observational
-            weights = obs.marginalize([node]).probs
+            obs, weights = self.observational, self._marginal(frozenset([node]))
             for value in range(card):
                 if weights[value] <= 0:
                     continue
-                table = self._do.get((node, value))
+                table = self.do.get((node, value))
                 yield value, float(weights[value]), (
                     None if table is None else kl_divergence(obs.condition(node, value), table)
                 )
             return
         cpt = self._net.cpts[node]
-        family = marginal(self._net, cpt.parents + (node,))
+        scope = cpt.parents + (node,)
+        axes = [n for n in self.schema.names if n in scope]
+        # the memo's axes (schema order) moved into the CPT's (parents..., node)
+        family = np.moveaxis(self._marginal(frozenset(scope)), [axes.index(n) for n in scope],
+                             range(len(scope)))
         for value in range(card):
             joint_a = family[..., value]
             weight = joint_a.sum()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -57,7 +58,7 @@ class VariableSchema:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.cardinalities))
+        return math.prod(self.cardinalities)
 
     def index(self, name: str) -> int:
         try:
@@ -91,9 +92,10 @@ class ProbTable:
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float).reshape(self.schema.shape).copy()
-        if np.any(arr < 0):
-            raise GcfitError("probabilities must be nonnegative")
-        if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
+        # written as what is accepted, so that NaN fails both checks
+        if not np.all(arr >= 0):
+            raise GcfitError("probabilities must be nonnegative, not NaN")
+        if not abs(arr.sum() - 1.0) <= NORMALIZATION_TOL:
             raise GcfitError(f"probabilities sum to {arr.sum()!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -311,13 +313,18 @@ def count_rows(data: Dataset, names) -> np.ndarray:
     return np.bincount(flat, minlength=int(np.prod(shape))).astype(float).reshape(shape)
 
 
+def check_smoothing(smoothing: float) -> None:
+    """Laplace smoothing must be a finite number >= 0 (not NaN or inf)."""
+    if not 0 <= smoothing < math.inf:
+        raise GcfitError(f"smoothing must be a finite nonnegative number, got {smoothing!r}")
+
+
 def empirical_from_dataset(data: Dataset, smoothing: float = 0.0) -> ProbTable:
     """Plug-in (optionally Laplace-smoothed) joint distribution of a dataset.
 
     cell(x) = (count(x) + smoothing) / (N + smoothing * n_cells)
     """
-    if smoothing < 0:
-        raise GcfitError("smoothing must be nonnegative")
+    check_smoothing(smoothing)
     counts = count_rows(data, data.schema.names) + smoothing
     total = counts.sum()
     if total == 0:

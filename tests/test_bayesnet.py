@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ class TestConstruction:
     def test_cpt_rows_must_normalize(self):
         with pytest.raises(GcfitError):
             Cpt("a", (), np.array([0.7, 0.7]))
+
+    @pytest.mark.parametrize("parents, rows", [
+        ((), [math.nan, math.nan]),
+        (("a",), [[0.8, 0.2], [math.nan, 0.5]]),
+    ])
+    def test_cpt_nan_rejected(self, parents, rows):
+        with pytest.raises(GcfitError):
+            Cpt("b", parents, np.array(rows))
 
     def test_cpt_parents_must_match_dag(self, chain_net):
         bad = {
@@ -237,6 +246,11 @@ class TestFitCpts:
         e1, e2, e3 = mean_err(1_000), mean_err(10_000), mean_err(100_000)
         assert e1 >= e2 >= e3
 
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
+    def test_smoothing_must_be_finite_and_nonnegative(self, fig1_net, smoothing):
+        with pytest.raises(GcfitError, match="smoothing"):
+            fit_cpts(fig1_net.dag, sample(fig1_net, 10, seed=1), smoothing=smoothing)
+
 
 class TestSampling:
     def test_deterministic_cpts_force_assignment(self, fig1_schema):
@@ -347,6 +361,14 @@ class TestJson:
         doc = json.loads(bayesnet_to_json(chain_net))
         doc["cpts"]["a"]["rows"] = [[0.7, 0.2]]
         with pytest.raises(ParseError):
+            bayesnet_from_json(json.dumps(doc))
+
+    def test_nan_rows_rejected(self, chain_net):
+        import json
+
+        doc = json.loads(bayesnet_to_json(chain_net))
+        doc["cpts"]["a"]["rows"] = [[math.nan, math.nan]]  # json writes and reads NaN
+        with pytest.raises(ParseError, match="normalization"):
             bayesnet_from_json(json.dumps(doc))
 
     def test_invalid_json(self):

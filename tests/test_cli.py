@@ -122,6 +122,15 @@ class TestSynth:
         assert run_synth(workdir, seed="-1") == 2
         assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
+    def test_nan_net_exit_1(self, workdir, capsys):
+        path = workdir / "truth.json"
+        doc = json.loads(path.read_text())
+        doc["cpts"]["a"]["rows"] = [[math.nan, math.nan]]  # json writes and reads NaN
+        path.write_text(json.dumps(doc))
+        assert run_synth(workdir) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "data").exists()
+
     def test_missing_net_file(self, workdir):
         rc = main(["synth", "--net", str(workdir / "nope.json"), "--out-dir", str(workdir)])
         assert rc == 1
@@ -230,6 +239,22 @@ class TestScore:
         assert rc == 0
         rows = read_scores(workdir / "sub" / "scores.csv")
         assert [r["graph_id"] for r in rows] == ["G1"]
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf"])
+    def test_non_finite_smoothing_exit_2(self, workdir, capsys, smoothing):
+        assert run_synth(workdir) == 0
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(workdir / "data" / "manifest.json"),
+                "--out-dir", str(workdir / "out"),
+                "--smoothing", smoothing,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: smoothing must be")
+        assert not (workdir / "out").exists()
 
     def test_missing_intervention_strict_exit_2(self, workdir):
         run_synth(workdir)

@@ -33,6 +33,7 @@ from gcfit import (
     sample_do,
     score_set,
 )
+from gcfit import scoring
 from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE
 from conftest import oracle_gf, oracle_v_structures, random_dag, random_net, random_table
 
@@ -496,6 +497,24 @@ class TestNetTables:
             # Markov-equivalent candidates: bitwise-equal GF on both paths
             for values in by_class.values():
                 assert len(set(values)) == 1
+
+    def test_each_variable_set_is_eliminated_once(self, monkeypatch, fig2_pdgraph, fig2_truth):
+        # the do-term of a node reads its family marginal, which GF of the
+        # truth (a candidate here) reads as well: one elimination serves both
+        counts = {}
+        real = scoring.marginal
+
+        def counting(net, names):
+            key = frozenset(names)
+            counts[key] = counts.get(key, 0) + 1
+            return real(net, names)
+
+        monkeypatch.setattr(scoring, "marginal", counting)
+        net = random_net(fig2_truth, np.random.default_rng(3))
+        dags = enumerate_orientations(fig2_pdgraph)
+        assert any(set(m.dag.edges) == set(fig2_truth.edges) for m in dags)
+        score_set(dags, InterventionTables.from_net(net))
+        assert counts and max(counts.values()) == 1
 
     def test_sixty_node_net(self):
         # a dense table would need 2**60 cells; the last node's ancestral set

@@ -57,6 +57,12 @@ class TestVariableSchema:
         with pytest.raises(UnknownVariable):
             s.index("q")
 
+    # past 2**63 cells a fixed-width product wraps (to 0 for 64 binary variables)
+    @pytest.mark.parametrize("cards", [(2, 3, 2), (2,) * 64, (3,) * 40])
+    def test_n_cells_is_exact(self, cards):
+        s = VariableSchema(tuple(f"v{i}" for i in range(len(cards))), cards)
+        assert s.n_cells == math.prod(cards)
+
 
 class TestProbTable:
     def test_unnormalized_rejected(self, ab_schema):
@@ -66,6 +72,11 @@ class TestProbTable:
     def test_negative_rejected(self, ab_schema):
         with pytest.raises(GcfitError):
             ProbTable(ab_schema, [[1.5, -0.5], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("probs", [[[math.nan] * 2] * 2, [[0.5, math.nan], [0.25, 0.25]]])
+    def test_nan_rejected(self, ab_schema, probs):
+        with pytest.raises(GcfitError):
+            ProbTable(ab_schema, probs)
 
     def test_immutable(self, ab_table):
         with pytest.raises(ValueError):
@@ -87,6 +98,12 @@ class TestEmpirical:
         data = Dataset(ab_schema, np.empty((0, 2), dtype=int))
         with pytest.raises(EmptyDataset):
             empirical_from_dataset(data)
+
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
+    def test_smoothing_must_be_finite_and_nonnegative(self, ab_schema, smoothing):
+        data = Dataset(ab_schema, [[0, 0], [1, 1]])
+        with pytest.raises(GcfitError, match="smoothing"):
+            empirical_from_dataset(data, smoothing=smoothing)
 
     def test_empty_with_smoothing_is_uniform(self, ab_schema):
         data = Dataset(ab_schema, np.empty((0, 2), dtype=int))
