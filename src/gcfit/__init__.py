@@ -1,115 +1,39 @@
 """gcfit: goodness-of-fit and goodness-of-causal-fit scoring for
-candidate DAGs against observational and interventional data."""
+candidate DAGs against observational and interventional data.
+
+Public names resolve on first use (PEP 562), so importing the package,
+or a numpy-free module such as ``graphs``, does not import numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bayesnet import (
-    BayesNet,
-    Cpt,
-    bayesnet_from_json,
-    bayesnet_to_json,
-    do_intervene,
-    fit_cpts,
-    joint,
-    load_bayesnet,
-    sample,
-    sample_do,
-    save_bayesnet,
-)
-from .divergences import euclidean_distance_sq, kl_divergence, pearson_divergence
-from .errors import (
-    EmptyDataset,
-    EnumerationLimit,
-    GcfitError,
-    InvalidState,
-    MissingIntervention,
-    ParseError,
-    SchemaMismatch,
-    UnknownEdge,
-    UnknownVariable,
-    ZeroProbabilityEvidence,
-)
-from .graphs import (
-    Dag,
-    DagSet,
-    PdGraph,
-    TaggedDag,
-    enumerate_orientations,
-    is_acyclic,
-    load_pdgraph,
-    pdgraph_from_json,
-    pdgraph_to_json,
-    save_pdgraph,
-)
-from .scoring import (
-    InterventionBundle,
-    InterventionTables,
-    ScoreRecord,
-    do_divergence,
-    do_divergence_detail,
-    do_divergence_map,
-    dodiv_distance,
-    edge_sign,
-    gcf,
-    gcf_abs,
-    gcf_detail,
-    gf,
-    gf_from_table,
-    score_set,
-)
-from .tables import Dataset, ProbTable, VariableSchema, empirical_from_dataset
+# defining module -> the public names it exports
+_EXPORTS = {
+    "bayesnet": "BayesNet Cpt bayesnet_from_json bayesnet_to_json do_intervene fit_cpts joint "
+    "load_bayesnet sample sample_do save_bayesnet",
+    "divergences": "euclidean_distance_sq kl_divergence pearson_divergence",
+    "errors": "EmptyDataset EnumerationLimit GcfitError InvalidState MissingIntervention "
+    "ParseError SchemaMismatch UnknownEdge UnknownVariable ZeroProbabilityEvidence",
+    "graphs": "Dag DagSet PdGraph TaggedDag VariableSchema enumerate_orientations is_acyclic "
+    "load_pdgraph pdgraph_from_json pdgraph_to_json save_pdgraph",
+    "scoring": "InterventionBundle InterventionTables ScoreRecord do_divergence "
+    "do_divergence_detail do_divergence_map dodiv_distance edge_sign gcf gcf_abs gcf_detail "
+    "gf gf_from_table score_set",
+    "tables": "Dataset ProbTable empirical_from_dataset",
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_ORIGIN)
 
-__all__ = [
-    "BayesNet",
-    "Cpt",
-    "Dag",
-    "DagSet",
-    "Dataset",
-    "EmptyDataset",
-    "EnumerationLimit",
-    "GcfitError",
-    "InterventionBundle",
-    "InterventionTables",
-    "InvalidState",
-    "MissingIntervention",
-    "ParseError",
-    "PdGraph",
-    "ProbTable",
-    "SchemaMismatch",
-    "ScoreRecord",
-    "TaggedDag",
-    "UnknownEdge",
-    "UnknownVariable",
-    "VariableSchema",
-    "ZeroProbabilityEvidence",
-    "bayesnet_from_json",
-    "bayesnet_to_json",
-    "do_divergence",
-    "do_divergence_detail",
-    "do_divergence_map",
-    "do_intervene",
-    "dodiv_distance",
-    "edge_sign",
-    "empirical_from_dataset",
-    "enumerate_orientations",
-    "euclidean_distance_sq",
-    "fit_cpts",
-    "gcf",
-    "gcf_abs",
-    "gcf_detail",
-    "gf",
-    "gf_from_table",
-    "is_acyclic",
-    "joint",
-    "kl_divergence",
-    "load_bayesnet",
-    "load_pdgraph",
-    "pdgraph_from_json",
-    "pdgraph_to_json",
-    "pearson_divergence",
-    "sample",
-    "sample_do",
-    "save_bayesnet",
-    "save_pdgraph",
-    "score_set",
-]
+
+def __getattr__(name):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,15 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch
-from .graphs import Dag, edges_from_obj, json_object, schema_from_obj, schema_to_obj
-from .tables import (
-    NORMALIZATION_TOL,
-    Dataset,
-    ProbTable,
-    VariableSchema,
-    check_smoothing,
-    count_rows,
-)
+from .graphs import Dag, VariableSchema, edges_from_obj, json_object, schema_from_obj, schema_to_obj
+from .tables import NORMALIZATION_TOL, Dataset, ProbTable, check_smoothing, count_rows
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 observational + interventional data, synthesize ground-truth datasets.
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 enumeration
-cap exceeded.
+cap exceeded.  The numeric layers are imported by the commands that use
+them, so ``--version`` and ``enumerate`` never import numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +15,8 @@ import os
 import sys
 
 from . import __version__
-from .bayesnet import load_bayesnet, sample, sample_do, substream
 from .errors import EnumerationLimit, GcfitError, ParseError
 from .graphs import DEFAULT_ENUMERATION_CAP, enumerate_orientations, json_object, load_pdgraph
-from .scoring import InterventionBundle, score_set
-from .svg import scatter_svg
-from .tables import Dataset, csv_lines
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -47,6 +44,8 @@ def load_manifest(path, schema):
              "interventions": [{"file": <csv path>, "node": ..., "value": ...}]}
     Relative paths resolve against the manifest's directory.
     """
+    from .tables import Dataset
+
     with open(path, encoding="utf-8") as fh:
         doc = json_object(fh.read(), "observational", path)
     entries = doc.get("interventions", [])
@@ -89,6 +88,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .scoring import InterventionBundle, score_set
+    from .tables import check_smoothing, csv_lines
+
+    check_smoothing(args.smoothing)
     graph = load_pdgraph(args.graph)
     dags = enumerate_orientations(graph, args.max_undirected)
     if args.subset:
@@ -131,6 +134,8 @@ def cmd_score(args) -> int:
             fh.write(csv_lines(rows))
 
     if args.svg:
+        from .svg import scatter_svg
+
         points = [(r.gf, r.gcf, r.graph_id) for r in records]
         with open(os.path.join(args.out_dir, "plot.svg"), "w", encoding="utf-8") as fh:
             fh.write(scatter_svg(points))
@@ -138,11 +143,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    net = load_bayesnet(args.net)
+    from .bayesnet import load_bayesnet, sample, sample_do, substream
+
     if args.n_obs < 1 or args.n_do < 1:
         raise GcfitError("sample counts must be positive")
     if args.seed < 0:
         raise GcfitError("seed must be non-negative")
+    net = load_bayesnet(args.net)
     schema = net.schema
     os.makedirs(args.out_dir, exist_ok=True)
 

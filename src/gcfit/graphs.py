@@ -1,4 +1,5 @@
-"""DAGs, partially directed graphs, and acyclic-orientation enumeration.
+"""Variable schemas, DAGs, partially directed graphs, and acyclic-orientation
+enumeration.
 
 A partially directed graph is what structure learning typically hands
 back: some edges oriented, some not.  The candidate set of fully
@@ -8,13 +9,88 @@ built one edge at a time so that a prefix closing a cycle is not extended.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
-from .errors import EnumerationLimit, GcfitError, ParseError
-from .tables import VariableSchema
+from .errors import EnumerationLimit, GcfitError, ParseError, UnknownVariable
 
 DEFAULT_ENUMERATION_CAP = 24
+
+
+@dataclass(frozen=True)
+class VariableSchema:
+    """Ordered list of named categorical variables.
+
+    Variable ``name`` with cardinality ``c`` takes states ``0..c-1``.
+    The ordering is part of the schema: it fixes cell iteration order,
+    array axis order and serialization order everywhere.
+    """
+
+    names: tuple[str, ...]
+    cardinalities: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "cardinalities", tuple(int(c) for c in self.cardinalities))
+        if len(self.names) != len(self.cardinalities):
+            raise GcfitError("names and cardinalities must have equal length")
+        if len(set(self.names)) != len(self.names):
+            raise GcfitError("variable names must be unique")
+        if any(c < 2 for c in self.cardinalities):
+            raise GcfitError("every cardinality must be >= 2")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.cardinalities
+
+    @property
+    def n_cells(self) -> int:
+        return math.prod(self.cardinalities)
+
+    def index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise UnknownVariable(f"unknown variable {name!r}") from None
+
+    def cardinality(self, name: str) -> int:
+        return self.cardinalities[self.index(name)]
+
+    def subset(self, keep) -> "VariableSchema":
+        """Schema restricted to ``keep``, preserving this schema's order."""
+        keep = set(keep)
+        for name in keep:
+            self.index(name)
+        names = tuple(n for n in self.names if n in keep)
+        cards = tuple(c for n, c in zip(self.names, self.cardinalities) if n in keep)
+        return VariableSchema(names, cards)
+
+    def cells(self):
+        """Iterate all joint states in row-major order."""
+        return itertools.product(*(range(c) for c in self.cardinalities))
+
+
+def schema_to_obj(schema: VariableSchema) -> list:
+    return [
+        {"name": n, "cardinality": c}
+        for n, c in zip(schema.names, schema.cardinalities)
+    ]
+
+
+def schema_from_obj(obj, path=None) -> VariableSchema:
+    try:
+        names = tuple(v["name"] for v in obj)
+        cards = tuple(v["cardinality"] for v in obj)
+        # only JSON strings and integers: int() would read 2.7 as 2 and "3" as 3
+        if not all(isinstance(n, str) for n in names):
+            raise ValueError("variable names must be strings")
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in cards):
+            raise ValueError("cardinalities must be integers")
+        return VariableSchema(names, cards)
+    except (KeyError, TypeError, ValueError, GcfitError) as exc:
+        raise ParseError(f"bad variables block: {exc}", path=path) from None
 
 
 def _check_endpoints(schema: VariableSchema, pairs) -> None:
@@ -182,6 +258,8 @@ def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION
     that closes a cycle is extended.  Vectors come out in lexicographic order.
     """
     und = g.undirected  # already sorted lexicographically
+    if max_undirected < 0:
+        raise GcfitError(f"enumeration cap must be non-negative, got {max_undirected}")
     if len(und) > max_undirected:
         raise EnumerationLimit(len(und), max_undirected)
     children: dict[str, set[str]] = {n: set() for n in g.schema.names}
@@ -215,13 +293,6 @@ def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION
 # ---------------------------------------------------------------------------
 # JSON serialization.  Dag files use the same layout with empty "undirected".
 
-def schema_to_obj(schema: VariableSchema) -> list:
-    return [
-        {"name": n, "cardinality": c}
-        for n, c in zip(schema.names, schema.cardinalities)
-    ]
-
-
 def json_object(text: str, required: str, path=None) -> dict:
     """Decode a JSON input file whose top level must be an object with a
     ``required`` entry; any other content is a `ParseError`."""
@@ -232,20 +303,6 @@ def json_object(text: str, required: str, path=None) -> dict:
     if not isinstance(doc, dict) or required not in doc:
         raise ParseError(f"missing {required!r} block", path=path)
     return doc
-
-
-def schema_from_obj(obj, path=None) -> VariableSchema:
-    try:
-        names = tuple(v["name"] for v in obj)
-        cards = tuple(v["cardinality"] for v in obj)
-        # only JSON strings and integers: int() would read 2.7 as 2 and "3" as 3
-        if not all(isinstance(n, str) for n in names):
-            raise ValueError("variable names must be strings")
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in cards):
-            raise ValueError("cardinalities must be integers")
-        return VariableSchema(names, cards)
-    except (KeyError, TypeError, ValueError, GcfitError) as exc:
-        raise ParseError(f"bad variables block: {exc}", path=path) from None
 
 
 def edges_from_obj(obj) -> tuple:

@@ -24,8 +24,8 @@ from .errors import (
     SchemaMismatch,
     UnknownEdge,
 )
-from .graphs import Dag, DagSet
-from .tables import Dataset, ProbTable, VariableSchema, empirical_from_dataset
+from .graphs import Dag, DagSet, VariableSchema
+from .tables import Dataset, ProbTable, empirical_from_dataset
 
 FLAG_NO_CAUSAL_SIGNAL = "no_causal_signal"
 FLAG_UNDEFINED_DISTANCE = "undefined_distance"

@@ -9,78 +9,18 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (
-    EmptyDataset,
-    GcfitError,
-    ParseError,
-    UnknownVariable,
-    InvalidState,
-    ZeroProbabilityEvidence,
-)
+from .errors import EmptyDataset, GcfitError, InvalidState, ParseError, ZeroProbabilityEvidence
+from .graphs import VariableSchema
 
 NORMALIZATION_TOL = 1e-9
 _CSV_WRITE_ROWS = 4096
 _ZERO = ord("0")
-
-
-@dataclass(frozen=True)
-class VariableSchema:
-    """Ordered list of named categorical variables.
-
-    Variable ``name`` with cardinality ``c`` takes states ``0..c-1``.
-    The ordering is part of the schema: it fixes cell iteration order,
-    array axis order and serialization order everywhere.
-    """
-
-    names: tuple[str, ...]
-    cardinalities: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "cardinalities", tuple(int(c) for c in self.cardinalities))
-        if len(self.names) != len(self.cardinalities):
-            raise GcfitError("names and cardinalities must have equal length")
-        if len(set(self.names)) != len(self.names):
-            raise GcfitError("variable names must be unique")
-        if any(c < 2 for c in self.cardinalities):
-            raise GcfitError("every cardinality must be >= 2")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.cardinalities
-
-    @property
-    def n_cells(self) -> int:
-        return math.prod(self.cardinalities)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownVariable(f"unknown variable {name!r}") from None
-
-    def cardinality(self, name: str) -> int:
-        return self.cardinalities[self.index(name)]
-
-    def subset(self, keep) -> "VariableSchema":
-        """Schema restricted to ``keep``, preserving this schema's order."""
-        keep = set(keep)
-        for name in keep:
-            self.index(name)
-        names = tuple(n for n in self.names if n in keep)
-        cards = tuple(c for n, c in zip(self.names, self.cardinalities) if n in keep)
-        return VariableSchema(names, cards)
-
-    def cells(self):
-        """Iterate all joint states in row-major order."""
-        return itertools.product(*(range(c) for c in self.cardinalities))
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,14 @@ class TestEnumerate:
         )
         assert rc == 3
 
+    def test_negative_cap_exit_2(self, workdir, fig1_schema, capsys):
+        # no undirected edge exceeds a cap of -1: the cap itself is invalid
+        graph = workdir / "directed.json"
+        save_pdgraph(PdGraph(fig1_schema, (("a", "b"),), ()), graph)
+        rc = main(["enumerate", "--graph", str(graph), "--max-undirected", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: enumeration cap must be non-negative")
+
 
 class TestSynth:
     def test_writes_all_files(self, workdir):
@@ -134,6 +142,19 @@ class TestSynth:
     def test_missing_net_file(self, workdir):
         rc = main(["synth", "--net", str(workdir / "nope.json"), "--out-dir", str(workdir)])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-obs", "0", "sample counts must be positive"),
+            ("--seed", "-1", "seed must be non-negative"),
+        ],
+    )
+    def test_bad_argument_checked_before_net_is_read(self, workdir, capsys, flag, value, message):
+        net = str(workdir / "nope.json")
+        rc = main(["synth", "--net", net, flag, value, "--out-dir", str(workdir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestScore:
@@ -255,6 +276,18 @@ class TestScore:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: smoothing must be")
         assert not (workdir / "out").exists()
+
+    def test_smoothing_checked_before_manifest_is_read(self, workdir, capsys):
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(workdir / "nope.json"),
+                "--smoothing", "nan",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: smoothing must be")
 
     def test_missing_intervention_strict_exit_2(self, workdir):
         run_synth(workdir)
