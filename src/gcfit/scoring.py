@@ -9,14 +9,13 @@ whose intervention disturbs the rest of the system more.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .bayesnet import do_intervene, joint, marginal
+from .bayesnet import marginal
 from .divergences import kl_divergence
 from .errors import (
     GcfitError,
@@ -41,8 +40,8 @@ class InterventionTables:
     it two things: the observational `entropy` over a set of names
     (memoized per set; `joint_entropy` over all of them) and, per node,
     the terms of `do_divergence_detail`, both from one memo of marginals
-    per variable set.  Tables from a net answer from the CPTs; their dense
-    tables are built only when ``observational`` or ``do`` is read.
+    per variable set.  Each source answers `_marginal`, `joint_entropy` and
+    `_do_terms` its own way; this class reads its dense tables.
     """
 
     def __init__(self, observational: ProbTable, do: Mapping[tuple[str, int], ProbTable]):
@@ -55,38 +54,22 @@ class InterventionTables:
                     f"expected {expected.names}"
                 )
         self.schema: VariableSchema = schema
-        self._net = None
-        self.observational, self.do = observational, do  # shadow net tables' lazy properties
+        self.observational, self.do = observational, do
         self._marginals: dict[frozenset, np.ndarray] = {}
         self._entropies: dict[frozenset, float] = {}
 
     @classmethod
     def from_net(cls, net) -> "InterventionTables":
         """Exact tables for every (node, value) of a ground-truth net."""
-        tables = cls.__new__(cls)
-        tables.schema, tables._net, tables._marginals, tables._entropies = net.schema, net, {}, {}
-        return tables
-
-    @functools.cached_property
-    def observational(self) -> ProbTable:
-        return joint(self._net)
-
-    @functools.cached_property
-    def do(self) -> Mapping[tuple[str, int], ProbTable]:
-        return {(node, value): do_intervene(self._net, node, value)
-                for node in self.schema.names for value in range(self.schema.cardinality(node))}
+        return _NetTables(net)
 
     def _marginal(self, key: frozenset) -> np.ndarray:
-        """Observational P(key), axes in schema order, memoized per set: from a net
-        by `marginal`, else the table summed over the rest (the full set: no copy)."""
+        """Observational P(key), axes in schema order, memoized per set: the
+        table summed over the rest (the full set: no copy)."""
         if key not in self._marginals:
-            names = self.schema.names
-            if self._net is not None:
-                self._marginals[key] = marginal(self._net, [n for n in names if n in key])
-            else:
-                drop = tuple(i for i, n in enumerate(names) if n not in key)
-                probs = self.observational.probs
-                self._marginals[key] = probs.sum(axis=drop) if drop else probs
+            drop = tuple(i for i, n in enumerate(self.schema.names) if n not in key)
+            probs = self.observational.probs
+            self._marginals[key] = probs.sum(axis=drop) if drop else probs
         return self._marginals[key]
 
     def entropy(self, names) -> float:
@@ -98,38 +81,52 @@ class InterventionTables:
         return self._entropies[key]
 
     def joint_entropy(self) -> float:
-        """H(X) of the observational table; from a net, sum_i H(X_i | Pa_i)
-        along its DAG, summed as `gf_from_table` sums a candidate's."""
-        if self._net is None:
-            return self.entropy(self.schema.names)
-        return _conditional_entropy(self._net.dag, self.entropy)
+        """H(X) of the observational table."""
+        return self.entropy(self.schema.names)
 
     def _do_terms(self, node: str):
         """(value, P(value), D_value) for each value of positive probability,
-        D_value None when there is no do-table for it.
+        D_value None when there is no do-table for it."""
+        obs, weights = self.observational, self._marginal(frozenset([node]))
+        for value in range(self.schema.cardinality(node)):
+            if weights[value] <= 0:
+                continue
+            table = self.do.get((node, value))
+            yield value, float(weights[value]), (
+                None if table is None else kl_divergence(obs.condition(node, value), table)
+            )
 
-        From a net, P(rest, a) / P(rest | do(node)=a) = P(a | pa), so
-        D_a = sum_pa P(pa | a) ln(P(a | pa) / P(a)), read from the CPT and
-        the family marginal; weighted by P(a) it sums to I(node; Pa(node)).
-        """
-        card = self.schema.cardinality(node)
-        if self._net is None:
-            obs, weights = self.observational, self._marginal(frozenset([node]))
-            for value in range(card):
-                if weights[value] <= 0:
-                    continue
-                table = self.do.get((node, value))
-                yield value, float(weights[value]), (
-                    None if table is None else kl_divergence(obs.condition(node, value), table)
-                )
-            return
+
+class _NetTables(InterventionTables):
+    """Exact tables of a net from its CPTs; `joint` and `do_intervene` build dense ones."""
+
+    def __init__(self, net):
+        self.schema, self._net = net.schema, net
+        self._marginals, self._entropies = {}, {}
+
+    def _marginal(self, key: frozenset) -> np.ndarray:
+        """As the dense tables' `_marginal`, by `marginal` over an ancestral set."""
+        if key not in self._marginals:
+            self._marginals[key] = marginal(self._net, [n for n in self.schema.names if n in key])
+        return self._marginals[key]
+
+    def joint_entropy(self) -> float:
+        """H(X) = sum_i H(X_i | Pa_i) along the net's DAG, summed as
+        `gf_from_table` sums a candidate's."""
+        return _conditional_entropy(self._net.dag, self.entropy)
+
+    def _do_terms(self, node: str):
+        """As `InterventionTables._do_terms`, in closed form: P(rest, a) /
+        P(rest | do(node)=a) = P(a | pa), so D_a = sum_pa P(pa | a)
+        ln(P(a | pa) / P(a)), read from the CPT and the family marginal;
+        weighted by P(a) it sums to I(node; Pa(node))."""
         cpt = self._net.cpts[node]
         scope = cpt.parents + (node,)
         axes = [n for n in self.schema.names if n in scope]
         # the memo's axes (schema order) moved into the CPT's (parents..., node)
         family = np.moveaxis(self._marginal(frozenset(scope)), [axes.index(n) for n in scope],
                              range(len(scope)))
-        for value in range(card):
+        for value in range(self.schema.cardinality(node)):
             joint_a = family[..., value]
             weight = joint_a.sum()
             if weight <= 0:
@@ -187,8 +184,8 @@ class ScoreRecord:
     gcf: float
     gcf_abs: float
     edge_details: tuple[tuple[tuple[str, str], int, float], ...]
-    do_divergences: dict[str, float]
-    # node -> `do_divergence_detail` result; one mapping shared by the whole set
+    # node -> D(node), and node -> `do_divergence_detail`: each shared by the whole set
+    do_divergences: Mapping[str, float]
     do_detail: Mapping[str, tuple[float, list[tuple[int, float, float]]]]
     flags: tuple[str, ...]
 
@@ -216,7 +213,8 @@ def _conditional_entropy(dag: Dag, entropy) -> float:
     return math.fsum(
         term
         for n in dag.schema.names
-        for term in (entropy(dag.parents(n) + (n,)), -entropy(dag.parents(n)))
+        for pa in (dag.parents(n),)
+        for term in (entropy(pa + (n,)), -entropy(pa))
     )
 
 
@@ -398,7 +396,7 @@ def score_set(
                 gcf=value,
                 gcf_abs=gcf_abs(member.dag, dmap),
                 edge_details=details,
-                do_divergences=dict(dmap),
+                do_divergences=dmap,
                 do_detail=do_detail,
                 flags=flags,
             )

@@ -10,8 +10,19 @@ import sys
 import numpy as np
 import pytest
 
-from gcfit import Dag, PdGraph, VariableSchema, save_bayesnet, save_pdgraph
-from gcfit.cli import format_number, main
+from gcfit import (
+    Dag,
+    InterventionBundle,
+    PdGraph,
+    VariableSchema,
+    do_divergence_map,
+    enumerate_orientations,
+    gcf_abs,
+    gcf_detail,
+    save_bayesnet,
+    save_pdgraph,
+)
+from gcfit.cli import format_number, load_manifest, main
 from gcfit.svg import scatter_svg
 from conftest import random_net
 
@@ -321,6 +332,36 @@ class TestScore:
             ]
         )
         assert rc == 0
+        with open(workdir / "renorm" / "do_divergences.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["node"] == "b"]
+        # only b=0 is covered, and its weight is renormalized to 1
+        assert len(rows) == 1
+        assert rows[0]["value"] == "0" and float(rows[0]["weight"]) == 1.0
+        assert rows[0]["D_node"] == rows[0]["D_a"]
+
+    def test_all_edges_policy_matches_in_process_scores(self, workdir, fig1_pdgraph):
+        assert run_synth(workdir) == 0
+        manifest = workdir / "data" / "manifest.json"
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(manifest),
+                "--out-dir", str(workdir / "all"),
+                "--edges", "all",
+            ]
+        )
+        assert rc == 0
+        observational, interventional = load_manifest(manifest, fig1_pdgraph.schema)
+        tables = InterventionBundle(observational, interventional, smoothing=1.0).tables()
+        dmap = do_divergence_map(fig1_pdgraph.schema.names, tables)
+        dags = {m.graph_id: m.dag for m in enumerate_orientations(fig1_pdgraph)}
+        rows = read_scores(workdir / "all" / "scores.csv")
+        assert [r["graph_id"] for r in rows] == list(dags)
+        for row in rows:
+            dag = dags[row["graph_id"]]
+            assert row["gcf"] == format_number(gcf_detail(dag, dag.edges, dmap)[0])
+            assert row["gcf_abs"] == format_number(gcf_abs(dag, dmap))
 
     def test_parse_error_exit_1(self, workdir):
         bad = workdir / "bad.json"
