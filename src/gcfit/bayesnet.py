@@ -203,9 +203,9 @@ def _draw_column(net: BayesNet, node: str, columns: dict[str, np.ndarray], n: in
     row = 0
     for parent in cpt.parents:
         row = row * schema.cardinality(parent) + columns[parent]
-    cum = np.cumsum(cpt.table.reshape(-1, card), axis=1)[row]
-    vals = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(vals, card - 1)
+    cum = np.cumsum(cpt.table.reshape(-1, card), axis=1)
+    # count the cumulative values <= u before the last: the last state takes what is left
+    return sum((cum[:, k][row] <= u for k in range(card - 1)), np.zeros(n, dtype=int))
 
 
 def _forward(net: BayesNet, n: int, seed) -> Dataset:

@@ -56,6 +56,8 @@ def load_manifest(path, schema):
     def resolve(p):
         if not isinstance(p, str):
             raise ParseError(f"path {p!r} is not a string", path=path)
+        if "\0" in p:
+            raise ParseError(f"path {p!r} holds a NUL byte", path=path)
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     observational = Dataset.read_csv(resolve(doc["observational"]), schema)
@@ -151,6 +153,10 @@ def cmd_synth(args) -> int:
         raise GcfitError("seed must be non-negative")
     net = load_bayesnet(args.net)
     schema = net.schema
+    # each name is part of a file name, do_<node>_<value>.csv
+    for name in schema.names:
+        if any(c and c in name for c in (os.sep, os.altsep, "\0")):
+            raise GcfitError(f"variable name {name!r} cannot be part of a file name")
     os.makedirs(args.out_dir, exist_ok=True)
 
     obs = sample(net, args.n_obs, substream(args.seed, 0))

@@ -19,6 +19,7 @@ from .bayesnet import marginal
 from .divergences import kl_divergence
 from .errors import (
     GcfitError,
+    InvalidState,
     MissingIntervention,
     SchemaMismatch,
     UnknownEdge,
@@ -151,6 +152,8 @@ class InterventionBundle:
                 raise SchemaMismatch(
                     f"interventional dataset for ({node}, {value}) has a different schema"
                 )
+            if not 0 <= value < schema.cardinality(node):
+                raise InvalidState(f"state {value} out of range for {node!r}")
             col = data.column(node)
             if len(data) and not (col == value).all():
                 raise GcfitError(

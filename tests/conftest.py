@@ -250,3 +250,30 @@ def oracle_csv_rows(text):
     csv.reader; blank lines are skipped."""
     header, *rows = csv.reader(io.StringIO(text))
     return header, [[int(c) for c in row] for row in rows if row]
+
+
+def oracle_sample(net, n, seed, do=None):
+    """Rows of ancestral sampling with the n x card inverse-CDF block: in
+    topological order each node draws u from ``bayesnet.substream(seed,
+    position)``, counts the cumulative CPT values <= u in its row's block
+    and clamps the count to the last state.  ``do=(node, value)`` samples
+    that node as a point mass at value."""
+    from gcfit.bayesnet import substream
+
+    schema = net.schema
+    columns = {}
+    for pos, node in enumerate(net.dag.topological_order()):
+        u = np.random.default_rng(substream(seed, pos)).random(n)
+        cpt = net.cpts[node]
+        card = schema.cardinality(node)
+        table = cpt.table.reshape(-1, card)
+        if do is not None and do[0] == node:
+            table = np.eye(card)[[do[1]] * len(table)]
+        if cpt.parents:
+            shape = tuple(schema.cardinality(p) for p in cpt.parents)
+            row = np.ravel_multi_index(tuple(columns[p] for p in cpt.parents), shape)
+        else:
+            row = np.zeros(n, dtype=int)
+        block = np.cumsum(table, axis=1)[row]
+        columns[node] = np.minimum((block <= u[:, None]).sum(axis=1), card - 1)
+    return np.stack([columns[name] for name in schema.names], axis=1)

@@ -23,7 +23,7 @@ from gcfit import (
     sample,
     sample_do,
 )
-from conftest import oracle_joint, random_dag, random_net
+from conftest import oracle_joint, oracle_sample, random_dag, random_net
 
 
 @pytest.fixture
@@ -266,24 +266,61 @@ class TestSampling:
         data = sample(net, 50, seed=0)
         assert (data.rows == [1, 0, 1]).all()
 
-    def test_zero_uniform_draw_skips_zero_probability_state(self, monkeypatch):
-        # Generator.random draws from [0, 1), so u = 0.0 can occur; it must
-        # not select a state of probability 0
-        class Zeros:
-            def random(self, n):
-                return np.zeros(n)
+    # zero-probability states 0 and 2, summing to 1 - 1e-10; cumulative
+    # values 0, 0.25, 0.25 and the row's sum, below nextafter(1, 0)
+    B_ROW = np.array([0.0, 0.25, 0.0, 0.75 - 1e-10])
 
-        monkeypatch.setattr(bayesnet, "_node_rng", lambda seed, position: Zeros())
-        schema = VariableSchema(("a", "b"), (2, 3))
+    @pytest.mark.parametrize("u, b_state", [
+        pytest.param(0.0, 1, id="zero"),
+        pytest.param(np.cumsum(B_ROW)[1], 3, id="inner-boundary"),
+        pytest.param(np.cumsum(B_ROW)[-1], 3, id="last-boundary"),
+        pytest.param(np.nextafter(1.0, 0.0), 3, id="past-cumulative-sum"),
+    ])
+    def test_zero_uniform_draw_skips_zero_probability_state(self, monkeypatch, u, b_state):
+        # Generator.random draws from [0, 1), so u = 0.0 can occur; it must
+        # not select a state of probability 0, and a u past the row's
+        # cumulative sum selects the last state
+        class Constant:
+            def random(self, n):
+                return np.full(n, u)
+
+        monkeypatch.setattr(bayesnet, "_node_rng", lambda seed, position: Constant())
+        schema = VariableSchema(("a", "b"), (2, 4))
         net = BayesNet(
             Dag(schema, ()),
             {
                 "a": Cpt("a", (), np.array([0.0, 1.0])),
-                "b": Cpt("b", (), np.array([0.0, 0.0, 1.0])),
+                "b": Cpt("b", (), self.B_ROW),
             },
         )
-        assert (sample(net, 5, seed=0).rows == [1, 2]).all()
+        assert (sample(net, 5, seed=0).rows == [1, b_state]).all()
         assert (sample_do(net, "b", 0, 5, seed=0).column("a") == 1).all()
+        assert (sample_do(net, "a", 0, 5, seed=0).column("b") == b_state).all()
+
+    def test_matches_the_reference_block_sampler(self):
+        # cardinalities 2..12 with zero-probability states and rows summing
+        # to 1 - 1e-10 (within Cpt's tolerance): sample and sample_do give
+        # the reference's rows exactly
+        rng = np.random.default_rng(47)
+        for k, card in enumerate(range(2, 13)):
+            dag = random_dag(rng, min_nodes=2, max_nodes=4, max_card=12)
+            # the first node takes each cardinality in turn
+            schema = VariableSchema(dag.schema.names, (card,) + dag.schema.cardinalities[1:])
+            dag = Dag(schema, dag.edges)
+            cpts = {}
+            for node in schema.names:
+                parents = dag.parents(node)
+                shape = tuple(schema.cardinality(p) for p in parents) + (schema.cardinality(node),)
+                table = rng.random(shape) * (rng.random(shape) < 0.6)
+                table[..., 0] += table.sum(axis=-1) == 0
+                table *= (1 - 1e-10) / table.sum(axis=-1, keepdims=True)
+                cpts[node] = Cpt(node, parents, table)
+            net = BayesNet(dag, cpts)
+            assert np.array_equal(sample(net, 300, seed=k).rows, oracle_sample(net, 300, k))
+            for node in schema.names:
+                for value in range(schema.cardinality(node)):
+                    assert np.array_equal(sample_do(net, node, value, 300, seed=k).rows,
+                                          oracle_sample(net, 300, k, do=(node, value)))
 
     def test_same_seed_identical(self, fig1_net):
         a = sample(fig1_net, 1_000, seed=99)

@@ -154,6 +154,16 @@ class TestSynth:
         rc = main(["synth", "--net", str(workdir / "nope.json"), "--out-dir", str(workdir)])
         assert rc == 1
 
+    @pytest.mark.parametrize("name", [f"a{os.sep}b", "a\0b"], ids=["separator", "nul"])
+    def test_name_that_cannot_be_a_file_name_exit_2(self, tmp_path, capsys, name):
+        # do_<node>_<value>.csv must name a file in --out-dir
+        schema = VariableSchema((name, "c"), (2, 2))
+        truth = Dag(schema, ((name, "c"),))
+        save_bayesnet(random_net(truth, np.random.default_rng(3)), tmp_path / "truth.json")
+        assert run_synth(tmp_path, n_obs="20", n_do="10") == 2
+        assert capsys.readouterr().err.startswith(f"error: variable name {name!r}")
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -403,6 +413,8 @@ class TestScore:
             ("interventions", [5]),
             ("file", 5),
             ("node", ["z"]),
+            ("observational", "obs\0.csv"),  # no file name holds a NUL byte
+            ("file", "do\0.csv"),
         ],
     )
     def test_mistyped_manifest_field_exit_1(self, workdir, capsys, field, value):
@@ -424,6 +436,27 @@ class TestScore:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("header_only", [True, False], ids=["header-only", "with-rows"])
+    def test_intervention_value_outside_the_node_states_exit_2(self, workdir, capsys, header_only):
+        run_synth(workdir, n_obs="200", n_do="100")
+        data = workdir / "data"
+        if header_only:
+            (data / "do_a_0.csv").write_text((data / "do_a_0.csv").read_text().split("\n")[0] + "\n")
+        manifest_path = data / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        next(e for e in doc["interventions"] if e["file"] == "do_a_0.csv")["value"] = 5
+        manifest_path.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(manifest_path),
+                "--out-dir", str(workdir / "out"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: state 5 out of range for 'a'\n"
 
     def test_variable_name_needing_quotes(self, tmp_path):
         for i, name in enumerate(["a,b", "a\rb"]):  # csv quotes both; a bare CR only with CRLF

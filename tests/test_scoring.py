@@ -10,6 +10,7 @@ from gcfit import (
     GcfitError,
     InterventionBundle,
     InterventionTables,
+    InvalidState,
     MissingIntervention,
     PdGraph,
     SchemaMismatch,
@@ -350,6 +351,15 @@ class TestBundle:
         bad = Dataset(fig1_schema, [[0, 0, 0], [1, 0, 0]])
         with pytest.raises(GcfitError):
             InterventionBundle(obs, {("a", 0): bad})
+
+    @pytest.mark.parametrize("value", [5, -1])
+    @pytest.mark.parametrize("rows", [[], [[1, 0, 0]]], ids=["header-only", "with-rows"])
+    def test_value_outside_the_node_states_rejected(self, fig1_schema, value, rows):
+        # checked before the constant column, so rows cannot make it
+        # "not constant 5" and an empty file cannot let it pass
+        obs = Dataset(fig1_schema, [[0, 0, 0]])
+        with pytest.raises(InvalidState, match=f"state {value} out of range for 'a'"):
+            InterventionBundle(obs, {("a", value): Dataset(fig1_schema, rows)})
 
     def test_schema_mismatch_rejected(self, fig1_schema):
         obs = Dataset(fig1_schema, [[0, 0, 0]])
