@@ -16,12 +16,21 @@ import sys
 
 from . import __version__
 from .errors import EnumerationLimit, GcfitError, ParseError
-from .graphs import DEFAULT_ENUMERATION_CAP, enumerate_orientations, json_object, load_pdgraph
+from .graphs import (
+    DEFAULT_ENUMERATION_CAP,
+    enumerate_orientations,
+    json_object,
+    load_pdgraph,
+    orientation_subset,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_ENUMERATION = 3
+
+# the longest file name, in bytes, of the common file systems (NAME_MAX on Linux)
+MAX_FILE_NAME_BYTES = 255
 
 
 def format_number(x: float) -> str:
@@ -95,10 +104,12 @@ def cmd_score(args) -> int:
 
     check_smoothing(args.smoothing)
     graph = load_pdgraph(args.graph)
-    dags = enumerate_orientations(graph, args.max_undirected)
     if args.subset:
         # "-" is how enumerate and scores.csv print the empty vector
-        dags = dags.subset("" if v == "-" else v for v in args.subset)
+        vectors = ("" if v == "-" else v for v in args.subset)
+        dags = orientation_subset(graph, vectors, args.max_undirected)
+    else:
+        dags = enumerate_orientations(graph, args.max_undirected)
     observational, interventional = load_manifest(args.manifest, graph.schema)
     bundle = InterventionBundle(observational, interventional, smoothing=args.smoothing)
     records = score_set(
@@ -144,6 +155,17 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _file_name_ok(name: str) -> bool:
+    """True iff ``name`` names one file: no separator or NUL byte, and at
+    most MAX_FILE_NAME_BYTES in the file-system encoding."""
+    if any(c and c in name for c in (os.sep, os.altsep, "\0")):
+        return False
+    try:
+        return len(os.fsencode(name)) <= MAX_FILE_NAME_BYTES
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+
+
 def cmd_synth(args) -> int:
     from .bayesnet import load_bayesnet, sample, sample_do, substream
 
@@ -153,23 +175,24 @@ def cmd_synth(args) -> int:
         raise GcfitError("seed must be non-negative")
     net = load_bayesnet(args.net)
     schema = net.schema
-    # each name is part of a file name, do_<node>_<value>.csv
-    for name in schema.names:
-        if any(c and c in name for c in (os.sep, os.altsep, "\0")):
-            raise GcfitError(f"variable name {name!r} cannot be part of a file name")
+    entries = [
+        {"file": f"do_{node}_{value}.csv", "node": node, "value": value}
+        for node in schema.names
+        for value in range(schema.cardinality(node))
+    ]
+    # checked before anything is sampled or written, so no partial tree is left
+    for entry in entries:
+        if not _file_name_ok(entry["file"]):
+            raise GcfitError(f"variable name {entry['node']!r} cannot be part of a file name")
     os.makedirs(args.out_dir, exist_ok=True)
 
     obs = sample(net, args.n_obs, substream(args.seed, 0))
     obs.write_csv(os.path.join(args.out_dir, "obs.csv"))
 
-    entries = []
-    for node in schema.names:
-        for value in range(schema.cardinality(node)):
-            # substream 0 drew obs.csv; each (node, value) takes the next, in schema order
-            data = sample_do(net, node, value, args.n_do, substream(args.seed, len(entries) + 1))
-            fname = f"do_{node}_{value}.csv"
-            data.write_csv(os.path.join(args.out_dir, fname))
-            entries.append({"file": fname, "node": node, "value": value})
+    for k, entry in enumerate(entries, start=1):
+        # substream 0 drew obs.csv; each (node, value) takes the next, in schema order
+        data = sample_do(net, entry["node"], entry["value"], args.n_do, substream(args.seed, k))
+        data.write_csv(os.path.join(args.out_dir, entry["file"]))
     manifest = {"observational": "obs.csv", "interventions": entries}
     with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

@@ -250,6 +250,23 @@ def _reaches(children: dict[str, set[str]], src: str, dst: str) -> bool:
     return False
 
 
+def _oriented(edge: tuple[str, str], bit: str) -> tuple[str, str]:
+    """An undirected edge (a, b), a < b, oriented by its bit: '0' a->b, '1' b->a."""
+    a, b = edge
+    return (a, b) if bit == "0" else (b, a)
+
+
+def _check_cap(g: PdGraph, max_undirected: int) -> None:
+    if max_undirected < 0:
+        raise GcfitError(f"enumeration cap must be non-negative, got {max_undirected}")
+    if len(g.undirected) > max_undirected:
+        raise EnumerationLimit(len(g.undirected), max_undirected)
+
+
+def _member(g: PdGraph, vec: str, oriented) -> TaggedDag:
+    return TaggedDag("G" + vec, vec, Dag._trusted(g.schema, g.directed + tuple(oriented)))
+
+
 def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP) -> DagSet:
     """All acyclic ways of orienting the undirected edges of ``g``.
 
@@ -258,10 +275,7 @@ def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION
     that closes a cycle is extended.  Vectors come out in lexicographic order.
     """
     und = g.undirected  # already sorted lexicographically
-    if max_undirected < 0:
-        raise GcfitError(f"enumeration cap must be non-negative, got {max_undirected}")
-    if len(und) > max_undirected:
-        raise EnumerationLimit(len(und), max_undirected)
+    _check_cap(g, max_undirected)
     children: dict[str, set[str]] = {n: set() for n in g.schema.names}
     for a, b in g.directed:
         children[a].add(b)
@@ -275,19 +289,38 @@ def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION
             while len(oriented) >= len(vec):
                 a, b = oriented.pop()
                 children[a].discard(b)
-            a, b = und[len(vec) - 1]
-            a, b = (a, b) if vec[-1] == "0" else (b, a)
+            a, b = _oriented(und[len(vec) - 1], vec[-1])
             oriented.append((a, b))
             children[a].add(b)
         if len(vec) == len(und):
-            edges = g.directed + tuple(oriented)
-            members.append(TaggedDag("G" + vec, vec, Dag._trusted(g.schema, edges)))
+            members.append(_member(g, vec, oriented))
             continue
-        a, b = und[len(vec)]
-        for bit, (u, v) in (("1", (b, a)), ("0", (a, b))):  # "0" pops first
+        for bit in "10":  # "0" pops first
+            u, v = _oriented(und[len(vec)], bit)
             if not _reaches(children, v, u):
                 stack.append(vec + bit)
     return DagSet(tuple(members), und)
+
+
+def orientation_subset(
+    g: PdGraph, vectors, max_undirected: int = DEFAULT_ENUMERATION_CAP
+) -> DagSet:
+    """``enumerate_orientations(g, max_undirected).subset(vectors)``, built
+    from the named vectors alone: the same cap check first, the same
+    members in the same (lexicographic) order, and the same error for a
+    vector that is malformed or orients a cycle."""
+    _check_cap(g, max_undirected)
+    members, unknown = [], []
+    for vec in sorted(set(vectors)):
+        if len(vec) == len(g.undirected) and set(vec) <= {"0", "1"}:
+            oriented = [_oriented(e, bit) for e, bit in zip(g.undirected, vec)]
+            if is_acyclic(g.schema, g.directed + tuple(oriented)):
+                members.append(_member(g, vec, oriented))
+                continue
+        unknown.append(vec)
+    if unknown:
+        raise GcfitError(f"unknown orientation vectors: {unknown}")
+    return DagSet(tuple(members), g.undirected)
 
 
 # ---------------------------------------------------------------------------

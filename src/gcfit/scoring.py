@@ -114,7 +114,7 @@ class _NetTables(InterventionTables):
     def joint_entropy(self) -> float:
         """H(X) = sum_i H(X_i | Pa_i) along the net's DAG, summed as
         `gf_from_table` sums a candidate's."""
-        return _conditional_entropy(self._net.dag, self.entropy)
+        return _conditional_entropy(_parent_lists(self._net.dag), self.entropy, {})
 
     def _do_terms(self, node: str):
         """As `InterventionTables._do_terms`, in closed form: P(rest, a) /
@@ -206,19 +206,37 @@ def _entropy(p: np.ndarray) -> float:
     return -float(np.sum(p * np.log(p)))
 
 
-def _conditional_entropy(dag: Dag, entropy) -> float:
-    """sum_i H(X_i | Pa_i) along ``dag`` from marginal entropies.
+def _parent_lists(dag: Dag) -> dict[str, list[str]]:
+    """Every node's parents, from one pass over the DAG's edges.  The edges
+    are sorted, so each list is too: one key per parent set."""
+    parents = {n: [] for n in dag.schema.names}
+    for a, b in dag.edges:
+        parents[b].append(a)
+    return parents
 
-    `math.fsum` rounds the exact sum of the family and parent-set terms
-    once.  Markov-equivalent DAGs differ by covered edge reversals, which
-    leave that signed multiset of terms unchanged, so they get the same
-    float."""
-    return math.fsum(
-        term
-        for n in dag.schema.names
-        for pa in (dag.parents(n),)
-        for term in (entropy(pa + (n,)), -entropy(pa))
-    )
+
+def _conditional_entropy(parents: Mapping[str, list[str]], entropy, memo: dict) -> float:
+    """sum_i H(X_i | Pa_i) over a DAG's parent lists, from marginal entropies.
+
+    ``memo`` maps (node, parents) to the pair (H(family), -H(parents)), so
+    a family shared by many candidates asks ``entropy`` twice in all.
+    `math.fsum` rounds the exact sum of the terms once.  Markov-equivalent
+    DAGs differ by covered edge reversals, which leave that signed
+    multiset of terms unchanged, so they get the same float."""
+    terms = []
+    for node, ps in parents.items():
+        key = (node, tuple(ps))
+        pair = memo.get(key)
+        if pair is None:
+            pair = memo[key] = (entropy(ps + [node]), -entropy(ps))
+        terms += pair
+    return math.fsum(terms)
+
+
+def _gf(conditional_entropy: float, joint_entropy: float) -> float:
+    # Gibbs: the true value is >= 0; clamp away summation rounding error
+    d = max(conditional_entropy - joint_entropy, 0.0)
+    return math.inf if d == 0 else -math.log(d)
 
 
 def gf_from_table(dag: Dag, observational: ProbTable | InterventionTables) -> float:
@@ -237,9 +255,8 @@ def gf_from_table(dag: Dag, observational: ProbTable | InterventionTables) -> fl
         observational = InterventionTables(observational, {})
     if observational.schema != dag.schema:
         raise SchemaMismatch("table schema differs from DAG schema")
-    # Gibbs: the true value is >= 0; clamp away summation rounding error
-    d = max(_conditional_entropy(dag, observational.entropy) - observational.joint_entropy(), 0.0)
-    return math.inf if d == 0 else -math.log(d)
+    conditional = _conditional_entropy(_parent_lists(dag), observational.entropy, {})
+    return _gf(conditional, observational.joint_entropy())
 
 
 def do_divergence_detail(
@@ -294,30 +311,60 @@ def dodiv_distance(da: float, db: float) -> float:
     return abs(da - db)
 
 
+def _orient(edge, parents: Mapping[str, list[str]]) -> tuple[str, str]:
+    """The (tail, head) of an undirected ``edge`` in the DAG with these parent lists."""
+    a, b = edge
+    if a in parents.get(b, ()):
+        return a, b
+    if b in parents.get(a, ()):
+        return b, a
+    raise UnknownEdge(f"edge {a!r}-{b!r} not in DAG")
+
+
+def _edge_terms(oriented, dmap: Mapping[str, float], memo: dict) -> list[tuple[int, float, bool]]:
+    """(`edge_sign`, `dodiv_distance`, both D infinite) of each oriented edge
+    (tail, head), memoized per edge in ``memo``."""
+    for tail, head in [e for e in oriented if e not in memo]:
+        dt, dh = dmap[tail], dmap[head]
+        undefined = math.isinf(dt) and math.isinf(dh)
+        memo[tail, head] = (1 if dh >= dt else -1, dodiv_distance(dt, dh), undefined)
+    return [memo[e] for e in oriented]
+
+
 def edge_sign(dag: Dag, edge: tuple[str, str], dmap: Mapping[str, float]) -> int:
     """+1 if the directed edge points toward the endpoint with the larger
     do-divergence, -1 otherwise.  Ties give +1 (their distance is 0, so
     the choice never affects a score)."""
-    a, b = edge
-    if (a, b) in dag.edges:
-        tail, head = a, b
-    elif (b, a) in dag.edges:
-        tail, head = b, a
-    else:
-        raise UnknownEdge(f"edge {a!r}-{b!r} not in DAG")
-    return 1 if dmap[head] >= dmap[tail] else -1
+    return _edge_terms([_orient(edge, _parent_lists(dag))], dmap, {})[0][0]
 
 
-def _signed_terms(dag: Dag, edges, dmap) -> tuple[list, list[str]]:
-    details = []
-    flags = []
-    for edge in edges:
-        a, b = tuple(edge)
-        sign = edge_sign(dag, (a, b), dmap)
-        if math.isinf(dmap[a]) and math.isinf(dmap[b]):
-            flags.append(FLAG_UNDEFINED_DISTANCE)
-        details.append(((a, b), sign, dodiv_distance(dmap[a], dmap[b])))
-    return details, flags
+def _gcf_value(details: tuple, flags: tuple[str, ...]) -> tuple[float, tuple[str, ...]]:
+    """GCF and its flags from the per-edge (edge, sign, distance) terms."""
+    if not details:
+        return 1.0, flags
+    num = sum(s * d for _, s, d in details)
+    den = sum(d for _, s, d in details)
+    if den == 0:
+        return 0.0, flags + (FLAG_NO_CAUSAL_SIGNAL,)
+    if math.isinf(den):
+        # infinite distances dominate; agree in sign or there is no answer
+        if math.isinf(num):
+            return (1.0 if num > 0 else -1.0), flags
+        return 0.0, flags + (FLAG_NO_CAUSAL_SIGNAL,)
+    return num / den, flags
+
+
+def _gcf_detail(parents, scored_edges, dmap, memo) -> tuple[float, tuple, tuple[str, ...]]:
+    terms = _edge_terms([_orient(e, parents) for e in scored_edges], dmap, memo)
+    details = tuple((tuple(e), s, d) for e, (s, d, _) in zip(scored_edges, terms))
+    value, flags = _gcf_value(
+        details, tuple(FLAG_UNDEFINED_DISTANCE for _, _, undefined in terms if undefined)
+    )
+    return value, details, flags
+
+
+def _gcf_abs(edges, dmap, memo) -> float:
+    return float(sum(s * d for s, d, _ in _edge_terms(edges, dmap, memo)))
 
 
 def gcf_detail(
@@ -330,23 +377,7 @@ def gcf_detail(
     A zero denominator means the data carries no causal signal for any
     scored edge; that yields 0 with a flag rather than an error.
     """
-    scored_edges = list(scored_edges)
-    if not scored_edges:
-        return 1.0, (), ()
-    details, flags = _signed_terms(dag, scored_edges, dmap)
-    num = sum(s * d for _, s, d in details)
-    den = sum(d for _, s, d in details)
-    if den == 0:
-        return 0.0, tuple(details), tuple(flags) + (FLAG_NO_CAUSAL_SIGNAL,)
-    if math.isinf(den):
-        # infinite distances dominate; agree in sign or there is no answer
-        if math.isinf(num):
-            value = 1.0 if num > 0 else -1.0
-        else:
-            value = 0.0
-            flags = flags + [FLAG_NO_CAUSAL_SIGNAL]
-        return value, tuple(details), tuple(flags)
-    return num / den, tuple(details), tuple(flags)
+    return _gcf_detail(_parent_lists(dag), list(scored_edges), dmap, {})
 
 
 def gcf(dag: Dag, scored_edges, dmap: Mapping[str, float]) -> float:
@@ -356,8 +387,7 @@ def gcf(dag: Dag, scored_edges, dmap: Mapping[str, float]) -> float:
 def gcf_abs(dag: Dag, dmap: Mapping[str, float]) -> float:
     """Unnormalized signed sum of do-divergence distances over every edge
     of the DAG."""
-    details, _ = _signed_terms(dag, dag.edges, dmap)
-    return float(sum(s * d for _, s, d in details))
+    return _gcf_abs(dag.edges, dmap, {})
 
 
 def score_set(
@@ -370,34 +400,41 @@ def score_set(
 
     GCF scores the undirected edges of the generating PD graph
     (``edges_policy='pd'``); with ``edges_policy='all'`` it scores each
-    DAG's full edge set instead (for sets with mixed skeletons).  GF is
-    computed per DAG from the observational table, each family's entropy
-    once for the whole set.
+    DAG's full edge set instead (for sets with mixed skeletons).  Both
+    scores are sums of local terms, each computed once for the whole set:
+    GF's entropy pair per (node, parents) and GCF's signed distance per
+    oriented edge.  A candidate then costs one pass over its edges, to
+    build its parent lists, and one lookup per node and per edge.
     """
     if edges_policy not in ("pd", "all"):
         raise GcfitError(f"unknown edges policy {edges_policy!r}")
     tables = data.tables() if isinstance(data, InterventionBundle) else data
 
-    needed = set()
+    names, needed = tables.schema.names, set()
     for member in dags:
-        for a, b in member.dag.edges:
-            needed.add(a)
-            needed.add(b)
+        needed.update(*member.dag.edges)
+        if len(needed) == len(names):  # nothing left to add
+            break
     do_detail = {n: do_divergence_detail(n, tables, missing_policy) for n in sorted(needed)}
     dmap = {n: d for n, (d, _) in do_detail.items()}
 
+    joint, families, edge_terms = tables.joint_entropy(), {}, {}
     records = []
     for member in dags:
-        edges = member.dag.edges if edges_policy == "all" else dags.source_undirected
+        dag = member.dag
+        parents = _parent_lists(dag)
+        edges = dag.edges if edges_policy == "all" else dags.source_undirected
         try:
-            value, details, flags = gcf_detail(member.dag, edges, dmap)
+            value, details, flags = _gcf_detail(parents, edges, dmap, edge_terms)
+            if dag.schema != tables.schema:
+                raise SchemaMismatch("table schema differs from DAG schema")
             record = ScoreRecord(
                 graph_id=member.graph_id,
                 orientation=member.orientation,
-                dag=member.dag,
-                gf=gf_from_table(member.dag, tables),
+                dag=dag,
+                gf=_gf(_conditional_entropy(parents, tables.entropy, families), joint),
                 gcf=value,
-                gcf_abs=gcf_abs(member.dag, dmap),
+                gcf_abs=_gcf_abs(dag.edges, dmap, edge_terms),
                 edge_details=details,
                 do_divergences=dmap,
                 do_detail=do_detail,

@@ -154,15 +154,29 @@ class TestSynth:
         rc = main(["synth", "--net", str(workdir / "nope.json"), "--out-dir", str(workdir)])
         assert rc == 1
 
-    @pytest.mark.parametrize("name", [f"a{os.sep}b", "a\0b"], ids=["separator", "nul"])
+    @pytest.mark.parametrize(
+        "name",
+        # 300 bytes; 248 bytes in 124 characters; not encodable
+        [f"a{os.sep}b", "a\0b", "x" * 300, "\u00e9" * 124, "\ud800"],
+        ids=["separator", "nul", "long", "long_encoded", "lone_surrogate"],
+    )
     def test_name_that_cannot_be_a_file_name_exit_2(self, tmp_path, capsys, name):
-        # do_<node>_<value>.csv must name a file in --out-dir
+        # do_<node>_<value>.csv must name a file in --out-dir: checked before
+        # anything is sampled or written, so no partial tree is left
         schema = VariableSchema((name, "c"), (2, 2))
         truth = Dag(schema, ((name, "c"),))
         save_bayesnet(random_net(truth, np.random.default_rng(3)), tmp_path / "truth.json")
         assert run_synth(tmp_path, n_obs="20", n_do="10") == 2
         assert capsys.readouterr().err.startswith(f"error: variable name {name!r}")
         assert not (tmp_path / "data").exists()
+
+    def test_longest_file_name_is_written(self, tmp_path):
+        name = "x" * (255 - len("do__1.csv"))  # do_<name>_1.csv is 255 bytes
+        schema = VariableSchema((name, "c"), (2, 2))
+        truth = Dag(schema, ((name, "c"),))
+        save_bayesnet(random_net(truth, np.random.default_rng(3)), tmp_path / "truth.json")
+        assert run_synth(tmp_path, n_obs="20", n_do="10") == 0
+        assert (tmp_path / "data" / f"do_{name}_1.csv").exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -16,7 +16,7 @@ from gcfit import (
     pdgraph_from_json,
     pdgraph_to_json,
 )
-from gcfit.graphs import topological_order
+from gcfit.graphs import orientation_subset, topological_order
 from conftest import oracle_orientations, oracle_topological_order
 
 
@@ -194,6 +194,37 @@ class TestEnumerateOrientations:
         assert [m.orientation for m in sub] == ["00", "10"]
         with pytest.raises(GcfitError):
             dags.subset(["99"])
+
+
+    def test_orientation_subset_builds_what_enumerate_then_subset_keeps(self):
+        # random PD graphs on 6 nodes; every vector of the right length is
+        # asked for in a random order with repeats, so cyclic ones are too
+        rng = np.random.default_rng(11)
+        schema = VariableSchema(tuple("abcdef"), (2,) * 6)
+        pairs = list(itertools.combinations(schema.names, 2))
+        for _ in range(30):
+            rank = {n: i for i, n in enumerate(rng.permutation(list(schema.names)))}
+            shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+            n_dir, k = int(rng.integers(0, 6)), int(rng.integers(0, 7))
+            directed = tuple((a, b) if rank[a] < rank[b] else (b, a) for a, b in shuffled[:n_dir])
+            g = PdGraph(schema, directed, tuple(shuffled[n_dir : n_dir + k]))
+            dags = enumerate_orientations(g)
+            acyclic = [m.orientation for m in dags]
+            wanted = [acyclic[i] for i in rng.integers(0, len(acyclic), 4)]
+            sub = orientation_subset(g, wanted)
+            assert sub == dags.subset(wanted)
+            assert all(m.dag == Dag(g.schema, m.dag.edges) for m in sub)
+            cyclic = sorted(set(map("".join, itertools.product("01", repeat=k))) - set(acyclic))
+            for bad in cyclic[:2] + ["2" * max(k, 1), "0" * (k + 1)]:
+                with pytest.raises(GcfitError, match="unknown orientation vectors") as exc:
+                    orientation_subset(g, wanted + [bad])
+                with pytest.raises(GcfitError) as expected:
+                    dags.subset(wanted + [bad])
+                assert str(exc.value) == str(expected.value)
+
+    def test_orientation_subset_checks_the_cap_first(self, triangle):
+        with pytest.raises(EnumerationLimit):
+            orientation_subset(triangle, ["999"], max_undirected=2)
 
 
 class TestPdGraphValidation:

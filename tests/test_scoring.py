@@ -6,6 +6,7 @@ import pytest
 
 from gcfit import (
     Dag,
+    DagSet,
     Dataset,
     GcfitError,
     InterventionBundle,
@@ -14,6 +15,7 @@ from gcfit import (
     MissingIntervention,
     PdGraph,
     SchemaMismatch,
+    TaggedDag,
     UnknownEdge,
     VariableSchema,
     do_divergence,
@@ -540,3 +542,114 @@ class TestNetTables:
             assert math.isfinite(r.gcf) and -1.0 <= r.gcf <= 1.0
         assert records[0].do_divergences[names[0]] == 0.0  # a root
         assert all(d > 0 for n, d in records[0].do_divergences.items() if n != names[0])
+
+
+def bitwise(gf_value, gcf_value, gcf_abs_value, details, flags):
+    """Scores with every float spelled as its hex string, so that == is bitwise."""
+    return (
+        gf_value.hex(),
+        gcf_value.hex(),
+        gcf_abs_value.hex(),
+        [(tuple(e), s, d.hex()) for e, s, d in details],
+        tuple(flags),
+    )
+
+
+def record_bits(r):
+    return bitwise(r.gf, r.gcf, r.gcf_abs, r.edge_details, r.flags)
+
+
+def random_pdgraph(rng):
+    """A random DAG with a random half of its edges made undirected, and its net."""
+    truth = random_dag(rng, min_nodes=4, max_nodes=6)
+    undirected = tuple(e for e in truth.edges if rng.random() < 0.6)
+    directed = tuple(e for e in truth.edges if e not in undirected)
+    return PdGraph(truth.schema, directed, undirected), random_net(truth, rng)
+
+
+class TestLocalTerms:
+    """`score_set` sums memoized local terms -- GF's entropy pair per (node,
+    parents), GCF's signed distance per oriented edge -- and must give each
+    DAG what the one-DAG functions give it, bitwise."""
+
+    @pytest.mark.parametrize("edges_policy", ["pd", "all"])
+    @pytest.mark.parametrize(
+        "source, smoothing", [("net", None), ("data", 0.0), ("data", 1.0)]
+    )
+    def test_records_equal_the_one_dag_functions(self, source, smoothing, edges_policy):
+        rng = np.random.default_rng(29)
+        flags_seen = set()
+        for trial in range(8):
+            pd, net = random_pdgraph(rng)
+            if source == "net":
+                tables = InterventionTables.from_net(net)
+            else:
+                # few rows: at smoothing 0 some do-divergences are infinite
+                bundle = make_bundle(net, n_obs=300, n_do=30, seed=trial, smoothing=smoothing)
+                tables = bundle.tables()
+            dags = enumerate_orientations(pd)
+            records = score_set(dags, tables, edges_policy=edges_policy)
+            for r in records:
+                dmap = r.do_divergences
+                edges = r.dag.edges if edges_policy == "all" else pd.undirected
+                value, details, flags = gcf_detail(r.dag, edges, dmap)
+                gf_value, abs_value = gf_from_table(r.dag, tables), gcf_abs(r.dag, dmap)
+                assert record_bits(r) == bitwise(gf_value, value, abs_value, details, flags)
+                flags_seen.update(r.flags)
+
+            # the same DAGs under arbitrary tags, in another order: the
+            # memos are keyed on edges, never on the orientation strings
+            members = [
+                TaggedDag(f"H{i}", f"tag {i} {'1' * i}", m.dag)
+                for i, m in enumerate(reversed(dags.members))
+            ]
+            by_edges = {r.dag.edges: record_bits(r) for r in records}
+            hand_built = score_set(
+                DagSet(tuple(members), dags.source_undirected), tables, edges_policy=edges_policy
+            )
+            assert [r.graph_id for r in hand_built] == [m.graph_id for m in members]
+            for r in hand_built:
+                assert record_bits(r) == by_edges[r.dag.edges]
+        if smoothing == 0.0:
+            assert {FLAG_UNDEFINED_DISTANCE, FLAG_NO_CAUSAL_SIGNAL} <= flags_seen
+
+    @pytest.mark.parametrize("source", ["net", "data"])
+    def test_each_local_term_is_computed_once_per_set(self, monkeypatch, source):
+        # a chain of 8 nodes, every edge undirected: 128 candidates share
+        # at most 8 x 4 (node, parents) keys and 14 oriented edges
+        names = tuple(f"c{i}" for i in range(8))
+        schema = VariableSchema(names, (2,) * 8)
+        chain = tuple(zip(names, names[1:]))
+        net = random_net(Dag(schema, chain), np.random.default_rng(4))
+        tables = (
+            InterventionTables.from_net(net)
+            if source == "net"
+            else make_bundle(net, n_obs=500, n_do=50, seed=2).tables()
+        )
+        dags = enumerate_orientations(PdGraph(schema, (), chain))
+        assert len(dags) == 128
+
+        counts = {"entropy": 0, "parents": 0}
+        real_entropy, real_parents = InterventionTables.entropy, Dag.parents
+
+        def entropy(self, names):
+            counts["entropy"] += 1
+            return real_entropy(self, names)
+
+        def parents(self, node):
+            counts["parents"] += 1
+            return real_parents(self, node)
+
+        monkeypatch.setattr(InterventionTables, "entropy", entropy)
+        monkeypatch.setattr(Dag, "parents", parents)
+        tables.joint_entropy()
+        joint_calls, counts["entropy"] = counts["entropy"], 0
+        records = score_set(dags, tables)
+        assert counts["parents"] == 0
+
+        families = {
+            (child, frozenset(a for a, b in r.dag.edges if b == child))
+            for r in records
+            for child in names
+        }
+        assert counts["entropy"] <= 2 * len(families) + joint_calls
