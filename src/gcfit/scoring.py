@@ -18,6 +18,7 @@ import numpy as np
 from .bayesnet import marginal
 from .divergences import kl_divergence
 from .errors import (
+    EmptyDataset,
     GcfitError,
     InvalidState,
     MissingIntervention,
@@ -25,10 +26,13 @@ from .errors import (
     UnknownEdge,
 )
 from .graphs import Dag, DagSet, VariableSchema
-from .tables import Dataset, ProbTable, empirical_from_dataset
+from .tables import Dataset, ProbTable, check_smoothing
 
 FLAG_NO_CAUSAL_SIGNAL = "no_causal_signal"
 FLAG_UNDEFINED_DISTANCE = "undefined_distance"
+
+# row codes 0 .. 2**63 - 1 are int64: wider scopes are counted by their rows
+_MAX_CODED_CELLS = 2**63
 
 
 class InterventionTables:
@@ -36,13 +40,14 @@ class InterventionTables:
 
     Each do-table covers every variable except the intervened node, in
     schema order.  This is the data object all GCF machinery consumes;
-    it can come from finite samples (`InterventionBundle.tables`) or
-    from a ground-truth net (`InterventionTables.from_net`).  Scoring asks
-    it two things: the observational `entropy` over a set of names
-    (memoized per set; `joint_entropy` over all of them) and, per node,
-    the terms of `do_divergence_detail`, both from one memo of marginals
-    per variable set.  Each source answers `_marginal`, `joint_entropy` and
-    `_do_terms` its own way; this class reads its dense tables.
+    it can come from dense tables (this class), from finite samples
+    (`InterventionBundle.tables`) or from a ground-truth net
+    (`InterventionTables.from_net`).  Scoring asks it two things: the
+    observational `entropy` over a set of names (memoized per set;
+    `joint_entropy` over all of them) and, per node, the terms of
+    `do_divergence_detail`.  Each source answers `_set_entropy`,
+    `joint_entropy` and `_do_terms` its own way; this class reads its
+    dense tables, through one memo of marginals per variable set.
     """
 
     def __init__(self, observational: ProbTable, do: Mapping[tuple[str, int], ProbTable]):
@@ -78,8 +83,12 @@ class InterventionTables:
         no names, where the marginal is a point mass."""
         key = frozenset(names)
         if key not in self._entropies:
-            self._entropies[key] = _entropy(self._marginal(key)) if key else 0.0
+            self._entropies[key] = self._set_entropy(key) if key else 0.0
         return self._entropies[key]
+
+    def _set_entropy(self, key: frozenset) -> float:
+        """Entropy over a nonempty set of names, unmemoized."""
+        return _entropy(self._marginal(key))
 
     def joint_entropy(self) -> float:
         """H(X) of the observational table."""
@@ -137,6 +146,133 @@ class _NetTables(InterventionTables):
             yield value, float(weight), float(np.sum(joint_a[seen] / weight * np.log(ratio)))
 
 
+class _CountTables(InterventionTables):
+    """Tables of an `InterventionBundle`, answered from counts, never from dense tables.
+
+    The observational rows are deduplicated once, into K distinct rows with
+    counts.  Laplace smoothing s over the C cells of the joint, with
+    T = N + sC, gives each cell f of a scope F (C_F cells) the mass
+    (c_F(f) + s·C/C_F) / T, so the cells no row reaches share one
+    closed-form term and every sum runs over the cells rows reach: at most
+    K for an entropy, and at most the rows with X=a plus the do-rows for a
+    D_a.  The intervened column is no part of a do-set's scope, so
+    smoothing puts no mass on its unclamped states.
+    """
+
+    def __init__(self, observational: Dataset, interventional: Mapping[tuple[str, int], Dataset],
+                 smoothing: float):
+        check_smoothing(smoothing)
+        if not smoothing and not (len(observational) and all(map(len, interventional.values()))):
+            raise EmptyDataset("cannot estimate from an empty dataset without smoothing")
+        self.schema: VariableSchema = observational.schema
+        self._smoothing, self._interventional = smoothing, interventional
+        self._total = len(observational) + smoothing * self.schema.n_cells
+        self._rows, self._counts = _distinct_rows(observational.rows, self.schema.cardinalities)
+        self._entropies: dict[frozenset, float] = {}
+
+    def _set_entropy(self, key: frozenset) -> float:
+        cols = [i for i, n in enumerate(self.schema.names) if n in key]
+        (counts,) = _tally([(self._rows, self._counts)], cols, self.schema.cardinalities)
+        cells = math.prod(self.schema.cardinalities[i] for i in cols)
+        pseudo = self._smoothing * (self.schema.n_cells // cells)  # of each cell of the scope
+        p = (counts + pseudo) / self._total
+        h = -float(np.sum(p * np.log(p)))
+        if pseudo:
+            p0 = pseudo / self._total
+            h -= (cells - len(counts)) * p0 * math.log(p0)
+        return h
+
+    def _do_terms(self, node: str):
+        """As `InterventionTables._do_terms`: P(value) = (N_a + s·C_rest) / T,
+        and D_a from the counts of the rest columns in the observational rows
+        with node=a and in the do-rows."""
+        schema, s = self.schema, self._smoothing
+        col = schema.index(node)
+        rest = [i for i in range(len(schema.names)) if i != col]
+        cells = schema.n_cells // schema.cardinalities[col]
+        for value in range(schema.cardinalities[col]):
+            given = self._rows[:, col] == value
+            conditioned = int(self._counts[given].sum()) + s * cells
+            if conditioned <= 0:
+                continue
+            data = self._interventional.get((node, value))
+            if data is None:
+                yield value, conditioned / self._total, None
+                continue
+            parts = [(self._rows[given], self._counts[given]), (data.rows, None)]
+            p_counts, q_counts = _tally(parts, rest, schema.cardinalities)
+            yield value, conditioned / self._total, _smoothed_kl(
+                p_counts, conditioned, q_counts, len(data) + s * cells, s, cells
+            )
+
+
+def _row_codes(rows: np.ndarray, cols, cards) -> np.ndarray:
+    """Row-major cell index of each row's ``cols`` in their scope, which must
+    have at most 2**63 cells."""
+    weights, stride = np.zeros(rows.shape[1], dtype=np.int64), 1
+    for col in reversed(cols):
+        weights[col] = stride
+        stride *= cards[col]
+    return rows @ weights
+
+
+def _distinct_rows(rows: np.ndarray, cards) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows and how often each occurs."""
+    if math.prod(cards) <= _MAX_CODED_CELLS:
+        codes = _row_codes(rows, range(len(cards)), cards)
+        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+        return rows[first], counts
+    return np.unique(rows, axis=0, return_counts=True)
+
+
+def _tally(parts, cols, cards) -> list[np.ndarray]:
+    """Counts of each part's rows over the cells of the ``cols`` scope that
+    some part's rows reach, aligned cell by cell across the parts.
+
+    ``parts`` are (rows, weights or None).  A scope of no more cells than
+    the rows is counted by `bincount` over all its cells; a larger one over
+    the `unique` codes of its rows, or, past int64 codes, over its unique
+    rows.
+    """
+    cells = math.prod(cards[c] for c in cols)
+    if cells <= _MAX_CODED_CELLS:
+        codes = np.concatenate([_row_codes(rows, cols, cards) for rows, _ in parts])
+        if cells <= len(codes):
+            index, width = codes, cells
+        else:
+            seen, index = np.unique(codes, return_inverse=True)
+            width = len(seen)
+    else:
+        seen, index = np.unique(np.concatenate([rows[:, cols] for rows, _ in parts]), axis=0,
+                                return_inverse=True)
+        index, width = index.reshape(-1), len(seen)
+    counts, start = [], 0
+    for rows, weights in parts:
+        counts.append(np.bincount(index[start:start + len(rows)], weights, minlength=width))
+        start += len(rows)
+    if width == cells:  # drop the cells no row reaches
+        reached = np.logical_or.reduce([c > 0 for c in counts])
+        counts = [c[reached] for c in counts]
+    return counts
+
+
+def _smoothed_kl(p_counts, p_total, q_counts, q_total, smoothing, cells) -> float:
+    """KL(p || q) of p = (p_counts + s) / p_total and q = (q_counts + s) /
+    q_total over a scope of ``cells`` cells, of which the counts cover the
+    ones rows reach; each other cell adds (s / p_total) ln(q_total / p_total).
+    Conventions of `kl_divergence`: +inf when p > 0 = q, clamped at 0."""
+    p = (p_counts + smoothing) / p_total
+    q = (q_counts + smoothing) / q_total
+    support = p > 0
+    if np.any(support & (q == 0)):
+        return math.inf
+    ps, qs = p[support], q[support]
+    total = float(np.sum(ps * np.log(ps / qs)))
+    if smoothing:
+        total += (cells - len(p)) * (smoothing / p_total) * math.log(q_total / p_total)
+    return max(total, 0.0)
+
+
 @dataclass(frozen=True)
 class InterventionBundle:
     """Observational dataset plus per-(node, value) interventional datasets."""
@@ -165,15 +301,10 @@ class InterventionBundle:
         return self.observational.schema
 
     def tables(self) -> InterventionTables:
-        """Empirical tables; the intervened column is dropped before
-        estimation so smoothing never leaks mass onto unclamped states."""
-        schema = self.schema
-        obs = empirical_from_dataset(self.observational, self.smoothing)
-        do = {}
-        for (node, value), data in self.interventional.items():
-            rest = data.select(set(schema.names) - {node})
-            do[(node, value)] = empirical_from_dataset(rest, self.smoothing)
-        return InterventionTables(obs, do)
+        """The smoothed empirical tables, answered from counts of distinct
+        rows; the intervened column is no part of its do-sets' scope, so
+        smoothing never leaks mass onto unclamped states."""
+        return _CountTables(self.observational, self.interventional, self.smoothing)
 
 
 @dataclass(frozen=True)
@@ -194,11 +325,12 @@ class ScoreRecord:
 
 
 def gf(dag: Dag, observational: Dataset, smoothing: float = 0.0) -> float:
-    """GF of a DAG on the (optionally smoothed) empirical joint of a dataset;
-    see `gf_from_table`."""
+    """GF of a DAG on the (optionally smoothed) empirical joint of a dataset,
+    from its counts as `InterventionBundle.tables` answers it; see
+    `gf_from_table`."""
     if observational.schema != dag.schema:
         raise SchemaMismatch("dataset schema differs from DAG schema")
-    return gf_from_table(dag, empirical_from_dataset(observational, smoothing))
+    return gf_from_table(dag, _CountTables(observational, {}, smoothing))
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -408,6 +540,12 @@ def score_set(
     """
     if edges_policy not in ("pd", "all"):
         raise GcfitError(f"unknown edges policy {edges_policy!r}")
+    if edges_policy == "pd" and len(dags) > 1 and not dags.source_undirected:
+        raise GcfitError(
+            f"{len(dags)} candidates but no undirected edges to score: the DagSet's "
+            "source_undirected is empty (pass the PD graph's undirected edges, or "
+            "edges_policy='all')"
+        )
     tables = data.tables() if isinstance(data, InterventionBundle) else data
 
     names, needed = tables.schema.names, set()

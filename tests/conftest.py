@@ -1,6 +1,8 @@
 import csv
 import io
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,6 +162,29 @@ def oracle_gf(table, dag):
         total += p * np.log(p / q)
     kl = max(total, 0.0)
     return float("inf") if kl == 0 else -np.log(kl)
+
+
+def oracle_count_entropy(rows, cols):
+    """Entropy (nats) of the plug-in distribution of ``rows`` over the
+    ``cols`` columns, from a Counter of row tuples."""
+    counts = Counter(tuple(row[c] for c in cols) for row in rows.tolist())
+    n = len(rows)
+    return -sum(k / n * math.log(k / n) for k in counts.values())
+
+
+def oracle_count_kl(obs_rows, do_rows, col, value):
+    """Plug-in KL(P(rest | col=value) || P_do(rest)), rest being every other
+    column, from Counters of row tuples; +inf when a conditioned row's rest
+    is missing from the do-rows."""
+    p = Counter(tuple(r[:col] + r[col + 1:]) for r in obs_rows.tolist() if r[col] == value)
+    q = Counter(tuple(r[:col] + r[col + 1:]) for r in do_rows.tolist())
+    n_p, n_q = sum(p.values()), sum(q.values())
+    total = 0.0
+    for cell, k in p.items():
+        if cell not in q:
+            return math.inf
+        total += k / n_p * math.log((k / n_p) / (q[cell] / n_q))
+    return max(total, 0.0)
 
 
 def oracle_pearson(po, pe):

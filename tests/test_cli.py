@@ -266,6 +266,26 @@ class TestScore:
         assert len(rows) == 1
         assert float(rows[0]["gcf"]) == 1.0
 
+    def test_forty_binary_node_chain(self, tmp_path):
+        # 2**40 joint cells: scored from counts of distinct rows, never dense
+        names = tuple(f"x{i:02d}" for i in range(40))
+        schema = VariableSchema(names, (2,) * 40)
+        chain = tuple(zip(names, names[1:]))
+        net = random_net(Dag(schema, chain), np.random.default_rng(3))
+        save_bayesnet(net, tmp_path / "net.json")
+        undirected = tuple(chain[i] for i in (5, 20, 33))
+        pd = PdGraph(schema, tuple(e for e in chain if e not in undirected), undirected)
+        save_pdgraph(pd, tmp_path / "graph.json")
+        assert main(["synth", "--net", str(tmp_path / "net.json"), "--n-obs", "2000",
+                     "--n-do", "200", "--seed", "1", "--out-dir", str(tmp_path / "data")]) == 0
+        assert main(["score", "--graph", str(tmp_path / "graph.json"),
+                     "--manifest", str(tmp_path / "data" / "manifest.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        rows = read_scores(tmp_path / "out" / "scores.csv")
+        assert len(rows) == 8
+        for r in rows:
+            assert math.isfinite(float(r["gf"])) and math.isfinite(float(r["gcf"]))
+
     def test_subset_dash_names_the_empty_vector(self, workdir, fig1_schema):
         # enumerate and scores.csv print the empty orientation vector as "-"
         run_synth(workdir)

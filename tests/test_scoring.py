@@ -8,12 +8,14 @@ from gcfit import (
     Dag,
     DagSet,
     Dataset,
+    EmptyDataset,
     GcfitError,
     InterventionBundle,
     InterventionTables,
     InvalidState,
     MissingIntervention,
     PdGraph,
+    ProbTable,
     SchemaMismatch,
     TaggedDag,
     UnknownEdge,
@@ -32,13 +34,22 @@ from gcfit import (
     gf,
     gf_from_table,
     joint,
+    kl_divergence,
     sample,
     sample_do,
     score_set,
 )
-from gcfit import scoring
+from gcfit import scoring, tables as tables_module
 from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE
-from conftest import oracle_gf, oracle_v_structures, random_dag, random_net, random_table
+from conftest import (
+    oracle_count_entropy,
+    oracle_count_kl,
+    oracle_gf,
+    oracle_v_structures,
+    random_dag,
+    random_net,
+    random_table,
+)
 
 
 @pytest.fixture
@@ -133,7 +144,7 @@ class TestGf:
             expected = oracle_gf(table, member.dag)
             assert gf(member.dag, data, smoothing) == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("smoothing", [1.0, 5.0])
+    @pytest.mark.parametrize("smoothing", [0.5, 1.0, 5.0])
     def test_markov_equivalent_dags_share_smoothed_gf(self, fig2_pdgraph, fig2_truth, smoothing):
         net = random_net(fig2_truth, np.random.default_rng(5))
         trio = [
@@ -144,6 +155,7 @@ class TestGf:
         data = sample(net, 2_000, 1)
         values = [gf(dag, data, smoothing) for dag in trio]
         assert max(values) - min(values) < 1e-9
+        assert len(set(values)) == 1  # bitwise: the same signed multiset of entropies
 
 
 class TestDoDivergence:
@@ -375,12 +387,38 @@ class TestBundle:
             InterventionTables(full, {("a", 0): full})
 
     def test_tables_drop_intervened_column(self, fig1_net):
+        # smoothing spreads over the 4 (b, z) cells of the do-set, none of
+        # them on the unclamped a=1 states: D_a is the KL against the dense
+        # table of the do-rows with column a dropped
         bundle = make_bundle(fig1_net, n_obs=2_000, n_do=1_000, smoothing=1.0)
-        tables = bundle.tables()
-        assert tables.do[("a", 0)].schema.names == ("b", "z")
+        do = bundle.interventional[("a", 0)].select({"b", "z"})
+        expected = kl_divergence(
+            empirical_from_dataset(bundle.observational, 1.0).condition("a", 0),
+            empirical_from_dataset(do, 1.0),
+        )
+        leaked = kl_divergence(  # smoothed over all 8 cells, then a summed out
+            empirical_from_dataset(bundle.observational, 1.0).condition("a", 0),
+            empirical_from_dataset(bundle.interventional[("a", 0)], 1.0).marginalize({"b", "z"}),
+        )
+        _, detail = do_divergence_detail("a", bundle.tables())
+        assert detail[0][0] == 0
+        assert detail[0][2] == pytest.approx(expected, rel=1e-12)
+        assert detail[0][2] != pytest.approx(leaked, rel=1e-3)
 
 
 class TestScoreSet:
+    def test_several_candidates_with_no_scored_edges_rejected(self):
+        # a hand-built set left at the default source_undirected=() would
+        # give every candidate GCF 1.0 from no edge at all
+        schema = VariableSchema(("a", "b"), (2, 2))
+        members = tuple(
+            TaggedDag(f"G{i}", str(i), Dag(schema, (edge,)))
+            for i, edge in enumerate([("a", "b"), ("b", "a")])
+        )
+        tables = InterventionTables(ProbTable(schema, [[0.4, 0.1], [0.2, 0.3]]), {})
+        with pytest.raises(GcfitError, match="2 candidates but no undirected edges to score"):
+            score_set(DagSet(members), tables)
+
     def test_singleton_fully_directed_graph(self, fig1_schema, fig1_net):
         pd = PdGraph(fig1_schema, (("a", "b"), ("a", "z"), ("b", "z")), ())
         dags = enumerate_orientations(pd)
@@ -653,3 +691,169 @@ class TestLocalTerms:
             for child in names
         }
         assert counts["entropy"] <= 2 * len(families) + joint_calls
+
+
+def dense_bundle_tables(bundle):
+    """The bundle's tables built by hand from dense empirical tables: the
+    observational joint and each do-set with its intervened column dropped."""
+    names, s = set(bundle.schema.names), bundle.smoothing
+    do = {
+        (node, value): empirical_from_dataset(data.select(names - {node}), s)
+        for (node, value), data in bundle.interventional.items()
+    }
+    return InterventionTables(empirical_from_dataset(bundle.observational, s), do)
+
+
+def random_bundle(rng, smoothing, empty_do_set):
+    """Sparse random data over 3..5 variables of cardinality 2..4: 40
+    observational rows, none of them at the last state of the first
+    variable, and 12 rows per do-set (one do-set empty if ``empty_do_set``)."""
+    n = int(rng.integers(3, 6))
+    cards = tuple(int(c) for c in rng.integers(2, 5, n))
+    schema = VariableSchema(tuple(f"v{i}" for i in range(n)), cards)
+    obs = rng.integers(0, cards, (40, n))
+    obs[:, 0] = rng.integers(0, cards[0] - 1, 40)
+    inter = {}
+    for col, node in enumerate(schema.names):
+        for value in range(cards[col]):
+            rows = rng.integers(0, cards, (12, n))
+            rows[:, col] = value
+            inter[(node, value)] = Dataset(schema, rows)
+    if empty_do_set:
+        inter[(schema.names[1], 0)] = Dataset(schema, np.zeros((0, n), dtype=int))
+    return InterventionBundle(Dataset(schema, obs), inter, smoothing)
+
+
+def close(value, expected):
+    return value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+class TestCountTables:
+    """`InterventionBundle.tables` answers from counts of distinct rows, with
+    closed-form smoothing; dense empirical tables built by hand and Counters
+    of row tuples are the oracles."""
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
+    def test_entropies_and_do_terms_match_dense_tables(self, smoothing):
+        rng = np.random.default_rng(31)
+        infinite = 0
+        for _ in range(30):
+            bundle = random_bundle(rng, smoothing, empty_do_set=smoothing > 0)
+            counted, dense = bundle.tables(), dense_bundle_tables(bundle)
+            names = bundle.schema.names
+            for k in range(1, len(names) + 1):
+                for subset in itertools.combinations(names, k):
+                    assert close(counted.entropy(subset), dense.entropy(subset))
+            for node in names:
+                terms, expected = list(counted._do_terms(node)), list(dense._do_terms(node))
+                assert [v for v, _, _ in terms] == [v for v, _, _ in expected]
+                for (_, w, d), (_, ew, ed) in zip(terms, expected):
+                    assert close(w, ew) and close(d, ed)
+                    infinite += d == math.inf
+            # the first variable's last state has no observational row
+            skipped = bundle.schema.cardinalities[0] - 1
+            assert (skipped in [v for v, _, _ in counted._do_terms(names[0])]) == (smoothing > 0)
+        assert (infinite > 0) == (smoothing == 0)
+
+    def test_empty_do_set_needs_smoothing(self):
+        bundle = random_bundle(np.random.default_rng(2), 0.0, empty_do_set=True)
+        with pytest.raises(EmptyDataset):
+            bundle.tables()
+        smoothed = InterventionBundle(bundle.observational, bundle.interventional, 1.0)
+        node = bundle.schema.names[1]
+        d = {v: d for v, _, d in smoothed.tables()._do_terms(node)}[0]
+        expected = {v: d for v, _, d in dense_bundle_tables(smoothed)._do_terms(node)}[0]
+        assert math.isfinite(d) and close(d, expected)
+
+    def test_unseen_do_cell_gives_infinite_divergences_and_flags(self):
+        # at smoothing 0 every conditioned row has a rest the do-rows never reach
+        schema = VariableSchema(("a", "b"), (2, 2))
+        obs = Dataset(schema, [[0, 0], [0, 1], [1, 0], [1, 1]])
+        inter = {
+            ("a", 0): Dataset(schema, [[0, 0]]),
+            ("a", 1): Dataset(schema, [[1, 0]]),
+            ("b", 0): Dataset(schema, [[0, 0]]),
+            ("b", 1): Dataset(schema, [[0, 1]]),
+        }
+        bundle = InterventionBundle(obs, inter, smoothing=0.0)
+        pd = PdGraph(schema, (), (("a", "b"),))
+        records = score_set(enumerate_orientations(pd), bundle)
+        assert records[0].do_divergences == {"a": math.inf, "b": math.inf}
+        for r in records:
+            assert (r.gcf, r.flags) == (0.0, (FLAG_UNDEFINED_DISTANCE, FLAG_NO_CAUSAL_SIGNAL))
+
+    def test_scopes_past_int64_codes_match_row_counters(self):
+        # 65 binary columns: the joint has 2**65 cells and a D_a's rest 2**64,
+        # past int64 row codes; 63 columns make exactly 2**63 cells, the
+        # widest scope with int64 codes
+        n = 65
+        rng = np.random.default_rng(8)
+        schema = VariableSchema(tuple(f"w{i:02d}" for i in range(n)), (2,) * n)
+        patterns = rng.integers(0, 2, (12, n))
+        obs = patterns[rng.integers(0, 12, 300)]
+        inter = {}
+        for node, col, kept in (("w00", 0, 12), ("w64", 64, 5)):
+            for value in (0, 1):
+                rows = patterns[rng.integers(0, kept, 100)]
+                rows[:, col] = value
+                inter[(node, value)] = Dataset(schema, rows)
+        tables = InterventionBundle(Dataset(schema, obs), inter, 0.0).tables()
+        for cols in (range(n), range(64), range(63), range(2, 12)):
+            expected = oracle_count_entropy(obs, list(cols))
+            assert close(tables.entropy([schema.names[c] for c in cols]), expected)
+        divergences = []
+        for node, col in (("w00", 0), ("w64", 64)):
+            for value, weight, d in tables._do_terms(node):
+                assert close(weight, np.mean(obs[:, col] == value))
+                assert close(d, oracle_count_kl(obs, inter[(node, value)].rows, col, value))
+                divergences.append(d)
+        assert any(map(math.isfinite, divergences)) and math.inf in divergences
+
+    def test_single_variable_schema(self):
+        # the rest of the only variable is empty: both sides are point masses
+        schema = VariableSchema(("a",), (2,))
+        inter = {("a", v): Dataset(schema, [[v]] * 3) for v in (0, 1)}
+        bundle = InterventionBundle(Dataset(schema, [[0], [1], [1]]), inter, 0.0)
+        detail = (0.0, [(0, 1 / 3, 0.0), (1, 2 / 3, 0.0)])
+        assert do_divergence_detail("a", bundle.tables()) == detail
+        assert gf(Dag(schema, ()), bundle.observational) == math.inf
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double here"
+    )
+    def test_gf_matches_a_long_double_recomputation(self):
+        # GF is -ln of a small difference of entropies: dense float64 tables
+        # of 2**16 cells lose about 1e-12 of it
+        n, s = 16, 1.0
+        names = tuple(f"x{i:02d}" for i in range(n))
+        schema = VariableSchema(names, (2,) * n)
+        chain = tuple(zip(names, names[1:]))
+        truth = Dag(schema, chain + tuple(zip(names, names[2:])))
+        data = sample(random_net(truth, np.random.default_rng(1)), 5_000, 1)
+        cells = np.bincount(np.ravel_multi_index(tuple(data.rows.T), schema.shape),
+                            minlength=schema.n_cells)
+        p = (cells.astype(np.longdouble) + s).reshape(schema.shape)
+        p /= p.sum()
+
+        def entropy(cols):
+            m = p.sum(axis=tuple(i for i in range(n) if i not in cols))
+            return -(m * np.log(m)).sum() if cols else np.longdouble(0)
+
+        kl = sum(entropy({i - 1, i} - {-1}) - entropy({i - 1} - {-1}) for i in range(n))
+        expected = -np.log(kl - entropy(set(range(n))))
+        assert gf(Dag(schema, chain), data, s) == pytest.approx(float(expected), rel=1e-12)
+
+    def test_data_path_builds_no_dense_table(self, monkeypatch, fig2_pdgraph, fig2_truth):
+        net = random_net(fig2_truth, np.random.default_rng(5))
+        bundle = make_bundle(net, n_obs=2_000, n_do=500, seed=4, smoothing=1.0)
+        dags = enumerate_orientations(fig2_pdgraph)
+        expected = [record_bits(r) for r in score_set(dags, bundle)]
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense table was built")
+
+        monkeypatch.setattr(tables_module, "empirical_from_dataset", dense)
+        monkeypatch.setattr(Dataset, "select", dense)
+        monkeypatch.setattr(ProbTable, "__post_init__", dense)
+        assert [record_bits(r) for r in score_set(dags, bundle)] == expected
+        assert gf(dags.members[0].dag, bundle.observational, 1.0) == score_set(dags, bundle)[0].gf
