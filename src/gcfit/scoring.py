@@ -208,12 +208,18 @@ class _CountTables(InterventionTables):
 
 def _row_codes(rows: np.ndarray, cols, cards) -> np.ndarray:
     """Row-major cell index of each row's ``cols`` in their scope, which must
-    have at most 2**63 cells."""
-    weights, stride = np.zeros(rows.shape[1], dtype=np.int64), 1
-    for col in reversed(cols):
-        weights[col] = stride
-        stride *= cards[col]
-    return rows @ weights
+    have at most 2**63 cells, by Horner's rule over those columns alone.
+
+    The codes are built in the narrowest unsigned dtype that holds the
+    scope's cell count, the largest factor, so no partial code wraps; past
+    uint32 they are int64, because `np.bincount` takes no uint64.  Narrow
+    passes over narrow rows are the fast ones."""
+    cells = math.prod(cards[c] for c in cols)
+    codes = np.zeros(len(rows), dtype=np.min_scalar_type(cells) if cells < 2**32 else np.int64)
+    for col in cols:
+        codes *= cards[col]
+        codes += rows[:, col]
+    return codes
 
 
 def _distinct_rows(rows: np.ndarray, cards) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +242,7 @@ def _tally(parts, cols, cards) -> list[np.ndarray]:
     """
     cells = math.prod(cards[c] for c in cols)
     if cells <= _MAX_CODED_CELLS:
-        codes = np.concatenate([_row_codes(rows, cols, cards) for rows, _ in parts])
+        codes = _row_codes(np.concatenate([rows for rows, _ in parts]), cols, cards)
         if cells <= len(codes):
             index, width = codes, cells
         else:

@@ -83,17 +83,36 @@ class ProbTable:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Complete-case dataset: one integer state per variable per row."""
+    """Complete-case dataset: one integer state per variable per row.
+
+    ``rows`` holds the states in the schema's narrowest unsigned dtype,
+    ``np.min_scalar_type(max cardinality - 1)``: uint8 up to 256 states,
+    uint16 up to 65 536.  Arithmetic in that dtype wraps, so a caller that
+    computes with the rows widens them first (``rows.astype(np.int64)``).
+    """
 
     schema: VariableSchema
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=np.int64).reshape(-1, len(self.schema.names)).copy()
-        for j, (name, card) in enumerate(zip(self.schema.names, self.schema.cardinalities)):
-            col = arr[:, j]
-            if arr.shape[0] and (col.min() < 0 or col.max() >= card):
-                raise InvalidState(f"column {name!r} has values outside 0..{card - 1}")
+        names, cards = self.schema.names, self.schema.cardinalities
+        arr = np.asarray(self.rows)
+        # a zero-column dataset keeps its row count
+        arr = arr.reshape(-1, len(names)) if names else arr.reshape(len(arr), 0)
+        if arr.dtype.kind not in "biu":
+            # a cell that is not a whole number is no state: never truncate it
+            arr = arr.astype(float)
+            if not (np.isfinite(arr) & (np.floor(arr) == arr)).all():
+                raise InvalidState("cells must be whole numbers, not fractions, NaN or inf")
+        # the range is checked before narrowing, so no value wraps into it; the
+        # columns are scanned one by one only when the whole array's extremes
+        # leave the smallest range
+        if arr.size and (arr.min() < 0 or arr.max() >= min(cards)):
+            for j, (name, card) in enumerate(zip(names, cards)):
+                col = arr[:, j]
+                if col.min() < 0 or col.max() >= card:
+                    raise InvalidState(f"column {name!r} has values outside 0..{card - 1}")
+        arr = arr.astype(np.min_scalar_type(max(cards, default=1) - 1))
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 
@@ -191,8 +210,14 @@ class Dataset:
 
     @classmethod
     def read_csv(cls, path, schema: VariableSchema) -> "Dataset":
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            return cls.from_csv(fh.read(), schema, path=path)
+        """`from_csv` of the file's UTF-8 text.  The canonical layout is
+        decoded from the file's bytes as read, without building the text."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        rows = _canonical_rows(raw, schema)
+        if rows is not None:
+            return cls(schema, rows)
+        return cls.from_csv(raw.decode("utf-8"), schema, path=path)
 
 
 def _csv_records(text: str, path):
@@ -218,23 +243,23 @@ def csv_lines(records) -> str:
     return "".join(line[:-2] + "\n" for line in lines)
 
 
-def _canonical_rows(text: str, schema: VariableSchema):
-    """The rows of ``text`` as an int64 array if it is in the canonical
-    layout of `Dataset.from_csv`, else None."""
+def _canonical_rows(text, schema: VariableSchema):
+    """The rows of ``text`` (a str, or its UTF-8 bytes) as a uint8 array if it
+    is in the canonical layout of `Dataset.from_csv`, else None."""
     header = csv_lines([schema.names])
-    if not text.startswith(header):
-        return None
     try:
         # a header the csv module on this Python cannot read back is not canonical
         if list(csv.reader(io.StringIO(header))) != [list(schema.names)]:
             return None
-        body = text[len(header):].encode("ascii")
+        head = header.encode("utf-8")
     except (csv.Error, UnicodeEncodeError):
         return None
+    # a lone surrogate passes as bytes that no canonical body holds
+    raw = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
     width = 2 * len(schema.names)
-    if not width or len(body) % width:
+    if not raw.startswith(head) or not width or (len(raw) - len(head)) % width:
         return None
-    grid = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+    grid = np.frombuffer(raw, dtype=np.uint8, offset=len(head)).reshape(-1, width)
     digits = grid[:, ::2] - np.uint8(_ZERO)  # a byte below "0" wraps past 9
     if not (
         (grid[:, 1:-1:2] == ord(",")).all()
@@ -242,7 +267,7 @@ def _canonical_rows(text: str, schema: VariableSchema):
         and (digits < np.minimum(schema.cardinalities, 10)).all()
     ):
         return None
-    return digits.astype(np.int64)
+    return digits
 
 
 def count_rows(data: Dataset, names) -> np.ndarray:

@@ -809,6 +809,49 @@ class TestCountTables:
                 divergences.append(d)
         assert any(map(math.isfinite, divergences)) and math.inf in divergences
 
+    def test_card_256_scopes_match_row_counters(self):
+        # a and b are uint8 columns whose joint codes reach 65 535: arithmetic
+        # in the rows' dtype would wrap
+        schema = VariableSchema(("a", "b", "c"), (256, 256, 2))
+        rng = np.random.default_rng(256)
+        patterns = np.vstack([[[255, 255], [0, 0], [255, 0]], rng.integers(0, 256, (9, 2))])
+        obs = np.column_stack([patterns[rng.integers(0, 12, 400)], rng.integers(0, 2, 400)])
+        inter = {}
+        for value, kept in ((0, 12), (1, 6)):
+            inter[("c", value)] = Dataset(schema, np.column_stack(
+                [patterns[rng.integers(0, kept, 150)], np.full(150, value)]))
+        tables = InterventionBundle(Dataset(schema, obs), inter, 0.0).tables()
+        assert tables._rows.dtype == np.uint8
+        for cols in ([0], [0, 1], [1, 2], [0, 1, 2]):
+            expected = oracle_count_entropy(obs, cols)
+            assert close(tables.entropy([schema.names[c] for c in cols]), expected)
+        divergences = [d for _, _, d in tables._do_terms("c")]
+        for value, d in enumerate(divergences):
+            assert close(d, oracle_count_kl(obs, inter[("c", value)].rows, 2, value))
+        assert math.isfinite(divergences[0]) and divergences[1] == math.inf
+
+    @pytest.mark.parametrize(
+        "cards",
+        [(255,), (256,), (3, 85), (2, 2**15), (2**16 - 1,), (2**16, 2**16 - 1), (2**16, 2**16),
+         (2**31, 2**32), (255, 256, 257)],
+    )
+    def test_row_codes_at_each_accumulator_width(self, cards):
+        # the codes' dtype holds the cell count: uint8 to 255 cells, uint16
+        # to 65 535, uint32 to 2**32 - 1, then int64 to 2**63
+        schema = VariableSchema(tuple(f"v{i}" for i in range(len(cards))), cards)
+        rng = np.random.default_rng(len(cards))
+        rows = np.vstack([[c - 1 for c in cards], [0] * len(cards),
+                          np.column_stack([rng.integers(0, c, 20) for c in cards])])
+        data = Dataset(schema, rows)
+        codes = scoring._row_codes(data.rows, range(len(cards)), cards)
+        expected = []
+        for row in rows.tolist():
+            code = 0
+            for value, card in zip(row, cards):
+                code = code * card + value
+            expected.append(code)
+        assert codes.tolist() == expected and expected[0] == math.prod(cards) - 1
+
     def test_single_variable_schema(self):
         # the rest of the only variable is empty: both sides are point masses
         schema = VariableSchema(("a",), (2,))

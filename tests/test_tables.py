@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,92 @@ class TestDatasetCsv:
         assert sub.schema.names == ("a", "c")
         assert (sub.rows == [[0, 1], [1, 1]]).all()
 
+    def test_select_no_columns_keeps_the_rows(self, ab_schema):
+        empty = Dataset(ab_schema, [[0, 1], [1, 0], [1, 1]]).select(set())
+        assert (empty.schema.names, len(empty), empty.rows.shape) == ((), 3, (3, 0))
+        assert empty.rows.dtype == np.uint8
+        no_schema = VariableSchema((), ())
+        assert [len(Dataset(no_schema, rows)) for rows in ([], np.empty((4, 0), int))] == [0, 4]
+
+
+class TestDatasetRows:
+    """`Dataset.rows` is the schema's narrowest unsigned dtype, and every
+    cell is checked to be a whole, in-range state before it is narrowed."""
+
+    @pytest.mark.parametrize(
+        "cards, dtype",
+        [((2,), np.uint8), ((2, 256), np.uint8), ((257, 2), np.uint16), ((65_536,), np.uint16),
+         ((65_537,), np.uint32)],
+    )
+    def test_dtype_depends_only_on_the_schema(self, cards, dtype):
+        schema = VariableSchema(tuple("abc"[:len(cards)]), cards)
+        top = [c - 1 for c in cards]
+        for rows in ([top], np.array([top], dtype=np.int64), np.array([top], dtype=float), []):
+            data = Dataset(schema, rows)
+            assert data.rows.dtype == dtype and data.rows.tolist() == ([top] if len(rows) else [])
+
+    @pytest.mark.parametrize(
+        "rows", [[[0.7, 1.0]], [[1.0, 1.9]], [[-0.5, 0.0]], [[math.nan, 0.0]], [[math.inf, 0.0]]]
+    )
+    def test_non_integer_cells_rejected(self, ab_schema, rows):
+        # at the parent 0.7 and 1.9 were truncated to states 0 and 1
+        with pytest.raises(InvalidState):
+            Dataset(ab_schema, rows)
+
+    def test_whole_numbers_of_any_dtype_accepted(self, ab_schema):
+        for rows in ([[1.0, 0.0]], np.array([[1, 0]], dtype=np.int8), np.array([[True, False]]),
+                     np.array([[1, 0]], dtype=np.uint64), np.array([[1, 0]], dtype=object)):
+            assert Dataset(ab_schema, rows).rows.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize(
+        "cards, cell",
+        [((256,), 256), ((256,), -1), ((257,), 257), ((65_536,), 65_536), ((2, 256), 2**70)],
+    )
+    def test_out_of_range_at_the_dtype_edge_never_wraps(self, cards, cell):
+        # 256 in a uint8 column would wrap to 0, -1 to 255, 65 536 in uint16 to 0
+        schema = VariableSchema(tuple("ab"[:len(cards)]), cards)
+        row = [0] * (len(cards) - 1) + [cell]
+        for rows in ([row], np.array([row], dtype=object), np.array([row], dtype=float)):
+            with pytest.raises(InvalidState):
+                Dataset(schema, rows)
+        if -2**63 <= cell < 2**63:
+            with pytest.raises(InvalidState):
+                Dataset(schema, np.array([row], dtype=np.int64))
+
+    @pytest.mark.parametrize("cards", [(256, 2), (256, 257, 3)])
+    def test_strict_parser_and_block_writer_round_trip_at_the_dtype_edge(self, cards, tmp_path):
+        schema = VariableSchema(tuple("abc"[:len(cards)]), cards)
+        rng = np.random.default_rng(len(cards))
+        rows = np.stack([rng.integers(0, c, 5_000) for c in cards], axis=1)
+        rows[0], rows[1] = [c - 1 for c in cards], 0
+        data = Dataset(schema, rows)
+        text = data.to_csv()
+        assert text.splitlines()[1] == ",".join(str(c - 1) for c in cards)
+        data.write_csv(tmp_path / "d.csv")
+        for again in (Dataset.from_csv(text, schema), Dataset.read_csv(tmp_path / "d.csv", schema)):
+            assert again.rows.dtype == data.rows.dtype
+            assert again.rows.tolist() == rows.tolist()
+        with pytest.raises(ParseError, match="state 256 out of range 0..255"):
+            Dataset.from_csv(text.replace("\n255,", "\n256,", 1), schema)
+
+    def test_reading_single_digit_csv_peaks_below_three_bytes_per_cell(self, tmp_path):
+        # the canonical layout is decoded from the file's bytes into uint8
+        # rows: no str of the text, no wide copies; tracemalloc counts this
+        # process's allocations, numpy's included
+        n_rows, n_cols = 50_000, 12
+        schema = VariableSchema(tuple(f"x{i:02d}" for i in range(n_cols)), (10,) * n_cols)
+        rows = np.random.default_rng(0).integers(0, 10, (n_rows, n_cols))
+        path = tmp_path / "d.csv"
+        Dataset(schema, rows).write_csv(path)
+        tracemalloc.start()
+        try:
+            data = Dataset.read_csv(path, schema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (data.rows == rows).all()
+        assert peak - path.stat().st_size < 3 * n_rows * n_cols
+
 
 # names that need quoting, are not ASCII, or are empty
 NAME_POOL = ("a", "b,c", 'q"x', "é", "名前", " s", "")
@@ -283,12 +370,14 @@ class TestCsvFastPath:
         text = Dataset(schema, np.array(rows, dtype=np.int64).reshape(-1, len(schema.names))).to_csv()
         assert text == oracle_csv_text(schema, rows)
         assert oracle_csv_rows(text) == (list(schema.names), rows)
-        assert Dataset.from_csv(text, schema).rows.tolist() == rows
+        # every cardinality here is at most 256: the schema's rows are uint8
+        parsed = Dataset.from_csv(text, schema).rows
+        assert parsed.dtype == np.uint8 and parsed.tolist() == rows
         # single-digit data is canonical whatever the schema's cardinalities
         canonical = tables._canonical_rows(text, schema)
         assert (canonical is not None) == all(v < 10 for row in rows for v in row)
         if canonical is not None:
-            assert canonical.dtype == np.int64 and canonical.tolist() == rows
+            assert canonical.dtype == np.uint8 and canonical.tolist() == rows
 
     @pytest.mark.parametrize(
         "text, expected",
