@@ -19,7 +19,15 @@ import numpy as np
 
 from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch
 from .graphs import Dag, VariableSchema, edges_from_obj, json_object, schema_from_obj, schema_to_obj
-from .tables import NORMALIZATION_TOL, Dataset, ProbTable, check_smoothing, count_rows
+from .tables import (
+    NORMALIZATION_TOL,
+    Dataset,
+    ProbTable,
+    check_smoothing,
+    count_rows,
+    row_codes,
+    row_dtype,
+)
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,7 @@ class Cpt:
     child: str
     parents: tuple[str, ...]
     table: np.ndarray = field(repr=False)
+    _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -45,6 +54,19 @@ class Cpt:
             raise GcfitError(f"CPT rows for {self.child!r} do not sum to 1")
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
+        # inverse-CDF thresholds, one row per parent configuration: the
+        # cumulative values of every state but the last, +inf from the row's
+        # last state of positive probability on, so that state takes what is
+        # left and u passes no threshold of a zero-probability state.  Made
+        # here, with the table, rather than on a first draw: small arrays
+        # kept from amid the sampler's large ones fragment the heap
+        card = arr.shape[-1]
+        rows = arr.reshape(-1, card)
+        cum = np.cumsum(rows, axis=1)
+        last = card - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+        cum[np.arange(card) >= last[:, None]] = np.inf
+        cum.setflags(write=False)
+        object.__setattr__(self, "_thresholds", cum[:, :-1])
 
 
 @dataclass(frozen=True)
@@ -192,31 +214,29 @@ def _node_rng(seed, position: int) -> np.random.Generator:
     return np.random.default_rng(substream(seed, position))
 
 
-def _draw_column(net: BayesNet, node: str, columns: dict[str, np.ndarray], n: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sample of one node given already-sampled parent columns."""
+def _draw_column(net: BayesNet, node: str, rows: np.ndarray, rng: np.random.Generator) -> None:
+    """Inverse-CDF sample of one node into its column of ``rows``, given
+    the already-sampled parent columns; the column must hold zeros."""
     schema = net.schema
     cpt = net.cpts[node]
-    card = schema.cardinality(node)
-    u = rng.random(n)
+    u = rng.random(len(rows))
     # row-major index of each row's parent configuration; a root's is row 0
-    row = 0
-    for parent in cpt.parents:
-        row = row * schema.cardinality(parent) + columns[parent]
-    cum = np.cumsum(cpt.table.reshape(-1, card), axis=1)
-    # count the cumulative values <= u before the last: the last state takes what is left
-    return sum((cum[:, k][row] <= u for k in range(card - 1)), np.zeros(n, dtype=int))
+    row = row_codes(rows, [schema.index(p) for p in cpt.parents], schema.cardinalities)
+    thresholds = cpt._thresholds
+    out = rows[:, schema.index(node)]
+    for k in range(thresholds.shape[1]):
+        out += thresholds[:, k][row] <= u
 
 
 def _forward(net: BayesNet, n: int, seed) -> Dataset:
-    """Ancestral sampling in topological order; each node draws from its
-    own substream."""
+    """Ancestral sampling in topological order, in place into rows of the
+    schema's row dtype; each node draws from its own substream."""
     if n < 1:
         raise GcfitError("n must be >= 1")
-    columns: dict[str, np.ndarray] = {}
+    cards = net.schema.cardinalities
+    rows = np.zeros((n, len(cards)), dtype=row_dtype(cards))
     for pos, node in enumerate(net.dag.topological_order()):
-        columns[node] = _draw_column(net, node, columns, n, _node_rng(seed, pos))
-    rows = np.stack([columns[name] for name in net.schema.names], axis=1)
+        _draw_column(net, node, rows, _node_rng(seed, pos))
     return Dataset(net.schema, rows)
 
 

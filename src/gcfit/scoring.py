@@ -26,7 +26,7 @@ from .errors import (
     UnknownEdge,
 )
 from .graphs import Dag, DagSet, VariableSchema
-from .tables import Dataset, ProbTable, check_smoothing
+from .tables import Dataset, ProbTable, check_smoothing, row_codes
 
 FLAG_NO_CAUSAL_SIGNAL = "no_causal_signal"
 FLAG_UNDEFINED_DISTANCE = "undefined_distance"
@@ -206,26 +206,10 @@ class _CountTables(InterventionTables):
             )
 
 
-def _row_codes(rows: np.ndarray, cols, cards) -> np.ndarray:
-    """Row-major cell index of each row's ``cols`` in their scope, which must
-    have at most 2**63 cells, by Horner's rule over those columns alone.
-
-    The codes are built in the narrowest unsigned dtype that holds the
-    scope's cell count, the largest factor, so no partial code wraps; past
-    uint32 they are int64, because `np.bincount` takes no uint64.  Narrow
-    passes over narrow rows are the fast ones."""
-    cells = math.prod(cards[c] for c in cols)
-    codes = np.zeros(len(rows), dtype=np.min_scalar_type(cells) if cells < 2**32 else np.int64)
-    for col in cols:
-        codes *= cards[col]
-        codes += rows[:, col]
-    return codes
-
-
 def _distinct_rows(rows: np.ndarray, cards) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows and how often each occurs."""
     if math.prod(cards) <= _MAX_CODED_CELLS:
-        codes = _row_codes(rows, range(len(cards)), cards)
+        codes = row_codes(rows, range(len(cards)), cards)
         _, first, counts = np.unique(codes, return_index=True, return_counts=True)
         return rows[first], counts
     return np.unique(rows, axis=0, return_counts=True)
@@ -242,7 +226,7 @@ def _tally(parts, cols, cards) -> list[np.ndarray]:
     """
     cells = math.prod(cards[c] for c in cols)
     if cells <= _MAX_CODED_CELLS:
-        codes = _row_codes(np.concatenate([rows for rows, _ in parts]), cols, cards)
+        codes = row_codes(np.concatenate([rows for rows, _ in parts]), cols, cards)
         if cells <= len(codes):
             index, width = codes, cells
         else:

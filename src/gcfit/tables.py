@@ -112,7 +112,7 @@ class Dataset:
                 col = arr[:, j]
                 if col.min() < 0 or col.max() >= card:
                     raise InvalidState(f"column {name!r} has values outside 0..{card - 1}")
-        arr = arr.astype(np.min_scalar_type(max(cards, default=1) - 1))
+        arr = arr.astype(row_dtype(cards))
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 
@@ -128,29 +128,49 @@ class Dataset:
         idx = [self.schema.index(n) for n in sub.names]
         return Dataset(sub, self.rows[:, idx])
 
-    def to_csv(self) -> str:
-        """CSV text: the header as `csv_lines` renders the names, then one
-        line per row.  With every cardinality at most 10 each cell is one
-        digit, so the rows are built as one byte grid (the canonical layout
-        `from_csv` decodes without the strict parser)."""
-        header = csv_lines([self.schema.names])
-        if max(self.schema.cardinalities) <= 10:
-            grid = np.empty((len(self), 2 * len(self.schema.names)), dtype=np.uint8)
-            grid[:, 1::2] = ord(",")
-            grid[:, -1] = ord("\n")
-            np.add(self.rows, _ZERO, out=grid[:, ::2], casting="unsafe")
-            return header + grid.tobytes().decode("ascii")
-        parts = [header]
-        # one join per block of rows: a join over the whole rows.tolist()
-        # holds several times the output's size at once
+    def _csv_grid(self) -> np.ndarray | None:
+        """The rows' CSV lines as one ``(N, 2n)`` uint8 grid, each cell a
+        digit then a comma or, last in its line, an LF, when every
+        cardinality is at most 10 (the canonical layout `from_csv` decodes
+        without the strict parser); else None."""
+        cards = self.schema.cardinalities
+        if not cards:
+            raise GcfitError("a zero-column dataset has no CSV: its lines would be blank, "
+                             "and blank lines cannot keep its row count")
+        if max(cards) > 10:
+            return None
+        grid = np.empty((len(self), 2 * len(cards)), dtype=np.uint8)
+        grid[:, 1::2] = ord(",")
+        grid[:, -1] = ord("\n")
+        np.add(self.rows, _ZERO, out=grid[:, ::2], casting="unsafe")
+        return grid
+
+    def _csv_blocks(self):
+        """The rows' CSV lines as text, one block of rows at a time: a join
+        over the whole rows.tolist() holds several times the output's size
+        at once."""
         for start in range(0, len(self), _CSV_WRITE_ROWS):
             block = self.rows[start:start + _CSV_WRITE_ROWS].tolist()
-            parts.append("".join(",".join(map(str, r)) + "\n" for r in block))
-        return "".join(parts)
+            yield "".join(",".join(map(str, r)) + "\n" for r in block)
+
+    def to_csv(self) -> str:
+        """CSV text: the header as `csv_lines` renders the names, then one
+        line per row.  A zero-column dataset raises GcfitError."""
+        grid = self._csv_grid()
+        body = "".join(self._csv_blocks()) if grid is None else grid.tobytes().decode("ascii")
+        return csv_lines([self.schema.names]) + body
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        """`to_csv` as UTF-8 bytes; the byte grid goes to the file as it is,
+        never copied into text."""
+        grid = self._csv_grid()
+        with open(path, "wb") as fh:
+            fh.write(csv_lines([self.schema.names]).encode("utf-8"))
+            if grid is not None:
+                fh.write(grid)
+            else:
+                for block in self._csv_blocks():
+                    fh.write(block.encode("ascii"))
 
     @classmethod
     def from_csv(cls, text: str, schema: VariableSchema, path=None) -> "Dataset":
@@ -220,6 +240,11 @@ class Dataset:
         return cls.from_csv(raw.decode("utf-8"), schema, path=path)
 
 
+def row_dtype(cardinalities) -> np.dtype:
+    """The dtype of a `Dataset`'s rows over these cardinalities."""
+    return np.min_scalar_type(max(cardinalities, default=1) - 1)
+
+
 def _csv_records(text: str, path):
     """The records of ``text`` as `csv.reader` splits them; a line it
     cannot split (a bare CR outside quotes, ...) raises ParseError."""
@@ -270,12 +295,29 @@ def _canonical_rows(text, schema: VariableSchema):
     return digits
 
 
+def row_codes(rows: np.ndarray, cols, cards) -> np.ndarray:
+    """Row-major cell index of each row's ``cols`` in their scope, which must
+    have at most 2**63 cells, by Horner's rule over those columns alone.
+
+    The codes are built in the narrowest unsigned dtype that holds the
+    scope's cell count, the largest factor, so no partial code wraps; past
+    uint32 they are int64, because `np.bincount` takes no uint64.  Narrow
+    passes over narrow rows are the fast ones."""
+    cells = math.prod(cards[c] for c in cols)
+    codes = np.zeros(len(rows), dtype=np.min_scalar_type(cells) if cells < 2**32 else np.int64)
+    for col in cols:
+        codes *= cards[col]
+        codes += rows[:, col]
+    return codes
+
+
 def count_rows(data: Dataset, names) -> np.ndarray:
     """Row counts of every joint state of the ``names`` columns, as a float
     array with one axis per name, in the order given."""
-    shape = tuple(data.schema.cardinality(n) for n in names)
-    flat = np.ravel_multi_index([data.column(n) for n in names], shape)
-    return np.bincount(flat, minlength=int(np.prod(shape))).astype(float).reshape(shape)
+    schema = data.schema
+    shape = tuple(schema.cardinality(n) for n in names)
+    codes = row_codes(data.rows, [schema.index(n) for n in names], schema.cardinalities)
+    return np.bincount(codes, minlength=math.prod(shape)).astype(float).reshape(shape)
 
 
 def check_smoothing(smoothing: float) -> None:

@@ -281,8 +281,8 @@ def oracle_sample(net, n, seed, do=None):
     """Rows of ancestral sampling with the n x card inverse-CDF block: in
     topological order each node draws u from ``bayesnet.substream(seed,
     position)``, counts the cumulative CPT values <= u in its row's block
-    and clamps the count to the last state.  ``do=(node, value)`` samples
-    that node as a point mass at value."""
+    and clamps the count to the row's last state of positive probability.
+    ``do=(node, value)`` samples that node as a point mass at value."""
     from gcfit.bayesnet import substream
 
     schema = net.schema
@@ -300,5 +300,6 @@ def oracle_sample(net, n, seed, do=None):
         else:
             row = np.zeros(n, dtype=int)
         block = np.cumsum(table, axis=1)[row]
-        columns[node] = np.minimum((block <= u[:, None]).sum(axis=1), card - 1)
+        last = np.array([max(np.flatnonzero(r > 0)) for r in table])[row]
+        columns[node] = np.minimum((block <= u[:, None]).sum(axis=1), last)
     return np.stack([columns[name] for name in schema.names], axis=1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,16 +298,27 @@ class TestSampling:
         assert (sample_do(net, "b", 0, 5, seed=0).column("a") == 1).all()
         assert (sample_do(net, "a", 0, 5, seed=0).column("b") == b_state).all()
 
+    def test_zero_last_state_is_never_drawn(self, monkeypatch):
+        # the row sums to 1 - 1e-10 (within Cpt's tolerance), so u may pass
+        # its cumulative sum: the last state of positive probability takes it
+        class Constant:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(bayesnet, "_node_rng", lambda seed, position: Constant())
+        schema = VariableSchema(("a",), (2,))
+        net = BayesNet(Dag(schema, ()), {"a": Cpt("a", (), np.array([1 - 1e-10, 0.0]))})
+        assert (sample(net, 5, seed=0).rows == 0).all()
+
     def test_matches_the_reference_block_sampler(self):
         # cardinalities 2..12 with zero-probability states and rows summing
-        # to 1 - 1e-10 (within Cpt's tolerance): sample and sample_do give
-        # the reference's rows exactly
+        # to 1 - 1e-10 (within Cpt's tolerance), a node of 16 x 17 parent
+        # configurations (uint16 row codes) and a 300-state node (uint16
+        # rows): sample and sample_do give the reference's rows exactly
         rng = np.random.default_rng(47)
-        for k, card in enumerate(range(2, 13)):
-            dag = random_dag(rng, min_nodes=2, max_nodes=4, max_card=12)
-            # the first node takes each cardinality in turn
-            schema = VariableSchema(dag.schema.names, (card,) + dag.schema.cardinalities[1:])
-            dag = Dag(schema, dag.edges)
+
+        def check(dag, seed):
+            schema = dag.schema
             cpts = {}
             for node in schema.names:
                 parents = dag.parents(node)
@@ -316,11 +328,38 @@ class TestSampling:
                 table *= (1 - 1e-10) / table.sum(axis=-1, keepdims=True)
                 cpts[node] = Cpt(node, parents, table)
             net = BayesNet(dag, cpts)
-            assert np.array_equal(sample(net, 300, seed=k).rows, oracle_sample(net, 300, k))
+            data = sample(net, 300, seed=seed)
+            assert data.rows.dtype == np.min_scalar_type(max(schema.cardinalities) - 1)
+            assert np.array_equal(data.rows, oracle_sample(net, 300, seed))
             for node in schema.names:
                 for value in range(schema.cardinality(node)):
-                    assert np.array_equal(sample_do(net, node, value, 300, seed=k).rows,
-                                          oracle_sample(net, 300, k, do=(node, value)))
+                    assert np.array_equal(sample_do(net, node, value, 300, seed=seed).rows,
+                                          oracle_sample(net, 300, seed, do=(node, value)))
+
+        for k, card in enumerate(range(2, 13)):
+            dag = random_dag(rng, min_nodes=2, max_nodes=4, max_card=12)
+            # the first node takes each cardinality in turn
+            schema = VariableSchema(dag.schema.names, (card,) + dag.schema.cardinalities[1:])
+            check(Dag(schema, dag.edges), k)
+        check(Dag(VariableSchema(("a", "b", "c"), (16, 17, 3)), (("a", "c"), ("b", "c"))), 11)
+        check(Dag(VariableSchema(("a", "b"), (300, 3)), (("a", "b"),)), 12)
+
+    def test_sampling_peaks_below_four_bytes_per_cell(self):
+        # rows are sampled in place in the schema's row dtype (uint8 here):
+        # no int64 columns, no stacked int64 copy; tracemalloc counts this
+        # process's allocations, numpy's included
+        n_rows, n_cols = 50_000, 12
+        names = tuple(f"x{i:02d}" for i in range(n_cols))
+        edges = tuple(zip(names, names[1:])) + tuple(zip(names, names[2:]))
+        net = random_net(Dag(VariableSchema(names, (2,) * n_cols), edges), np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            data = sample(net, n_rows, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.rows.shape == (n_rows, n_cols)
+        assert peak <= 4 * n_rows * n_cols
 
     def test_same_seed_identical(self, fig1_net):
         a = sample(fig1_net, 1_000, seed=99)

@@ -843,7 +843,7 @@ class TestCountTables:
         rows = np.vstack([[c - 1 for c in cards], [0] * len(cards),
                           np.column_stack([rng.integers(0, c, 20) for c in cards])])
         data = Dataset(schema, rows)
-        codes = scoring._row_codes(data.rows, range(len(cards)), cards)
+        codes = tables_module.row_codes(data.rows, range(len(cards)), cards)
         expected = []
         for row in rows.tolist():
             code = 0

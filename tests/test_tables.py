@@ -252,6 +252,15 @@ class TestDatasetCsv:
         no_schema = VariableSchema((), ())
         assert [len(Dataset(no_schema, rows)) for rows in ([], np.empty((4, 0), int))] == [0, 4]
 
+    def test_no_columns_have_no_csv(self, ab_schema, tmp_path):
+        # its lines would be blank, and the parser skips blank lines
+        empty = Dataset(ab_schema, [[0, 1], [1, 0]]).select(set())
+        with pytest.raises(GcfitError, match="zero-column .* row count"):
+            empty.to_csv()
+        with pytest.raises(GcfitError, match="zero-column .* row count"):
+            empty.write_csv(tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestDatasetRows:
     """`Dataset.rows` is the schema's narrowest unsigned dtype, and every
@@ -330,6 +339,22 @@ class TestDatasetRows:
             tracemalloc.stop()
         assert (data.rows == rows).all()
         assert peak - path.stat().st_size < 3 * n_rows * n_cols
+
+    def test_writing_single_digit_csv_peaks_below_one_and_a_half_file_sizes(self, tmp_path):
+        # the byte grid is written to the file as it is: no bytes, str and
+        # re-encoded copies of it
+        n_rows, n_cols = 50_000, 12
+        schema = VariableSchema(tuple(f"x{i:02d}" for i in range(n_cols)), (2,) * n_cols)
+        data = Dataset(schema, np.random.default_rng(1).integers(0, 2, (n_rows, n_cols)))
+        path = tmp_path / "d.csv"
+        tracemalloc.start()
+        try:
+            data.write_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == data.to_csv().encode("utf-8")
+        assert peak <= 1.5 * path.stat().st_size
 
 
 # names that need quoting, are not ASCII, or are empty
