@@ -16,7 +16,6 @@ from typing import Mapping
 import numpy as np
 
 from .bayesnet import marginal
-from .divergences import kl_divergence
 from .errors import (
     EmptyDataset,
     GcfitError,
@@ -26,7 +25,7 @@ from .errors import (
     UnknownEdge,
 )
 from .graphs import Dag, DagSet, VariableSchema
-from .tables import Dataset, ProbTable, check_smoothing, row_codes
+from .tables import Dataset, ProbTable, check_smoothing, row_codes, row_dtype
 
 FLAG_NO_CAUSAL_SIGNAL = "no_causal_signal"
 FLAG_UNDEFINED_DISTANCE = "undefined_distance"
@@ -38,30 +37,54 @@ _MAX_CODED_CELLS = 2**63
 class InterventionTables:
     """Observational joint plus one do-distribution per (node, value).
 
-    Each do-table covers every variable except the intervened node, in
-    schema order.  This is the data object all GCF machinery consumes;
-    it can come from dense tables (this class), from finite samples
-    (`InterventionBundle.tables`) or from a ground-truth net
-    (`InterventionTables.from_net`).  Scoring asks it two things: the
-    observational `entropy` over a set of names (memoized per set;
+    This is the data object all GCF machinery consumes.  Scoring asks it
+    for the observational `entropy` over a set of names (memoized per set;
     `joint_entropy` over all of them) and, per node, the terms of
-    `do_divergence_detail`.  Each source answers `_set_entropy`,
-    `joint_entropy` and `_do_terms` its own way; this class reads its
-    dense tables, through one memo of marginals per variable set.
+    `do_divergence_detail`.  It has two sources: weighted rows (this class)
+    and a net's CPTs (`InterventionTables.from_net`).  The rows of
+    `InterventionBundle.tables` are the data's distinct observational rows,
+    weighted by their counts, and each do-set's rows.  Dense tables given
+    here are their cells of positive probability, weighted by their
+    probabilities, at smoothing 0; a do-table covers every variable but the
+    intervened node, which its rows get back as the constant ``value``.
+
+    Laplace smoothing s over the C cells of the joint, with T = W + sC for
+    the total weight W, gives each cell f of a scope F (C_F cells) the mass
+    (w_F(f) + s·C/C_F) / T, so the cells no row reaches share one
+    closed-form term and every sum runs over the cells rows reach.  The
+    intervened column is no part of a do-set's scope, so smoothing puts no
+    mass on its unclamped states.
     """
 
     def __init__(self, observational: ProbTable, do: Mapping[tuple[str, int], ProbTable]):
         schema = observational.schema
+        dtype = row_dtype(schema.cardinalities)
+        do_rows = {}
         for (node, value), table in do.items():
+            _check_do_key(schema, node, value)
             expected = schema.subset(set(schema.names) - {node})
             if table.schema != expected:
                 raise SchemaMismatch(
                     f"do-table for ({node}, {value}) has schema {table.schema.names}, "
                     f"expected {expected.names}"
                 )
+            rows, weights = _positive_cells(table, dtype)
+            do_rows[node, value] = np.insert(rows, schema.index(node), value, axis=1), weights
+        self._setup(schema, *_positive_cells(observational, dtype), do_rows, 0.0)
+
+    def _setup(self, schema: VariableSchema, rows, weights, do, smoothing: float) -> None:
+        """Answer from ``rows``, distinct observational rows, with their
+        ``weights``; ``do`` maps (node, value) to its rows and their weights,
+        or None for weight 1 each."""
+        check_smoothing(smoothing)
+        self._do = {key: (r, w, len(r) if w is None else w.sum().item())
+                    for key, (r, w) in do.items()}
+        total = weights.sum().item()
+        if not smoothing and not (total and all(t for _, _, t in self._do.values())):
+            raise EmptyDataset("cannot estimate from an empty dataset without smoothing")
         self.schema: VariableSchema = schema
-        self.observational, self.do = observational, do
-        self._marginals: dict[frozenset, np.ndarray] = {}
+        self._rows, self._weights, self._smoothing = rows, weights, smoothing
+        self._total = total + smoothing * schema.n_cells
         self._entropies: dict[frozenset, float] = {}
 
     @classmethod
@@ -69,26 +92,27 @@ class InterventionTables:
         """Exact tables for every (node, value) of a ground-truth net."""
         return _NetTables(net)
 
-    def _marginal(self, key: frozenset) -> np.ndarray:
-        """Observational P(key), axes in schema order, memoized per set: the
-        table summed over the rest (the full set: no copy)."""
-        if key not in self._marginals:
-            drop = tuple(i for i, n in enumerate(self.schema.names) if n not in key)
-            probs = self.observational.probs
-            self._marginals[key] = probs.sum(axis=drop) if drop else probs
-        return self._marginals[key]
-
     def entropy(self, names) -> float:
         """Entropy (nats) of the observational marginal over ``names``; 0 over
         no names, where the marginal is a point mass."""
         key = frozenset(names)
         if key not in self._entropies:
+            self.schema.subset(key)  # an unknown name raises UnknownVariable
             self._entropies[key] = self._set_entropy(key) if key else 0.0
         return self._entropies[key]
 
     def _set_entropy(self, key: frozenset) -> float:
         """Entropy over a nonempty set of names, unmemoized."""
-        return _entropy(self._marginal(key))
+        cols = [i for i, n in enumerate(self.schema.names) if n in key]
+        (counts,) = _tally([(self._rows, self._weights)], cols, self.schema.cardinalities)
+        cells = math.prod(self.schema.cardinalities[i] for i in cols)
+        pseudo = self._smoothing * (self.schema.n_cells // cells)  # of each cell of the scope
+        p = (counts + pseudo) / self._total
+        h = -float(np.sum(p * np.log(p)))
+        if pseudo:
+            p0 = pseudo / self._total
+            h -= (cells - len(counts)) * p0 * math.log(p0)
+        return h
 
     def joint_entropy(self) -> float:
         """H(X) of the observational table."""
@@ -96,29 +120,50 @@ class InterventionTables:
 
     def _do_terms(self, node: str):
         """(value, P(value), D_value) for each value of positive probability,
-        D_value None when there is no do-table for it."""
-        obs, weights = self.observational, self._marginal(frozenset([node]))
-        for value in range(self.schema.cardinality(node)):
-            if weights[value] <= 0:
+        D_value None when there is no do-table for it.  P(value) = (W_a +
+        s·C_rest) / T, and D_value comes from the weights of the rest
+        columns in the observational rows with node=value and in the do-rows."""
+        schema, s = self.schema, self._smoothing
+        col = schema.index(node)
+        rest = [i for i in range(len(schema.names)) if i != col]
+        cells = schema.n_cells // schema.cardinalities[col]
+        for value in range(schema.cardinalities[col]):
+            given = self._rows[:, col] == value
+            conditioned = self._weights[given].sum().item() + s * cells
+            if conditioned <= 0:
                 continue
-            table = self.do.get((node, value))
-            yield value, float(weights[value]), (
-                None if table is None else kl_divergence(obs.condition(node, value), table)
+            do = self._do.get((node, value))
+            if do is None:
+                yield value, conditioned / self._total, None
+                continue
+            do_rows, do_weights, do_total = do
+            parts = [(self._rows[given], self._weights[given]), (do_rows, do_weights)]
+            p_counts, q_counts = _tally(parts, rest, schema.cardinalities)
+            yield value, conditioned / self._total, _smoothed_kl(
+                p_counts, conditioned, q_counts, do_total + s * cells, s, cells
             )
 
 
 class _NetTables(InterventionTables):
-    """Exact tables of a net from its CPTs; `joint` and `do_intervene` build dense ones."""
+    """Exact tables of a net from its CPTs, through one memo of marginals per
+    variable set, so each set is eliminated once; `joint` and `do_intervene`
+    build dense ones."""
 
     def __init__(self, net):
         self.schema, self._net = net.schema, net
         self._marginals, self._entropies = {}, {}
 
     def _marginal(self, key: frozenset) -> np.ndarray:
-        """As the dense tables' `_marginal`, by `marginal` over an ancestral set."""
+        """P(key), axes in schema order, memoized per set: `marginal` over an
+        ancestral set."""
         if key not in self._marginals:
             self._marginals[key] = marginal(self._net, [n for n in self.schema.names if n in key])
         return self._marginals[key]
+
+    def _set_entropy(self, key: frozenset) -> float:
+        p = self._marginal(key)
+        p = p[p > 0]
+        return -float(np.sum(p * np.log(p)))
 
     def joint_entropy(self) -> float:
         """H(X) = sum_i H(X_i | Pa_i) along the net's DAG, summed as
@@ -146,64 +191,17 @@ class _NetTables(InterventionTables):
             yield value, float(weight), float(np.sum(joint_a[seen] / weight * np.log(ratio)))
 
 
-class _CountTables(InterventionTables):
-    """Tables of an `InterventionBundle`, answered from counts, never from dense tables.
+def _check_do_key(schema: VariableSchema, node: str, value: int) -> None:
+    """A do-key names a variable of the schema and one of its states."""
+    if not 0 <= value < schema.cardinality(node):
+        raise InvalidState(f"state {value} out of range for {node!r}")
 
-    The observational rows are deduplicated once, into K distinct rows with
-    counts.  Laplace smoothing s over the C cells of the joint, with
-    T = N + sC, gives each cell f of a scope F (C_F cells) the mass
-    (c_F(f) + s·C/C_F) / T, so the cells no row reaches share one
-    closed-form term and every sum runs over the cells rows reach: at most
-    K for an entropy, and at most the rows with X=a plus the do-rows for a
-    D_a.  The intervened column is no part of a do-set's scope, so
-    smoothing puts no mass on its unclamped states.
-    """
 
-    def __init__(self, observational: Dataset, interventional: Mapping[tuple[str, int], Dataset],
-                 smoothing: float):
-        check_smoothing(smoothing)
-        if not smoothing and not (len(observational) and all(map(len, interventional.values()))):
-            raise EmptyDataset("cannot estimate from an empty dataset without smoothing")
-        self.schema: VariableSchema = observational.schema
-        self._smoothing, self._interventional = smoothing, interventional
-        self._total = len(observational) + smoothing * self.schema.n_cells
-        self._rows, self._counts = _distinct_rows(observational.rows, self.schema.cardinalities)
-        self._entropies: dict[frozenset, float] = {}
-
-    def _set_entropy(self, key: frozenset) -> float:
-        cols = [i for i, n in enumerate(self.schema.names) if n in key]
-        (counts,) = _tally([(self._rows, self._counts)], cols, self.schema.cardinalities)
-        cells = math.prod(self.schema.cardinalities[i] for i in cols)
-        pseudo = self._smoothing * (self.schema.n_cells // cells)  # of each cell of the scope
-        p = (counts + pseudo) / self._total
-        h = -float(np.sum(p * np.log(p)))
-        if pseudo:
-            p0 = pseudo / self._total
-            h -= (cells - len(counts)) * p0 * math.log(p0)
-        return h
-
-    def _do_terms(self, node: str):
-        """As `InterventionTables._do_terms`: P(value) = (N_a + s·C_rest) / T,
-        and D_a from the counts of the rest columns in the observational rows
-        with node=a and in the do-rows."""
-        schema, s = self.schema, self._smoothing
-        col = schema.index(node)
-        rest = [i for i in range(len(schema.names)) if i != col]
-        cells = schema.n_cells // schema.cardinalities[col]
-        for value in range(schema.cardinalities[col]):
-            given = self._rows[:, col] == value
-            conditioned = int(self._counts[given].sum()) + s * cells
-            if conditioned <= 0:
-                continue
-            data = self._interventional.get((node, value))
-            if data is None:
-                yield value, conditioned / self._total, None
-                continue
-            parts = [(self._rows[given], self._counts[given]), (data.rows, None)]
-            p_counts, q_counts = _tally(parts, rest, schema.cardinalities)
-            yield value, conditioned / self._total, _smoothed_kl(
-                p_counts, conditioned, q_counts, len(data) + s * cells, s, cells
-            )
+def _positive_cells(table: ProbTable, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of positive probability of a dense table, as rows of states
+    in ``dtype``, and their probabilities."""
+    seen = table.probs > 0
+    return np.argwhere(seen).astype(dtype), table.probs[seen]
 
 
 def _distinct_rows(rows: np.ndarray, cards) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +276,7 @@ class InterventionBundle:
                 raise SchemaMismatch(
                     f"interventional dataset for ({node}, {value}) has a different schema"
                 )
-            if not 0 <= value < schema.cardinality(node):
-                raise InvalidState(f"state {value} out of range for {node!r}")
+            _check_do_key(schema, node, value)
             col = data.column(node)
             if len(data) and not (col == value).all():
                 raise GcfitError(
@@ -291,10 +288,14 @@ class InterventionBundle:
         return self.observational.schema
 
     def tables(self) -> InterventionTables:
-        """The smoothed empirical tables, answered from counts of distinct
-        rows; the intervened column is no part of its do-sets' scope, so
-        smoothing never leaks mass onto unclamped states."""
-        return _CountTables(self.observational, self.interventional, self.smoothing)
+        """The smoothed empirical tables, answered from the data's distinct
+        rows weighted by their counts; the intervened column is no part of
+        its do-sets' scope, so smoothing never leaks mass onto unclamped states."""
+        data, tables = self.observational, InterventionTables.__new__(InterventionTables)
+        tables._setup(data.schema, *_distinct_rows(data.rows, data.schema.cardinalities),
+                      {key: (d.rows, None) for key, d in self.interventional.items()},
+                      self.smoothing)
+        return tables
 
 
 @dataclass(frozen=True)
@@ -320,12 +321,7 @@ def gf(dag: Dag, observational: Dataset, smoothing: float = 0.0) -> float:
     `gf_from_table`."""
     if observational.schema != dag.schema:
         raise SchemaMismatch("dataset schema differs from DAG schema")
-    return gf_from_table(dag, _CountTables(observational, {}, smoothing))
-
-
-def _entropy(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return -float(np.sum(p * np.log(p)))
+    return gf_from_table(dag, InterventionBundle(observational, {}, smoothing).tables())
 
 
 def _parent_lists(dag: Dag) -> dict[str, list[str]]:
@@ -398,6 +394,7 @@ def do_divergence_detail(
     """
     if missing_policy not in ("strict", "renormalize"):
         raise GcfitError(f"unknown missing policy {missing_policy!r}")
+    tables.schema.index(node)  # an unknown node raises UnknownVariable on every source
     covered = []
     for value, weight, divergence in tables._do_terms(node):
         if divergence is None:
@@ -538,11 +535,12 @@ def score_set(
         )
     tables = data.tables() if isinstance(data, InterventionBundle) else data
 
-    names, needed = tables.schema.names, set()
+    needed = set()
     for member in dags:
-        needed.update(*member.dag.edges)
-        if len(needed) == len(names):  # nothing left to add
-            break
+        if member.dag.schema != tables.schema:
+            raise SchemaMismatch(f"[{member.graph_id}] table schema differs from DAG schema")
+        if len(needed) < len(tables.schema.names):  # else nothing is left to add
+            needed.update(*member.dag.edges)
     do_detail = {n: do_divergence_detail(n, tables, missing_policy) for n in sorted(needed)}
     dmap = {n: d for n, (d, _) in do_detail.items()}
 
@@ -554,8 +552,6 @@ def score_set(
         edges = dag.edges if edges_policy == "all" else dags.source_undirected
         try:
             value, details, flags = _gcf_detail(parents, edges, dmap, edge_terms)
-            if dag.schema != tables.schema:
-                raise SchemaMismatch("table schema differs from DAG schema")
             record = ScoreRecord(
                 graph_id=member.graph_id,
                 orientation=member.orientation,

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gcfit import BayesNet, Cpt, Dag, PdGraph, ProbTable, VariableSchema
+from gcfit import BayesNet, Cpt, Dag, PdGraph, ProbTable, VariableSchema, kl_divergence
 
 
 def random_table(schema, rng, floor=0.0):
@@ -162,6 +162,28 @@ def oracle_gf(table, dag):
         total += p * np.log(p / q)
     kl = max(total, 0.0)
     return float("inf") if kl == 0 else -np.log(kl)
+
+
+def oracle_dense_entropy(table, names):
+    """Entropy (nats) of a dense table's marginal over ``names``, summed out
+    by `ProbTable.marginalize`."""
+    p = table.marginalize(names).flat()
+    p = p[p > 0]
+    return -float(np.sum(p * np.log(p)))
+
+
+def oracle_dense_do_terms(table, do, node):
+    """[(value, P(value), D_value)] of a dense observational table and its
+    do-tables, for each value of positive probability: D_value is the
+    `kl_divergence` of `ProbTable.condition` against ``do[node, value]``,
+    None when there is no such do-table."""
+    terms = []
+    for value, weight in enumerate(table.marginalize([node]).probs):
+        if weight > 0:
+            do_table = do.get((node, value))
+            terms.append((value, float(weight), None if do_table is None else kl_divergence(
+                table.condition(node, value), do_table)))
+    return terms
 
 
 def oracle_count_entropy(rows, cols):

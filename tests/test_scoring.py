@@ -19,6 +19,7 @@ from gcfit import (
     SchemaMismatch,
     TaggedDag,
     UnknownEdge,
+    UnknownVariable,
     VariableSchema,
     do_divergence,
     do_divergence_detail,
@@ -44,6 +45,8 @@ from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE
 from conftest import (
     oracle_count_entropy,
     oracle_count_kl,
+    oracle_dense_do_terms,
+    oracle_dense_entropy,
     oracle_gf,
     oracle_v_structures,
     random_dag,
@@ -386,6 +389,19 @@ class TestBundle:
         with pytest.raises(SchemaMismatch):
             InterventionTables(full, {("a", 0): full})
 
+    @pytest.mark.parametrize("key, error, match", [
+        (("a", 5), InvalidState, "state 5 out of range for 'a'"),
+        (("a", -1), InvalidState, "state -1 out of range for 'a'"),
+        (("zz", 0), UnknownVariable, "unknown variable 'zz'"),
+    ], ids=["past-the-last-state", "negative-state", "unknown-node"])
+    def test_do_table_key_checked(self, fig1_net, key, error, match):
+        # checked as `InterventionBundle` checks its keys, before the schema:
+        # ("zz", 0) drops no variable, so a full-schema table would pass it
+        full = joint(fig1_net)
+        table = full if key[0] == "zz" else full.marginalize({"b", "z"})
+        with pytest.raises(error, match=match):
+            InterventionTables(full, {key: table})
+
     def test_tables_drop_intervened_column(self, fig1_net):
         # smoothing spreads over the 4 (b, z) cells of the do-set, none of
         # them on the unclamped a=1 states: D_a is the KL against the dense
@@ -404,6 +420,44 @@ class TestBundle:
         assert detail[0][0] == 0
         assert detail[0][2] == pytest.approx(expected, rel=1e-12)
         assert detail[0][2] != pytest.approx(leaked, rel=1e-3)
+
+
+SOURCES = ("dense", "net", "data")
+
+
+def source_tables(net, source):
+    """The net's tables from one source: its dense tables, its CPTs or sampled data."""
+    if source == "dense":
+        return InterventionTables(*dense_tables(net))
+    if source == "net":
+        return InterventionTables.from_net(net)
+    return make_bundle(net, n_obs=500, n_do=100).tables()
+
+
+@pytest.mark.parametrize("source", SOURCES)
+class TestEverySource:
+    """Names outside the schema raise the same typed error on every source."""
+
+    def test_entropy_of_an_unknown_name_raises(self, fig1_net, source):
+        tables = source_tables(fig1_net, source)
+        for names in ({"typo"}, {"a", "typo"}):
+            with pytest.raises(UnknownVariable, match="typo"):
+                tables.entropy(names)
+        assert tables.entropy({"a"}) > 0
+
+    def test_do_divergence_of_an_unknown_node_raises(self, fig1_net, source):
+        with pytest.raises(UnknownVariable, match="zz"):
+            do_divergence_detail("zz", source_tables(fig1_net, source))
+
+    def test_foreign_schema_dag_rejected_before_any_do_divergence(self, fig1_net, source):
+        other = VariableSchema(("p", "q"), (2, 2))
+        members = (
+            TaggedDag("G0", "0", fig1_net.dag),
+            TaggedDag("G1", "1", Dag(other, (("p", "q"),))),
+        )
+        tables = source_tables(fig1_net, source)
+        with pytest.raises(SchemaMismatch, match=r"^\[G1\] table schema differs from DAG schema$"):
+            score_set(DagSet(members), tables, edges_policy="all")
 
 
 class TestScoreSet:
@@ -487,34 +541,29 @@ def dense_tables(net):
         for node in schema.names
         for value in range(schema.cardinality(node))
     }
-    return InterventionTables(joint(net), do)
-
-
-def entropy_of(p):
-    p = p[p > 0]
-    return -float(np.sum(p * np.log(p)))
+    return joint(net), do
 
 
 class TestNetTables:
     """`InterventionTables.from_net` answers from CPTs and marginals over
-    ancestral sets; the explicitly dense tables are the oracle."""
+    ancestral sets; the dense oracle on the explicitly dense tables checks it."""
 
     def test_identity_and_gf_on_random_nets(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
             truth = random_dag(rng)
             net = random_net(truth, rng)
-            exact, dense = InterventionTables.from_net(net), dense_tables(net)
-            full = joint(net)
+            exact = InterventionTables.from_net(net)
+            full, do = dense_tables(net)
             for node in truth.schema.names:
                 # D(X) = I(X; Pa(X)) = H(X) + H(Pa) - H(X, Pa)
                 parents = truth.parents(node)
-                mutual = entropy_of(full.marginalize([node]).flat()) - entropy_of(
-                    full.marginalize(parents + (node,)).flat()
-                ) + (entropy_of(full.marginalize(parents).flat()) if parents else 0.0)
+                mutual = oracle_dense_entropy(full, [node]) - oracle_dense_entropy(
+                    full, parents + (node,)
+                ) + (oracle_dense_entropy(full, parents) if parents else 0.0)
                 value, detail = do_divergence_detail(node, exact)
-                expected_value, expected_detail = do_divergence_detail(node, dense)
-                assert value == pytest.approx(expected_value, abs=1e-12)
+                expected_detail = oracle_dense_do_terms(full, do, node)
+                assert value == pytest.approx(sum(w * d for _, w, d in expected_detail), abs=1e-12)
                 assert value == pytest.approx(mutual, abs=1e-12)
                 assert [v for v, _, _ in detail] == [v for v, _, _ in expected_detail]
                 for (_, w, d), (_, ew, ed) in zip(detail, expected_detail):
@@ -694,14 +743,14 @@ class TestLocalTerms:
 
 
 def dense_bundle_tables(bundle):
-    """The bundle's tables built by hand from dense empirical tables: the
-    observational joint and each do-set with its intervened column dropped."""
+    """The bundle's dense empirical tables, built by hand: the observational
+    joint and each do-set with its intervened column dropped."""
     names, s = set(bundle.schema.names), bundle.smoothing
     do = {
         (node, value): empirical_from_dataset(data.select(names - {node}), s)
         for (node, value), data in bundle.interventional.items()
     }
-    return InterventionTables(empirical_from_dataset(bundle.observational, s), do)
+    return empirical_from_dataset(bundle.observational, s), do
 
 
 def random_bundle(rng, smoothing, empty_do_set):
@@ -739,13 +788,14 @@ class TestCountTables:
         infinite = 0
         for _ in range(30):
             bundle = random_bundle(rng, smoothing, empty_do_set=smoothing > 0)
-            counted, dense = bundle.tables(), dense_bundle_tables(bundle)
+            counted, (full, do) = bundle.tables(), dense_bundle_tables(bundle)
             names = bundle.schema.names
             for k in range(1, len(names) + 1):
                 for subset in itertools.combinations(names, k):
-                    assert close(counted.entropy(subset), dense.entropy(subset))
+                    assert close(counted.entropy(subset), oracle_dense_entropy(full, subset))
             for node in names:
-                terms, expected = list(counted._do_terms(node)), list(dense._do_terms(node))
+                terms = list(counted._do_terms(node))
+                expected = oracle_dense_do_terms(full, do, node)
                 assert [v for v, _, _ in terms] == [v for v, _, _ in expected]
                 for (_, w, d), (_, ew, ed) in zip(terms, expected):
                     assert close(w, ew) and close(d, ed)
@@ -755,6 +805,46 @@ class TestCountTables:
             assert (skipped in [v for v, _, _ in counted._do_terms(names[0])]) == (smoothing > 0)
         assert (infinite > 0) == (smoothing == 0)
 
+    def test_dense_tables_match_the_dense_oracle(self):
+        # a dense table is answered as its cells of positive probability,
+        # weighted by their probabilities; zero cells leave a value of
+        # probability 0 and make some D infinite
+        rng = np.random.default_rng(41)
+
+        def sparse(shape, keep):
+            weights = np.where(rng.random(shape) < keep, rng.uniform(size=shape), 0.0)
+            weights.flat[0] = 0.5
+            return weights
+
+        infinite = missing = 0
+        for _ in range(30):
+            schema = random_dag(rng, max_nodes=4).schema
+            probs = sparse(schema.shape, 0.7)
+            probs[-1] = 0.0  # no cell at the first variable's last state
+            full, do = ProbTable.from_weights(schema, probs), {}
+            for node in schema.names:
+                rest = schema.subset(set(schema.names) - {node})
+                for value in range(schema.cardinality(node)):
+                    if rng.random() < 0.8:
+                        do[node, value] = ProbTable.from_weights(rest, sparse(rest.shape, 0.9))
+            tables = InterventionTables(full, do)
+            for k in range(1, len(schema.names) + 1):
+                for subset in itertools.combinations(schema.names, k):
+                    expected = oracle_dense_entropy(full, subset)
+                    assert tables.entropy(subset) == pytest.approx(expected, abs=1e-12)
+            for node in schema.names:
+                terms = list(tables._do_terms(node))
+                expected = oracle_dense_do_terms(full, do, node)
+                assert [v for v, _, _ in terms] == [v for v, _, _ in expected]
+                for (_, w, d), (_, ew, ed) in zip(terms, expected):
+                    assert w == pytest.approx(ew, abs=1e-12)
+                    assert (d is None and ed is None) or d == pytest.approx(ed, abs=1e-12)
+                    infinite += d == math.inf
+                    missing += d is None
+            last = schema.cardinalities[0] - 1
+            assert last not in [v for v, _, _ in tables._do_terms(schema.names[0])]
+        assert infinite and missing
+
     def test_empty_do_set_needs_smoothing(self):
         bundle = random_bundle(np.random.default_rng(2), 0.0, empty_do_set=True)
         with pytest.raises(EmptyDataset):
@@ -762,7 +852,8 @@ class TestCountTables:
         smoothed = InterventionBundle(bundle.observational, bundle.interventional, 1.0)
         node = bundle.schema.names[1]
         d = {v: d for v, _, d in smoothed.tables()._do_terms(node)}[0]
-        expected = {v: d for v, _, d in dense_bundle_tables(smoothed)._do_terms(node)}[0]
+        terms = oracle_dense_do_terms(*dense_bundle_tables(smoothed), node)
+        expected = {v: d for v, _, d in terms}[0]
         assert math.isfinite(d) and close(d, expected)
 
     def test_unseen_do_cell_gives_infinite_divergences_and_flags(self):
@@ -859,6 +950,10 @@ class TestCountTables:
         bundle = InterventionBundle(Dataset(schema, [[0], [1], [1]]), inter, 0.0)
         detail = (0.0, [(0, 1 / 3, 0.0), (1, 2 / 3, 0.0)])
         assert do_divergence_detail("a", bundle.tables()) == detail
+        point = ProbTable(VariableSchema((), ()), 1.0)
+        do = {("a", v): point for v in (0, 1)}
+        dense = InterventionTables(ProbTable(schema, [1 / 3, 2 / 3]), do)
+        assert do_divergence_detail("a", dense) == detail
         assert gf(Dag(schema, ()), bundle.observational) == math.inf
 
     @pytest.mark.skipif(
