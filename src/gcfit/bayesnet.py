@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch
-from .graphs import Dag, VariableSchema, edges_from_obj, json_object, schema_from_obj, schema_to_obj
+from .graphs import Dag, VariableSchema, edges_from_obj, json_object, read_text
+from .graphs import schema_from_obj, schema_to_obj
 from .tables import (
     NORMALIZATION_TOL,
     Dataset,
@@ -318,8 +319,7 @@ def bayesnet_from_json(text: str, path=None) -> BayesNet:
 
 
 def load_bayesnet(path) -> BayesNet:
-    with open(path, encoding="utf-8") as fh:
-        return bayesnet_from_json(fh.read(), path=path)
+    return bayesnet_from_json(read_text(path), path=path)
 
 
 def save_bayesnet(net: BayesNet, path) -> None:

@@ -19,9 +19,11 @@ from .errors import EnumerationLimit, GcfitError, ParseError
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_orientations,
+    iter_orientations,
     json_object,
     load_pdgraph,
     orientation_subset,
+    read_text,
 )
 
 EXIT_OK = 0
@@ -55,8 +57,7 @@ def load_manifest(path, schema):
     """
     from .tables import Dataset
 
-    with open(path, encoding="utf-8") as fh:
-        doc = json_object(fh.read(), "observational", path)
+    doc = json_object(read_text(path), "observational", path)
     entries = doc.get("interventions", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ParseError("'interventions' must be a list of objects", path=path)
@@ -91,10 +92,15 @@ def load_manifest(path, schema):
 
 def cmd_enumerate(args) -> int:
     graph = load_pdgraph(args.graph)
-    dags = enumerate_orientations(graph, args.max_undirected)
-    for member in dags:
-        orientation = member.orientation or "-"
-        print(f"{member.graph_id}\t{orientation}\t{_edges_str(member.dag.edges)}")
+    try:
+        for member in iter_orientations(graph, args.max_undirected):
+            orientation = member.orientation or "-"
+            print(f"{member.graph_id}\t{orientation}\t{_edges_str(member.dag.edges)}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has closed the pipe: stop quietly, with stdout on devnull
+        # so that the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ built one edge at a time so that a prefix closing a cycle is not extended.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -256,34 +257,30 @@ def _oriented(edge: tuple[str, str], bit: str) -> tuple[str, str]:
     return (a, b) if bit == "0" else (b, a)
 
 
-def _check_cap(g: PdGraph, max_undirected: int) -> None:
-    if max_undirected < 0:
-        raise GcfitError(f"enumeration cap must be non-negative, got {max_undirected}")
-    if len(g.undirected) > max_undirected:
-        raise EnumerationLimit(len(g.undirected), max_undirected)
-
-
-def _member(g: PdGraph, vec: str, oriented) -> TaggedDag:
-    return TaggedDag("G" + vec, vec, Dag._trusted(g.schema, g.directed + tuple(oriented)))
-
-
-def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP) -> DagSet:
-    """All acyclic ways of orienting the undirected edges of ``g``.
+def iter_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP, prefixes=None):
+    """Yield the acyclic orientations of the undirected edges of ``g`` as
+    `TaggedDag`s, their vectors in lexicographic order, after checking the cap.
 
     Edges are oriented one at a time, in ``g.undirected`` order; a prefix
     is extended by u->v only if v does not already reach u, so no prefix
-    that closes a cycle is extended.  Vectors come out in lexicographic order.
-    """
+    that closes a cycle is extended.  With ``prefixes``, a set of vectors
+    holding every prefix of each of its members, the walk enters only the
+    vectors in the set, so it yields those of its members that orient all
+    the edges and close no cycle."""
+    if max_undirected < 0:
+        raise GcfitError(f"enumeration cap must be non-negative, got {max_undirected}")
     und = g.undirected  # already sorted lexicographically
-    _check_cap(g, max_undirected)
+    if len(und) > max_undirected:
+        raise EnumerationLimit(len(und), max_undirected)
     children: dict[str, set[str]] = {n: set() for n in g.schema.names}
     for a, b in g.directed:
         children[a].add(b)
     oriented: list[tuple[str, str]] = []  # edges of the prefix held in ``children``
-    members = []
     stack = [""]
     while stack:
         vec = stack.pop()
+        if prefixes is not None and vec not in prefixes:
+            continue
         if vec:
             # the stack is depth-first, so vec[:-1] is a prefix of the last expansion
             while len(oriented) >= len(vec):
@@ -293,38 +290,57 @@ def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION
             oriented.append((a, b))
             children[a].add(b)
         if len(vec) == len(und):
-            members.append(_member(g, vec, oriented))
+            yield TaggedDag("G" + vec, vec, Dag._trusted(g.schema, g.directed + tuple(oriented)))
             continue
         for bit in "10":  # "0" pops first
             u, v = _oriented(und[len(vec)], bit)
             if not _reaches(children, v, u):
                 stack.append(vec + bit)
-    return DagSet(tuple(members), und)
+
+
+def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP) -> DagSet:
+    """All acyclic ways of orienting the undirected edges of ``g``, in the
+    order `iter_orientations` yields them."""
+    return DagSet(tuple(iter_orientations(g, max_undirected)), g.undirected)
 
 
 def orientation_subset(
     g: PdGraph, vectors, max_undirected: int = DEFAULT_ENUMERATION_CAP
 ) -> DagSet:
     """``enumerate_orientations(g, max_undirected).subset(vectors)``, built
-    from the named vectors alone: the same cap check first, the same
-    members in the same (lexicographic) order, and the same error for a
-    vector that is malformed or orients a cycle."""
-    _check_cap(g, max_undirected)
-    members, unknown = [], []
-    for vec in sorted(set(vectors)):
-        if len(vec) == len(g.undirected) and set(vec) <= {"0", "1"}:
-            oriented = [_oriented(e, bit) for e, bit in zip(g.undirected, vec)]
-            if is_acyclic(g.schema, g.directed + tuple(oriented)):
-                members.append(_member(g, vec, oriented))
-                continue
-        unknown.append(vec)
+    by the same walk entering only the prefixes of the named vectors: the
+    same cap check first, the same members in the same order, and the same
+    error for a vector that is malformed or orients a cycle."""
+    wanted, k = set(vectors), len(g.undirected)
+    # a vector of another length has no prefix the walk could enter
+    prefixes = {vec[:i] for vec in wanted if len(vec) == k for i in range(k + 1)}
+    members = tuple(iter_orientations(g, max_undirected, prefixes))
+    unknown = wanted - {m.orientation for m in members}
     if unknown:
-        raise GcfitError(f"unknown orientation vectors: {unknown}")
-    return DagSet(tuple(members), g.undirected)
+        raise GcfitError(f"unknown orientation vectors: {sorted(unknown)}")
+    return DagSet(members, g.undirected)
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization.  Dag files use the same layout with empty "undirected".
+
+def decode_utf8(raw: bytes, path=None) -> str:
+    """``raw``, an input file's bytes, as UTF-8 text; bytes that are not
+    UTF-8 are a `ParseError` at their line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=path,
+                         line=line) from None
+
+
+def read_text(path) -> str:
+    """`decode_utf8` of the file at ``path``, its newlines translated as in
+    text mode, so that a JSON error's line counts CR-only lines too."""
+    with open(path, "rb") as fh:
+        return io.StringIO(decode_utf8(fh.read(), path), newline=None).read()
+
 
 def json_object(text: str, required: str, path=None) -> dict:
     """Decode a JSON input file whose top level must be an object with a
@@ -370,8 +386,7 @@ def pdgraph_from_json(text: str, path=None) -> PdGraph:
 
 
 def load_pdgraph(path) -> PdGraph:
-    with open(path, encoding="utf-8") as fh:
-        return pdgraph_from_json(fh.read(), path=path)
+    return pdgraph_from_json(read_text(path), path=path)
 
 
 def save_pdgraph(g: PdGraph, path) -> None:

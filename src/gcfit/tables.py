@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import EmptyDataset, GcfitError, InvalidState, ParseError, ZeroProbabilityEvidence
-from .graphs import VariableSchema
+from .graphs import VariableSchema, decode_utf8
 
 NORMALIZATION_TOL = 1e-9
 _CSV_WRITE_ROWS = 4096
@@ -186,8 +186,23 @@ class Dataset:
         blank lines, quoted or padded cells, multi-digit states, ...) goes
         to the strict parser, the only source of error messages."""
         rows = _canonical_rows(text, schema)
-        if rows is not None:
-            return cls(schema, rows)
+        return cls(schema, cls._strict_rows(text, schema, path) if rows is None else rows)
+
+    @classmethod
+    def read_csv(cls, path, schema: VariableSchema) -> "Dataset":
+        """`from_csv` of the file's UTF-8 text.  The canonical layout is
+        decoded from the file's bytes as read, without building the text;
+        bytes that are not UTF-8 are a `ParseError`."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        rows = _canonical_rows(raw, schema)
+        if rows is None:
+            rows = cls._strict_rows(decode_utf8(raw, path), schema, path)
+        return cls(schema, rows)
+
+    @staticmethod
+    def _strict_rows(text: str, schema: VariableSchema, path) -> np.ndarray:
+        """The rows of ``text`` by the strict parser of `from_csv`."""
         reader = _csv_records(text, path)
         header = next(reader, None)
         if header is None:
@@ -211,6 +226,9 @@ class Dataset:
             parsed = []
             for col_no, (cell, card) in enumerate(zip(row, schema.cardinalities), start=1):
                 try:
+                    # int() would also read "1_0" as 10 and a non-ASCII digit such as "١" as 1
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(cell)
                     value = int(cell)
                 except ValueError:
                     raise ParseError(
@@ -225,19 +243,7 @@ class Dataset:
                     )
                 parsed.append(value)
             rows.append(parsed)
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(schema.names))
-        return cls(schema, arr)
-
-    @classmethod
-    def read_csv(cls, path, schema: VariableSchema) -> "Dataset":
-        """`from_csv` of the file's UTF-8 text.  The canonical layout is
-        decoded from the file's bytes as read, without building the text."""
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        rows = _canonical_rows(raw, schema)
-        if rows is not None:
-            return cls(schema, rows)
-        return cls.from_csv(raw.decode("utf-8"), schema, path=path)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(schema.names))
 
 
 def row_dtype(cardinalities) -> np.dtype:

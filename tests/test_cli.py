@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +53,16 @@ def run_synth(workdir, out="data", seed="7", n_obs="20000", n_do="10000"):
 def read_scores(path):
     with open(path, newline="") as fh:  # keeps a quoted "\r" as written
         return list(csv.DictReader(fh))
+
+
+def path_graph(tmp_path, k):
+    """A PD graph file of a path with k undirected edges: its 2**k
+    orientations are all acyclic."""
+    names = tuple(f"v{i:02d}" for i in range(k + 1))
+    graph = tmp_path / f"path{k}.json"
+    schema = VariableSchema(names, (2,) * (k + 1))
+    save_pdgraph(PdGraph(schema, (), tuple(zip(names, names[1:]))), graph)
+    return graph
 
 
 def tree_digest(root):
@@ -116,6 +128,37 @@ class TestEnumerate:
         rc = main(["enumerate", "--graph", str(graph), "--max-undirected", "-1"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: enumeration cap must be non-negative")
+
+    @pytest.mark.parametrize("k", [12, 14])
+    def test_flat_memory(self, tmp_path, k):
+        # each line is printed as its DAG is found, so the traced peak of a
+        # warm run does not grow with the 2**k DAGs
+        argv = ["enumerate", "--graph", str(path_graph(tmp_path, k))]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # 4096 lines of about 140 bytes fill the pipe long before the last
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        graph = path_graph(tmp_path, 12)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gcfit.cli", "enumerate", "--graph", str(graph)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert first.startswith(b"G000000000000\t000000000000\tv00->v01;")
+        assert err == b""
 
 
 class TestSynth:
@@ -419,6 +462,28 @@ class TestScore:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("kind", ["graph", "net", "manifest", "dataset"])
+    def test_non_utf8_input_exit_1(self, workdir, capsys, kind):
+        assert run_synth(workdir) == 0
+        graph, net = workdir / "gpd.json", workdir / "truth.json"
+        manifest = workdir / "data" / "manifest.json"
+        score = ["score", "--graph", str(graph), "--manifest", str(manifest),
+                 "--out-dir", str(workdir / "out")]
+        path, argv = {
+            "graph": (graph, ["enumerate", "--graph", str(graph)]),
+            "net": (net, ["synth", "--net", str(net), "--out-dir", str(workdir / "d2")]),
+            "manifest": (manifest, score),
+            "dataset": (workdir / "data" / "obs.csv", score),
+        }[kind]
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\xff\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        line = raw.count(b"\n") + 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: not UTF-8 text: invalid start byte at byte {len(raw)}\n"
+        )
 
     @pytest.mark.parametrize("value", [1.7, True, "0"])
     def test_non_integer_intervention_value_exit_1(self, workdir, capsys, value):

@@ -13,6 +13,7 @@ from gcfit import (
     VariableSchema,
     enumerate_orientations,
     is_acyclic,
+    load_pdgraph,
     pdgraph_from_json,
     pdgraph_to_json,
 )
@@ -221,6 +222,18 @@ class TestEnumerateOrientations:
                 with pytest.raises(GcfitError) as expected:
                     dags.subset(wanted + [bad])
                 assert str(exc.value) == str(expected.value)
+        # no vectors; the empty vector of a graph with no undirected edges; a
+        # vector whose 10**6 prefixes would hold 5e11 characters, so it must
+        # be found unknown by its length; repeats
+        g = PdGraph(schema, (("a", "b"),), (("b", "c"), ("c", "d")))
+        dags = enumerate_orientations(g)
+        assert orientation_subset(g, []) == dags.subset([]) and len(dags.subset([])) == 0
+        directed = PdGraph(schema, (("a", "b"),), ())
+        assert orientation_subset(directed, [""]) == enumerate_orientations(directed)
+        with pytest.raises(GcfitError) as exc:
+            orientation_subset(g, ["01", "0" * 10**6])
+        assert str(exc.value) == f"unknown orientation vectors: {['0' * 10**6]}"
+        assert orientation_subset(g, ["10", "00", "10", "00"]) == dags.subset(["00", "10"])
 
     def test_orientation_subset_checks_the_cap_first(self, triangle):
         with pytest.raises(EnumerationLimit):
@@ -244,10 +257,16 @@ class TestJson:
         text = pdgraph_to_json(fig2_pdgraph)
         assert pdgraph_to_json(pdgraph_from_json(text)) == text
 
-    def test_invalid_json_reports_location(self):
+    def test_invalid_json_reports_location(self, tmp_path):
         with pytest.raises(ParseError) as exc:
             pdgraph_from_json('{\n"variables": nope}', path="x.json")
         assert str(exc.value).startswith("x.json:2: invalid JSON")
+        # a file's lines are counted as text mode reads them, whatever they end with
+        for newline in (b"\n", b"\r\n", b"\r"):
+            (tmp_path / "x.json").write_bytes(newline.join([b"{", b'"variables":', b"nope}"]))
+            with pytest.raises(ParseError) as exc:
+                load_pdgraph(tmp_path / "x.json")
+            assert exc.value.line == 3
 
     def test_missing_variables_block(self):
         for text in ("{}", "[]"):

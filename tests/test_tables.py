@@ -435,6 +435,9 @@ class TestCsvFastPath:
             ("a,b\n:,0\n", ("d.csv:2:1: non-integer cell ':'", 2, 1)),  # the byte above "9"
             ("a,b\n0,2\n", ("d.csv:2:2: state 2 out of range 0..1", 2, 2)),  # in range for a, not for b
             ("a,b\n9,0\n0,2\n", ("d.csv:3:2: state 2 out of range 0..1", 3, 2)),
+            # int() reads both as states in range for a: only ASCII digits are integers
+            ("a,b\n1_0,1\n", ("d.csv:2:1: non-integer cell '1_0'", 2, 1)),
+            ("a,b\n١,1\n", ("d.csv:2:1: non-integer cell '١'", 2, 1)),  # Arabic-Indic one
         ],
     )
     def test_fallback_trigger_per_column(self, monkeypatch, text, expected):
