@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GcfitError, InvalidState, ParseError, SchemaMismatch
+from .errors import GcfitError, ParseError, SchemaMismatch
 from .graphs import Dag, VariableSchema, edges_from_obj, json_object, read_text
 from .graphs import schema_from_obj, schema_to_obj
 from .tables import (
@@ -107,8 +107,7 @@ def _mutilate(net: BayesNet, node: str, value: int) -> BayesNet:
     by point-mass rows at ``value`` in every parent configuration.  The
     incoming edges stay, so every node keeps its topological position and
     with it its sampling substream."""
-    if not 0 <= value < net.schema.cardinality(node):
-        raise InvalidState(f"state {value} out of range for {node!r}")
+    net.schema.check_state(node, value)
     cpt = net.cpts[node]
     table = np.zeros(cpt.table.shape)
     table[..., value] = 1.0

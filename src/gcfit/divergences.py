@@ -20,22 +20,24 @@ def _check_schemas(po: ProbTable, pe: ProbTable) -> None:
         )
 
 
-def kl_divergence(po: ProbTable, pe: ProbTable) -> float:
-    """Kullback-Leibler divergence sum_x po(x) ln(po(x)/pe(x)).
+def kl_sum(p: np.ndarray, q: np.ndarray) -> float:
+    """sum_x p(x) ln(p(x)/q(x)) over aligned cell arrays, unclamped.
 
-    Convention: cells with po = 0 contribute 0; any cell with po > 0 and
-    pe = 0 makes the divergence +inf.
+    Convention: cells with p = 0 contribute 0; any cell with p > 0 and
+    q = 0 makes the sum +inf.
     """
-    _check_schemas(po, pe)
-    p = po.flat()
-    q = pe.flat()
     support = p > 0
     if np.any(support & (q == 0)):
         return float("inf")
-    ps = p[support]
-    qs = q[support]
+    ps, qs = p[support], q[support]
+    return float(np.sum(ps * np.log(ps / qs)))
+
+
+def kl_divergence(po: ProbTable, pe: ProbTable) -> float:
+    """Kullback-Leibler divergence sum_x po(x) ln(po(x)/pe(x)), by `kl_sum`."""
+    _check_schemas(po, pe)
     # Gibbs: the true value is >= 0; clamp away summation rounding error
-    return max(float(np.sum(ps * np.log(ps / qs))), 0.0)
+    return max(kl_sum(po.flat(), pe.flat()), 0.0)
 
 
 def pearson_divergence(po: ProbTable, pe: ProbTable) -> float:

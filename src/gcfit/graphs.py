@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import EnumerationLimit, GcfitError, ParseError, UnknownVariable
+from .errors import EnumerationLimit, GcfitError, InvalidState, ParseError, UnknownVariable
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -58,6 +58,11 @@ class VariableSchema:
 
     def cardinality(self, name: str) -> int:
         return self.cardinalities[self.index(name)]
+
+    def check_state(self, name: str, value: int) -> None:
+        """Raise InvalidState unless ``value`` is one of ``name``'s states."""
+        if not 0 <= value < self.cardinality(name):
+            raise InvalidState(f"state {value} out of range for {name!r}")
 
     def subset(self, keep) -> "VariableSchema":
         """Schema restricted to ``keep``, preserving this schema's order."""

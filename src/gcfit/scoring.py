@@ -16,10 +16,10 @@ from typing import Mapping
 import numpy as np
 
 from .bayesnet import marginal
+from .divergences import kl_sum
 from .errors import (
     EmptyDataset,
     GcfitError,
-    InvalidState,
     MissingIntervention,
     SchemaMismatch,
     UnknownEdge,
@@ -29,9 +29,6 @@ from .tables import Dataset, ProbTable, check_smoothing, row_codes, row_dtype
 
 FLAG_NO_CAUSAL_SIGNAL = "no_causal_signal"
 FLAG_UNDEFINED_DISTANCE = "undefined_distance"
-
-# row codes 0 .. 2**63 - 1 are int64: wider scopes are counted by their rows
-_MAX_CODED_CELLS = 2**63
 
 
 class InterventionTables:
@@ -61,7 +58,7 @@ class InterventionTables:
         dtype = row_dtype(schema.cardinalities)
         do_rows = {}
         for (node, value), table in do.items():
-            _check_do_key(schema, node, value)
+            schema.check_state(node, value)
             expected = schema.subset(set(schema.names) - {node})
             if table.schema != expected:
                 raise SchemaMismatch(
@@ -191,12 +188,6 @@ class _NetTables(InterventionTables):
             yield value, float(weight), float(np.sum(joint_a[seen] / weight * np.log(ratio)))
 
 
-def _check_do_key(schema: VariableSchema, node: str, value: int) -> None:
-    """A do-key names a variable of the schema and one of its states."""
-    if not 0 <= value < schema.cardinality(node):
-        raise InvalidState(f"state {value} out of range for {node!r}")
-
-
 def _positive_cells(table: ProbTable, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The cells of positive probability of a dense table, as rows of states
     in ``dtype``, and their probabilities."""
@@ -206,11 +197,9 @@ def _positive_cells(table: ProbTable, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 def _distinct_rows(rows: np.ndarray, cards) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows and how often each occurs."""
-    if math.prod(cards) <= _MAX_CODED_CELLS:
-        codes = row_codes(rows, range(len(cards)), cards)
-        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-        return rows[first], counts
-    return np.unique(rows, axis=0, return_counts=True)
+    codes = row_codes(rows, range(len(cards)), cards)
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return rows[first], counts
 
 
 def _tally(parts, cols, cards) -> list[np.ndarray]:
@@ -219,21 +208,15 @@ def _tally(parts, cols, cards) -> list[np.ndarray]:
 
     ``parts`` are (rows, weights or None).  A scope of no more cells than
     the rows is counted by `bincount` over all its cells; a larger one over
-    the `unique` codes of its rows, or, past int64 codes, over its unique
-    rows.
+    the `unique` codes of its rows.
     """
     cells = math.prod(cards[c] for c in cols)
-    if cells <= _MAX_CODED_CELLS:
-        codes = row_codes(np.concatenate([rows for rows, _ in parts]), cols, cards)
-        if cells <= len(codes):
-            index, width = codes, cells
-        else:
-            seen, index = np.unique(codes, return_inverse=True)
-            width = len(seen)
+    codes = row_codes(np.concatenate([rows for rows, _ in parts]), cols, cards)
+    if cells <= len(codes):
+        index, width = codes, cells
     else:
-        seen, index = np.unique(np.concatenate([rows[:, cols] for rows, _ in parts]), axis=0,
-                                return_inverse=True)
-        index, width = index.reshape(-1), len(seen)
+        seen, index = np.unique(codes, return_inverse=True)
+        width = len(seen)
     counts, start = [], 0
     for rows, weights in parts:
         counts.append(np.bincount(index[start:start + len(rows)], weights, minlength=width))
@@ -248,16 +231,10 @@ def _smoothed_kl(p_counts, p_total, q_counts, q_total, smoothing, cells) -> floa
     """KL(p || q) of p = (p_counts + s) / p_total and q = (q_counts + s) /
     q_total over a scope of ``cells`` cells, of which the counts cover the
     ones rows reach; each other cell adds (s / p_total) ln(q_total / p_total).
-    Conventions of `kl_divergence`: +inf when p > 0 = q, clamped at 0."""
-    p = (p_counts + smoothing) / p_total
-    q = (q_counts + smoothing) / q_total
-    support = p > 0
-    if np.any(support & (q == 0)):
-        return math.inf
-    ps, qs = p[support], q[support]
-    total = float(np.sum(ps * np.log(ps / qs)))
+    `kl_sum` over the reached cells, clamped at 0 as `kl_divergence` is."""
+    total = kl_sum((p_counts + smoothing) / p_total, (q_counts + smoothing) / q_total)
     if smoothing:
-        total += (cells - len(p)) * (smoothing / p_total) * math.log(q_total / p_total)
+        total += (cells - len(p_counts)) * (smoothing / p_total) * math.log(q_total / p_total)
     return max(total, 0.0)
 
 
@@ -276,7 +253,7 @@ class InterventionBundle:
                 raise SchemaMismatch(
                     f"interventional dataset for ({node}, {value}) has a different schema"
                 )
-            _check_do_key(schema, node, value)
+            schema.check_state(node, value)
             col = data.column(node)
             if len(data) and not (col == value).all():
                 raise GcfitError(

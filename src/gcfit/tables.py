@@ -67,13 +67,10 @@ class ProbTable:
 
     def condition(self, variable: str, value: int) -> "ProbTable":
         """Distribution of the remaining variables given ``variable=value``."""
-        axis = self.schema.index(variable)
-        card = self.schema.cardinalities[axis]
-        if not 0 <= value < card:
-            raise InvalidState(f"state {value} out of range for {variable!r}")
+        self.schema.check_state(variable, value)
         if len(self.schema.names) < 2:
             raise GcfitError("cannot condition away the only variable")
-        slice_ = np.take(self.probs, value, axis=axis)
+        slice_ = np.take(self.probs, value, axis=self.schema.index(variable))
         total = slice_.sum()
         if total <= 0:
             raise ZeroProbabilityEvidence(variable, value)
@@ -302,18 +299,27 @@ def _canonical_rows(text, schema: VariableSchema):
 
 
 def row_codes(rows: np.ndarray, cols, cards) -> np.ndarray:
-    """Row-major cell index of each row's ``cols`` in their scope, which must
-    have at most 2**63 cells, by Horner's rule over those columns alone.
+    """A code for each row's ``cols``: two codes are equal exactly when
+    their rows agree on those columns, and the codes sort as the rows sort
+    lexicographically on them.
 
-    The codes are built in the narrowest unsigned dtype that holds the
-    scope's cell count, the largest factor, so no partial code wraps; past
-    uint32 they are int64, because `np.bincount` takes no uint64.  Narrow
-    passes over narrow rows are the fast ones."""
+    Up to 2**63 cells in the scope, the code is the row-major cell index,
+    by Horner's rule over those columns alone, in the narrowest unsigned
+    dtype that holds the cell count, the largest factor, so no partial code
+    wraps; past uint32 they are int64, because `np.bincount` takes no
+    uint64.  Narrow passes over narrow rows are the fast ones.  In a wider
+    scope, before a column would take the codes past int64, the codes so
+    far are replaced by their ranks among the distinct codes."""
     cells = math.prod(cards[c] for c in cols)
     codes = np.zeros(len(rows), dtype=np.min_scalar_type(cells) if cells < 2**32 else np.int64)
+    bound = 1  # every code so far is below it
     for col in cols:
+        if bound * cards[col] > 2**63:
+            seen, codes = np.unique(codes, return_inverse=True)
+            bound = len(seen)
         codes *= cards[col]
         codes += rows[:, col]
+        bound *= cards[col]
     return codes
 
 

@@ -15,6 +15,7 @@ from gcfit import (
     InvalidState,
     ParseError,
     ProbTable,
+    SchemaMismatch,
     VariableSchema,
     bayesnet_from_json,
     bayesnet_to_json,
@@ -64,6 +65,17 @@ class TestConstruction:
         }
         with pytest.raises(GcfitError):
             BayesNet(chain_net.dag, bad)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"b": None}, "need exactly one CPT per node"),
+        ({"b": Cpt("a", (), np.array([0.5, 0.5]))}, "CPT keyed 'b' describes 'a'"),
+        ({"b": Cpt("b", ("a",), np.full((2, 3), 1 / 3))},
+         r"CPT for 'b' has shape \(2, 3\), expected \(2, 2\)"),
+    ], ids=["missing", "keyed-under-another-node", "wrong-shape"])
+    def test_one_cpt_of_the_family_shape_per_node(self, chain_net, change, message):
+        cpts = {k: v for k, v in {**chain_net.cpts, **change}.items() if v is not None}
+        with pytest.raises(GcfitError, match=f"^{message}$"):
+            BayesNet(chain_net.dag, cpts)
 
 
 class TestJoint:
@@ -247,6 +259,11 @@ class TestFitCpts:
         e1, e2, e3 = mean_err(1_000), mean_err(10_000), mean_err(100_000)
         assert e1 >= e2 >= e3
 
+    def test_foreign_schema_rejected(self, fig1_net):
+        other = Dataset(VariableSchema(("a", "b"), (2, 2)), [[0, 1]])
+        with pytest.raises(SchemaMismatch, match="^dataset schema differs from DAG schema$"):
+            fit_cpts(fig1_net.dag, other)
+
     @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
     def test_smoothing_must_be_finite_and_nonnegative(self, fig1_net, smoothing):
         with pytest.raises(GcfitError, match="smoothing"):
@@ -254,6 +271,10 @@ class TestFitCpts:
 
 
 class TestSampling:
+    def test_zero_rows_rejected(self, chain_net):
+        with pytest.raises(GcfitError, match="^n must be >= 1$"):
+            sample(chain_net, 0, seed=1)
+
     def test_deterministic_cpts_force_assignment(self, fig1_schema):
         dag = Dag(fig1_schema, ())
         net = BayesNet(
@@ -479,5 +500,19 @@ class TestJson:
             doc["edges"] = value
         else:
             doc["cpts"]["b"][field] = value
+        with pytest.raises(ParseError, match=message):
+            bayesnet_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rows", [[1.5, -0.5], [0.1, 0.9]], "^bad CPT for 'b': .*negative"),
+        ("parents", [], "^inconsistent network: CPT parents"),
+    ], ids=["negative-entry", "parents-differ-from-edges"])
+    def test_cpt_must_be_a_distribution_over_the_edges(self, chain_net, field, value, message):
+        import json
+
+        doc = json.loads(bayesnet_to_json(chain_net))
+        doc["cpts"]["b"][field] = value
+        if field == "parents":
+            doc["cpts"]["b"]["rows"] = [0.5, 0.5]
         with pytest.raises(ParseError, match=message):
             bayesnet_from_json(json.dumps(doc))

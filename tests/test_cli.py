@@ -108,6 +108,17 @@ class TestEnumerate:
         assert main(["enumerate", "--graph", str(tmp_path / "tri.json")]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 6
 
+    def test_pair_directed_both_ways_exit_1(self, tmp_path, capsys):
+        graph = tmp_path / "both.json"
+        graph.write_text(json.dumps({
+            "variables": [{"name": "a", "cardinality": 2}, {"name": "b", "cardinality": 2}],
+            "directed": [["a", "b"], ["b", "a"]],
+        }))
+        assert main(["enumerate", "--graph", str(graph)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {graph}: bad graph: pair appears twice in directed part\n"
+        )
+
     def test_cap_exit_code(self, tmp_path, capsys):
         from gcfit import VariableSchema
 
@@ -278,6 +289,18 @@ class TestScore:
         svg = scatter_svg([(1.0, 0.5, "G0"), (2.0, -0.5, "G1"), (math.inf, 1.0, "G2")])
         assert svg.count("<circle") == 2 and svg.count("<polygon") == 1
         assert svg.index("G0") < svg.index("G1") < svg.index("<polygon") < svg.index("G2")
+
+    def test_svg_equal_finite_gfs_share_the_middle(self):
+        # one finite GF value is widened to [gf - 0.5, gf + 0.5], then padded
+        # by 5%: its points sit mid-axis, between ticks 1.45 and 2.55
+        svg = scatter_svg([(2.0, 0.5, "G0"), (2.0, -0.5, "G1")])
+        assert svg.count('<circle cx="410.0"') == 2
+        assert ">1.45</text>" in svg and ">2.55</text>" in svg
+
+    def test_svg_minus_inf_gf_is_a_diamond_on_the_left_margin(self):
+        svg = scatter_svg([(1.0, 0.5, "G0"), (-math.inf, -1.0, "G1")])
+        assert svg.count("<circle") == 1 and svg.count("<polygon") == 1
+        assert '<polygon points="70.0,' in svg
 
     def test_reruns_byte_identical(self, workdir, scored):
         rc = main(
@@ -535,6 +558,23 @@ class TestScore:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_duplicate_intervention_entry_exit_2(self, workdir, capsys):
+        run_synth(workdir, n_obs="200", n_do="100")
+        manifest_path = workdir / "data" / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        doc["interventions"].append(doc["interventions"][0])
+        manifest_path.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "score",
+                "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(manifest_path),
+                "--out-dir", str(workdir / "out"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: duplicate intervention entry for (a, 0)\n"
 
     @pytest.mark.parametrize("header_only", [True, False], ids=["header-only", "with-rows"])
     def test_intervention_value_outside_the_node_states_exit_2(self, workdir, capsys, header_only):

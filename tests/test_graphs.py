@@ -33,6 +33,11 @@ class TestDag:
         with pytest.raises(GcfitError):
             Dag(schema, (("a", "b"), ("b", "a")))
 
+    def test_duplicate_edge_rejected(self):
+        schema = VariableSchema(("a", "b"), (2, 2))
+        with pytest.raises(GcfitError, match="^duplicate edge$"):
+            Dag(schema, (("a", "b"), ("a", "b")))
+
     def test_self_loop_rejected(self):
         schema = VariableSchema(("a", "b"), (2, 2))
         with pytest.raises(GcfitError):

@@ -115,9 +115,11 @@ class TestGf:
             assert max(values) - min(values) < 1e-9
 
     def test_schema_mismatch(self, fig1_truth):
-        other = Dataset(VariableSchema(("a", "b"), (2, 2)), [[0, 0]])
+        other = VariableSchema(("a", "b"), (2, 2))
         with pytest.raises(SchemaMismatch):
-            gf(fig1_truth, other)
+            gf(fig1_truth, Dataset(other, [[0, 0]]))
+        with pytest.raises(SchemaMismatch, match="^table schema differs from DAG schema$"):
+            gf_from_table(fig1_truth, ProbTable(other, [0.25] * 4))
 
     def test_gf_from_table_exact_truth_is_inf(self, fig1_net):
         assert gf_from_table(fig1_net.dag, joint(fig1_net)) == math.inf
@@ -208,6 +210,12 @@ class TestDoDivergence:
         assert value == 0
         assert weight == pytest.approx(1.0)  # renormalized over covered values
         assert divergence == pytest.approx(d0)
+
+    def test_renormalize_policy_with_no_do_table_raises(self, fig1_net):
+        tables = InterventionTables(joint(fig1_net), {})
+        with pytest.raises(MissingIntervention) as exc:
+            do_divergence_detail("b", tables, "renormalize")
+        assert (exc.value.node, exc.value.value) == ("b", "any")
 
     def test_weights_follow_observational_marginal(self, fig1_net, fig1_tables):
         _, detail = do_divergence_detail("b", fig1_tables)
@@ -352,6 +360,16 @@ class TestGcfAbs:
         scored = tuple(tuple(sorted(e)) for e in dag.edges)
         assert gcf(dag, scored, dmap) == pytest.approx(1.0)
 
+    def test_opposite_infinite_distances_give_nan(self):
+        # a->b points away from an infinite D and d->c toward one: the signed
+        # sum is -inf + inf; GCF maps the same case to 0 with a flag
+        schema = VariableSchema(("a", "b", "c", "d"), (2,) * 4)
+        dag = Dag(schema, (("a", "b"), ("d", "c")))
+        dmap = {"a": math.inf, "b": 0.1, "c": math.inf, "d": 0.2}
+        assert math.isnan(gcf_abs(dag, dmap))
+        value, _, flags = gcf_detail(dag, dag.edges, dmap)
+        assert (value, flags) == (0.0, (FLAG_NO_CAUSAL_SIGNAL,))
+
     def test_full_pipeline_value(self, fig1_net, fig1_tables):
         dmap = do_divergence_map(("a", "b", "z"), fig1_tables)
         dag = fig1_net.dag  # truth: a->b, a->z, b->z
@@ -472,6 +490,25 @@ class TestScoreSet:
         tables = InterventionTables(ProbTable(schema, [[0.4, 0.1], [0.2, 0.3]]), {})
         with pytest.raises(GcfitError, match="2 candidates but no undirected edges to score"):
             score_set(DagSet(members), tables)
+
+    @pytest.mark.parametrize("policy, message", [
+        ({"edges_policy": "some"}, "unknown edges policy 'some'"),
+        ({"missing_policy": "drop"}, "unknown missing policy 'drop'"),
+    ], ids=["edges", "missing"])
+    def test_unknown_policy_rejected(self, fig1_pdgraph, fig1_tables, policy, message):
+        with pytest.raises(GcfitError, match=f"^{message}$"):
+            score_set(enumerate_orientations(fig1_pdgraph), fig1_tables, **policy)
+
+    def test_candidate_error_is_prefixed_with_its_graph_id(self):
+        schema = VariableSchema(("a", "b", "c"), (2, 2, 2))
+        net = random_net(Dag(schema, (("a", "b"), ("b", "c"))), np.random.default_rng(3))
+        members = (
+            TaggedDag("G0", "0", Dag(schema, (("a", "b"),))),
+            TaggedDag("G1", "1", net.dag),
+        )
+        dags = DagSet(members, (("b", "c"),))
+        with pytest.raises(UnknownEdge, match=r"^\[G0\] edge 'b'-'c' not in DAG$"):
+            score_set(dags, InterventionTables.from_net(net))
 
     def test_singleton_fully_directed_graph(self, fig1_schema, fig1_net):
         pd = PdGraph(fig1_schema, (("a", "b"), ("a", "z"), ("b", "z")), ())
@@ -942,6 +979,28 @@ class TestCountTables:
                 code = code * card + value
             expected.append(code)
         assert codes.tolist() == expected and expected[0] == math.prod(cards) - 1
+
+    @pytest.mark.parametrize("cards", [(2,) * 65, (3,) * 41, (300,) * 8],
+                             ids=["65-binary", "41-ternary", "8x300"])
+    def test_row_codes_past_int64_equal_and_sort_as_rows(self, cards):
+        # past 2**63 cells the Horner codes would wrap; the codes must still
+        # be equal exactly when the rows are, and sort as the rows sort
+        assert math.prod(cards) > 2**63
+        schema = VariableSchema(tuple(f"v{i:02d}" for i in range(len(cards))), cards)
+        rng = np.random.default_rng(len(cards))
+        patterns = np.column_stack([rng.integers(0, c, 40) for c in cards])
+        rows = patterns[rng.integers(0, 40, 300)]
+        first_only = rows[0].copy()  # differs from rows[0] in the first column alone
+        first_only[0] = (first_only[0] + 1) % cards[0]
+        rows = np.vstack([rows, first_only, [c - 1 for c in cards], [0] * len(cards)])
+        data = Dataset(schema, rows)
+        codes = tables_module.row_codes(data.rows, range(len(cards)), cards)
+        assert codes.dtype == np.int64 and codes[0] != codes[300]
+        keys = [tuple(r) for r in rows.tolist()]
+        for i, key in enumerate(keys):
+            assert ((codes == codes[i]) == [k == key for k in keys]).all()
+        order = np.argsort(codes, kind="stable")
+        assert [keys[i] for i in order] == sorted(keys)
 
     def test_single_variable_schema(self):
         # the rest of the only variable is empty: both sides are point masses
