@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GcfitError, ParseError, SchemaMismatch
-from .graphs import Dag, VariableSchema, edges_from_obj, json_object, read_text
+from .graphs import Dag, VariableSchema, check_names, json_object, read_text
 from .graphs import schema_from_obj, schema_to_obj
 from .tables import (
     NORMALIZATION_TOL,
@@ -26,6 +26,7 @@ from .tables import (
     ProbTable,
     check_smoothing,
     count_rows,
+    float_array,
     row_codes,
     row_dtype,
 )
@@ -35,8 +36,9 @@ from .tables import (
 class Cpt:
     """Conditional distribution of one node given its parents.
 
-    ``table`` has shape ``(*parent_cardinalities, child_cardinality)``;
-    each row (last axis) is a normalized distribution over child states.
+    ``parents`` is a tuple or list of names.  ``table`` has shape
+    ``(*parent_cardinalities, child_cardinality)``; each row (last axis) is
+    a normalized distribution over child states, given as numbers.
     """
 
     child: str
@@ -45,8 +47,8 @@ class Cpt:
     _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        arr = np.asarray(self.table, dtype=float).copy()
+        object.__setattr__(self, "parents", check_names(self.parents, f"parents of {self.child!r}"))
+        arr = float_array(self.table, f"CPT for {self.child!r}").copy()
         # written as what is accepted, so that NaN fails both checks
         if not np.all(arr >= 0):
             raise GcfitError(f"CPT for {self.child!r} has negative or NaN entries")
@@ -275,41 +277,27 @@ def bayesnet_to_json(net: BayesNet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _json_numbers(obj) -> bool:
-    """True if ``obj`` is a JSON number (not a bool) or nested arrays of them."""
-    if isinstance(obj, list):
-        return all(map(_json_numbers, obj))
-    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
-
-
 def bayesnet_from_json(text: str, path=None) -> BayesNet:
     doc = json_object(text, "variables", path)
     schema = schema_from_obj(doc["variables"], path=path)
     try:
-        dag = Dag(schema, edges_from_obj(doc.get("edges", [])))
-    except (TypeError, ValueError, GcfitError) as exc:
+        dag = Dag(schema, doc.get("edges", []))
+    except GcfitError as exc:
         raise ParseError(f"bad network structure: {exc}", path=path) from None
     cpts = {}
     for node in schema.names:
         try:
             entry = doc["cpts"][node]
-            parents, rows = entry["parents"], entry["rows"]
-            # np.asarray(dtype=float) would read "0.5" and true as numbers
-            if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
-                raise ValueError(f"parents {parents!r} are not a list of strings")
-            if not isinstance(rows, list) or not _json_numbers(rows):
-                raise ValueError("rows are not nested arrays of numbers")
-            parents, rows = tuple(parents), np.asarray(rows, dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad CPT for {node!r}: {exc}", path=path) from None
-        if not np.all(np.abs(rows.sum(axis=-1) - 1.0) <= 1e-6):  # NaN fails too
-            raise ParseError(f"CPT rows for {node!r} fail normalization", path=path)
-        shape = tuple(schema.cardinality(p) for p in parents) + (schema.cardinality(node),)
-        # renormalize within the accepted 1e-6 slack so the Cpt invariant holds
-        rows = rows / rows.sum(axis=-1, keepdims=True)
-        try:
-            cpts[node] = Cpt(node, parents, rows.reshape(shape))
-        except (ValueError, GcfitError) as exc:
+            parents, rows = entry["parents"], float_array(entry["rows"], "rows")
+            sums = rows.sum(axis=-1, keepdims=True)
+            if not np.all(np.abs(sums - 1.0) <= 1e-6):  # NaN fails too
+                raise ParseError(f"CPT rows for {node!r} fail normalization", path=path)
+            shape = tuple(schema.cardinality(p) for p in parents) + (schema.cardinality(node),)
+            # renormalize within the accepted 1e-6 slack so the Cpt invariant holds
+            cpts[node] = Cpt(node, parents, (rows / sums).reshape(shape))
+        except ParseError:
+            raise
+        except (KeyError, TypeError, ValueError, GcfitError) as exc:
             raise ParseError(f"bad CPT for {node!r}: {exc}", path=path) from None
     try:
         return BayesNet(dag, cpts)

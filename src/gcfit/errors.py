@@ -14,7 +14,7 @@ class UnknownVariable(GcfitError):
 
 
 class InvalidState(GcfitError):
-    """A state index is outside a variable's cardinality."""
+    """A state is not an integer in 0..cardinality-1 of its variable."""
 
 
 class EmptyDataset(GcfitError):

@@ -10,9 +10,9 @@ built one edge at a time so that a prefix closing a cycle is not extended.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import EnumerationLimit, GcfitError, InvalidState, ParseError, UnknownVariable
@@ -33,18 +33,17 @@ class VariableSchema:
     cardinalities: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "cardinalities", tuple(int(c) for c in self.cardinalities))
+        object.__setattr__(self, "names", check_names(self.names, "variable names"))
+        cards = tuple(map(_integer, self.cardinalities))
+        if None in cards:
+            raise GcfitError(f"cardinalities must be integers, not {self.cardinalities!r}")
+        object.__setattr__(self, "cardinalities", cards)
         if len(self.names) != len(self.cardinalities):
             raise GcfitError("names and cardinalities must have equal length")
         if len(set(self.names)) != len(self.names):
             raise GcfitError("variable names must be unique")
         if any(c < 2 for c in self.cardinalities):
             raise GcfitError("every cardinality must be >= 2")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.cardinalities
 
     @property
     def n_cells(self) -> int:
@@ -60,9 +59,11 @@ class VariableSchema:
         return self.cardinalities[self.index(name)]
 
     def check_state(self, name: str, value: int) -> None:
-        """Raise InvalidState unless ``value`` is one of ``name``'s states."""
-        if not 0 <= value < self.cardinality(name):
-            raise InvalidState(f"state {value} out of range for {name!r}")
+        """Raise InvalidState unless ``value`` is one of ``name``'s states,
+        an integer (not a bool) in 0..cardinality-1."""
+        state = _integer(value)
+        if state is None or not 0 <= state < self.cardinality(name):
+            raise InvalidState(f"state {value!r} out of range for {name!r}")
 
     def subset(self, keep) -> "VariableSchema":
         """Schema restricted to ``keep``, preserving this schema's order."""
@@ -73,9 +74,23 @@ class VariableSchema:
         cards = tuple(c for n, c in zip(self.names, self.cardinalities) if n in keep)
         return VariableSchema(names, cards)
 
-    def cells(self):
-        """Iterate all joint states in row-major order."""
-        return itertools.product(*(range(c) for c in self.cardinalities))
+
+def _integer(value) -> int | None:
+    """``value`` as an int if it is an integer (a numpy one too) and not a
+    bool, else None: int() would read 2.7 as 2 and "3" as 3."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def check_names(values, what: str) -> tuple[str, ...]:
+    """``values`` as a tuple, when it is a tuple or list of strings; else
+    GcfitError naming it as ``what``.  tuple() would split a single str
+    into its letters."""
+    if not (isinstance(values, (tuple, list)) and all(isinstance(v, str) for v in values)):
+        raise GcfitError(f"{what} must be a tuple or list of strings, not {values!r}")
+    return tuple(values)
 
 
 def schema_to_obj(schema: VariableSchema) -> list:
@@ -87,24 +102,27 @@ def schema_to_obj(schema: VariableSchema) -> list:
 
 def schema_from_obj(obj, path=None) -> VariableSchema:
     try:
-        names = tuple(v["name"] for v in obj)
-        cards = tuple(v["cardinality"] for v in obj)
-        # only JSON strings and integers: int() would read 2.7 as 2 and "3" as 3
-        if not all(isinstance(n, str) for n in names):
-            raise ValueError("variable names must be strings")
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in cards):
-            raise ValueError("cardinalities must be integers")
-        return VariableSchema(names, cards)
-    except (KeyError, TypeError, ValueError, GcfitError) as exc:
+        return VariableSchema(tuple(v["name"] for v in obj), tuple(v["cardinality"] for v in obj))
+    except (KeyError, TypeError, GcfitError) as exc:
         raise ParseError(f"bad variables block: {exc}", path=path) from None
 
 
-def _check_endpoints(schema: VariableSchema, pairs) -> None:
-    for a, b in pairs:
+def _checked_edges(schema: VariableSchema, edges) -> list[tuple[str, str]]:
+    """``edges``, a tuple or list, as (parent, child) tuples, each checked
+    to be a tuple or list of two distinct names on ``schema``."""
+    if not isinstance(edges, (tuple, list)):
+        raise GcfitError(f"edges must be a tuple or list of pairs, not {edges!r}")
+    pairs = []
+    for edge in edges:
+        if len(check_names(edge, "an edge")) != 2:
+            raise GcfitError(f"an edge must be a pair, not {edge!r}")
+        a, b = edge
         schema.index(a)
         schema.index(b)
         if a == b:
             raise GcfitError(f"self-loop on {a!r}")
+        pairs.append((a, b))
+    return pairs
 
 
 def topological_order(schema: VariableSchema, edges) -> list[str] | None:
@@ -138,10 +156,9 @@ class Dag:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        edges = tuple(sorted((str(a), str(b)) for a, b in self.edges))
+        edges = tuple(sorted(_checked_edges(self.schema, self.edges)))
         if len(set(edges)) != len(edges):
             raise GcfitError("duplicate edge")
-        _check_endpoints(self.schema, edges)
         if not is_acyclic(self.schema, edges):
             raise GcfitError("edge set contains a directed cycle")
         object.__setattr__(self, "edges", edges)
@@ -168,10 +185,6 @@ class Dag:
         assert order is not None
         return order
 
-    def skeleton(self) -> frozenset[tuple[str, str]]:
-        """Edge set with orientations erased; pairs sorted lexicographically."""
-        return frozenset(tuple(sorted(e)) for e in self.edges)
-
     def reversed(self) -> "Dag":
         return Dag(self.schema, tuple((b, a) for a, b in self.edges))
 
@@ -185,10 +198,9 @@ class PdGraph:
     undirected: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        directed = tuple(sorted((str(a), str(b)) for a, b in self.directed))
-        undirected = tuple(sorted(tuple(sorted((str(a), str(b)))) for a, b in self.undirected))
-        _check_endpoints(self.schema, directed)
-        _check_endpoints(self.schema, undirected)
+        directed = tuple(sorted(_checked_edges(self.schema, self.directed)))
+        undirected = _checked_edges(self.schema, self.undirected)
+        undirected = tuple(sorted(tuple(sorted(e)) for e in undirected))
         if len(set(directed)) != len(directed) or len(set(undirected)) != len(undirected):
             raise GcfitError("duplicate edge")
         seen = {tuple(sorted(e)) for e in directed}
@@ -229,18 +241,6 @@ class DagSet:
 
     def __iter__(self):
         return iter(self.members)
-
-    def subset(self, orientations) -> "DagSet":
-        """Members whose orientation vector is in ``orientations``."""
-        wanted = set(orientations)
-        known = {m.orientation for m in self.members}
-        missing = wanted - known
-        if missing:
-            raise GcfitError(f"unknown orientation vectors: {sorted(missing)}")
-        return DagSet(
-            tuple(m for m in self.members if m.orientation in wanted),
-            self.source_undirected,
-        )
 
 
 def _reaches(children: dict[str, set[str]], src: str, dst: str) -> bool:
@@ -312,10 +312,11 @@ def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION
 def orientation_subset(
     g: PdGraph, vectors, max_undirected: int = DEFAULT_ENUMERATION_CAP
 ) -> DagSet:
-    """``enumerate_orientations(g, max_undirected).subset(vectors)``, built
-    by the same walk entering only the prefixes of the named vectors: the
-    same cap check first, the same members in the same order, and the same
-    error for a vector that is malformed or orients a cycle."""
+    """The members of ``enumerate_orientations(g, max_undirected)`` whose
+    vectors are in ``vectors``, in the same order, built by the same walk
+    entering only the prefixes of the named vectors, after the same cap
+    check.  A vector that is malformed or orients a cycle raises
+    GcfitError ("unknown orientation vectors")."""
     wanted, k = set(vectors), len(g.undirected)
     # a vector of another length has no prefix the walk could enter
     prefixes = {vec[:i] for vec in wanted if len(vec) == k for i in range(k + 1)}
@@ -359,17 +360,6 @@ def json_object(text: str, required: str, path=None) -> dict:
     return doc
 
 
-def edges_from_obj(obj) -> tuple:
-    """Edges from a JSON array of ``[parent, child]`` string pairs; any
-    other value is a ValueError (tuple() would read ``"ab"`` as a->b)."""
-    if not isinstance(obj, list):
-        raise ValueError(f"edges {obj!r} are not a list")
-    for e in obj:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
-            raise ValueError(f"edge {e!r} is not a [parent, child] pair of strings")
-    return tuple(map(tuple, obj))
-
-
 def pdgraph_to_json(g: PdGraph) -> str:
     doc = {
         "variables": schema_to_obj(g.schema),
@@ -383,10 +373,8 @@ def pdgraph_from_json(text: str, path=None) -> PdGraph:
     doc = json_object(text, "variables", path)
     schema = schema_from_obj(doc["variables"], path=path)
     try:
-        directed = edges_from_obj(doc.get("directed", []))
-        undirected = edges_from_obj(doc.get("undirected", []))
-        return PdGraph(schema, directed, undirected)
-    except (GcfitError, TypeError, ValueError) as exc:
+        return PdGraph(schema, doc.get("directed", []), doc.get("undirected", []))
+    except GcfitError as exc:
         raise ParseError(f"bad graph: {exc}", path=path) from None
 
 

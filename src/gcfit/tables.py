@@ -15,7 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import EmptyDataset, GcfitError, InvalidState, ParseError, ZeroProbabilityEvidence
+from .errors import EmptyDataset, GcfitError, InvalidState, ParseError, SchemaMismatch
+from .errors import ZeroProbabilityEvidence
 from .graphs import VariableSchema, decode_utf8
 
 NORMALIZATION_TOL = 1e-9
@@ -23,15 +24,36 @@ _CSV_WRITE_ROWS = 4096
 _ZERO = ord("0")
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """``values``, numbers in an array or in nested sequences, as a float
+    array (``values`` itself when it is one).  Strings, bools, other
+    objects and ragged nesting raise GcfitError naming ``what``:
+    ``np.asarray(dtype=float)`` would read "0.5" as 0.5 and True as 1."""
+    try:
+        arr = np.asarray(values)
+        # numpy reads a bool among numbers as a number, so each item of a sequence is checked
+        ok = arr.dtype.kind in "iuf" and (isinstance(values, np.ndarray) or not any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat))
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise GcfitError(f"{what} must be numbers in a regular array, not strings or bools")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ProbTable:
-    """Normalized joint distribution over a schema's variables."""
+    """Normalized joint distribution over a schema's variables, given in
+    the schema's shape or flat in row-major order."""
 
     schema: VariableSchema
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float).reshape(self.schema.shape).copy()
+        arr, cards = float_array(self.probs, "probabilities"), self.schema.cardinalities
+        if arr.shape not in ((self.schema.n_cells,), cards):
+            raise SchemaMismatch(f"probabilities of shape {arr.shape} do not fit cells {cards}")
+        arr = arr.reshape(cards).copy()
         # written as what is accepted, so that NaN fails both checks
         if not np.all(arr >= 0):
             raise GcfitError("probabilities must be nonnegative, not NaN")
@@ -42,14 +64,11 @@ class ProbTable:
 
     @classmethod
     def from_weights(cls, schema: VariableSchema, weights) -> "ProbTable":
-        arr = np.asarray(weights, dtype=float).reshape(schema.shape)
+        arr = float_array(weights, "weights")
         total = arr.sum()
         if total <= 0:
             raise GcfitError("weights must have positive total")
         return cls(schema, arr / total)
-
-    def cell(self, assignment) -> float:
-        return float(self.probs[tuple(assignment)])
 
     def flat(self) -> np.ndarray:
         """Row-major flattened view of the table."""
@@ -82,10 +101,13 @@ class ProbTable:
 class Dataset:
     """Complete-case dataset: one integer state per variable per row.
 
-    ``rows`` holds the states in the schema's narrowest unsigned dtype,
+    ``rows`` is given as a 2-D array with one column per variable (``[]``
+    is no rows); any other shape raises SchemaMismatch.  ``rows`` holds
+    the states in the schema's narrowest unsigned dtype,
     ``np.min_scalar_type(max cardinality - 1)``: uint8 up to 256 states,
-    uint16 up to 65 536.  Arithmetic in that dtype wraps, so a caller that
-    computes with the rows widens them first (``rows.astype(np.int64)``).
+    uint16 up to 65 536.
+    Arithmetic in that dtype wraps, so a caller that computes with the
+    rows widens them first (``rows.astype(np.int64)``).
     """
 
     schema: VariableSchema
@@ -94,8 +116,9 @@ class Dataset:
     def __post_init__(self):
         names, cards = self.schema.names, self.schema.cardinalities
         arr = np.asarray(self.rows)
-        # a zero-column dataset keeps its row count
-        arr = arr.reshape(-1, len(names)) if names else arr.reshape(len(arr), 0)
+        arr = arr.reshape(0, len(names)) if arr.shape == (0,) else arr  # [] is no rows
+        if arr.ndim != 2 or arr.shape[1] != len(names):
+            raise SchemaMismatch(f"rows of shape {arr.shape} are not rows of {len(names)} columns")
         if arr.dtype.kind not in "biu":
             # a cell that is not a whole number is no state: never truncate it
             arr = arr.astype(float)
@@ -240,7 +263,7 @@ class Dataset:
                     )
                 parsed.append(value)
             rows.append(parsed)
-        return np.array(rows, dtype=np.int64).reshape(len(rows), len(schema.names))
+        return np.array(rows, dtype=np.int64)
 
 
 def row_dtype(cardinalities) -> np.dtype:

@@ -7,7 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gcfit import BayesNet, Cpt, Dag, PdGraph, ProbTable, VariableSchema, kl_divergence
+from gcfit import BayesNet, Cpt, Dag, DagSet, GcfitError, PdGraph, ProbTable, VariableSchema
+from gcfit import kl_divergence
 
 
 def random_table(schema, rng, floor=0.0):
@@ -106,30 +107,30 @@ def fig2_truth(fig2_schema):
 def oracle_marginalize(table, keep):
     schema = table.schema
     sub = schema.subset(keep)
-    out = np.zeros(sub.shape)
-    for cell in schema.cells():
+    out = np.zeros(sub.cardinalities)
+    for cell in np.ndindex(*schema.cardinalities):
         assign = dict(zip(schema.names, cell))
-        out[tuple(assign[n] for n in sub.names)] += table.cell(cell)
+        out[tuple(assign[n] for n in sub.names)] += table.probs[cell]
     return out
 
 
 def oracle_condition(table, variable, value):
     schema = table.schema
     rest = schema.subset(set(schema.names) - {variable})
-    out = np.zeros(rest.shape)
-    for cell in schema.cells():
+    out = np.zeros(rest.cardinalities)
+    for cell in np.ndindex(*schema.cardinalities):
         assign = dict(zip(schema.names, cell))
         if assign[variable] != value:
             continue
-        out[tuple(assign[n] for n in rest.names)] += table.cell(cell)
+        out[tuple(assign[n] for n in rest.names)] += table.probs[cell]
     return out / out.sum()
 
 
 def oracle_kl(po, pe):
     total = 0.0
-    for cell in po.schema.cells():
-        p = po.cell(cell)
-        q = pe.cell(cell)
+    for cell in np.ndindex(*po.schema.cardinalities):
+        p = po.probs[cell]
+        q = pe.probs[cell]
         if p == 0:
             continue
         if q == 0:
@@ -151,8 +152,8 @@ def oracle_gf(table, dag):
             schema.subset(parents).names, oracle_marginalize(table, parents),
         ))
     total = 0.0
-    for cell in schema.cells():
-        p = table.cell(cell)
+    for cell in np.ndindex(*schema.cardinalities):
+        p = table.probs[cell]
         if p == 0:
             continue
         assign = dict(zip(schema.names, cell))
@@ -211,9 +212,9 @@ def oracle_count_kl(obs_rows, do_rows, col, value):
 
 def oracle_pearson(po, pe):
     total = 0.0
-    for cell in po.schema.cells():
-        p = po.cell(cell)
-        q = pe.cell(cell)
+    for cell in np.ndindex(*po.schema.cardinalities):
+        p = po.probs[cell]
+        q = pe.probs[cell]
         if q == 0:
             if p > 0:
                 return float("inf")
@@ -223,14 +224,14 @@ def oracle_pearson(po, pe):
 
 
 def oracle_euclidean(po, pe):
-    return sum((po.cell(c) - pe.cell(c)) ** 2 for c in po.schema.cells())
+    return sum((po.probs[c] - pe.probs[c]) ** 2 for c in np.ndindex(*po.schema.cardinalities))
 
 
 def oracle_joint(net):
     """Nested-loop factor multiplication, no array broadcasting."""
     schema = net.schema
-    out = np.zeros(schema.shape)
-    for cell in schema.cells():
+    out = np.zeros(schema.cardinalities)
+    for cell in np.ndindex(*schema.cardinalities):
         assign = dict(zip(schema.names, cell))
         p = 1.0
         for node in schema.names:
@@ -270,6 +271,17 @@ def oracle_orientations(g):
         if not oracle_has_cycle(g.schema.names, edges):
             out.append(("".join(bits), tuple(sorted(edges))))
     return out
+
+
+def oracle_orientation_subset(dags, orientations):
+    """The members of a `DagSet` whose orientation vector is in
+    ``orientations``, filtered from the whole set; an unknown vector raises
+    the error `orientation_subset` raises."""
+    wanted = set(orientations)
+    missing = wanted - {m.orientation for m in dags}
+    if missing:
+        raise GcfitError(f"unknown orientation vectors: {sorted(missing)}")
+    return DagSet(tuple(m for m in dags if m.orientation in wanted), dags.source_undirected)
 
 
 def oracle_topological_order(names, edges):

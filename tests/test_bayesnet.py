@@ -58,6 +58,16 @@ class TestConstruction:
         with pytest.raises(GcfitError):
             Cpt("b", parents, np.array(rows))
 
+    @pytest.mark.parametrize("parents, table", [
+        ((), ["0.25", "0.75"]),
+        ((), [True, False]),
+        ((), [1, False]),  # numpy reads a bool among numbers as a number
+        ("a", [[0.5, 0.5], [0.5, 0.5]]),  # tuple() would read "a" as ("a",)
+    ], ids=["str-entries", "bool-entries", "bool-among-numbers", "str-parents"])
+    def test_cpt_rejects_what_it_would_coerce(self, parents, table):
+        with pytest.raises(GcfitError):
+            Cpt("b", parents, table)
+
     def test_cpt_parents_must_match_dag(self, chain_net):
         bad = {
             "a": Cpt("a", (), np.array([0.7, 0.3])),
@@ -401,6 +411,12 @@ class TestSampling:
 
 
 class TestSampleDo:
+    @pytest.mark.parametrize("value", [1.5, True, np.float64(1.0)])
+    def test_state_must_be_an_integer(self, chain_net, value):
+        # no state that is not an integer may reach numpy as an index
+        with pytest.raises(InvalidState):
+            sample_do(chain_net, "a", value, 10, seed=1)
+
     def test_clamped_column_constant(self, fig1_net):
         data = sample_do(fig1_net, "b", 1, 500, seed=4)
         assert (data.column("b") == 1).all()

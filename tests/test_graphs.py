@@ -18,7 +18,7 @@ from gcfit import (
     pdgraph_to_json,
 )
 from gcfit.graphs import orientation_subset, topological_order
-from conftest import oracle_orientations, oracle_topological_order
+from conftest import oracle_orientation_subset, oracle_orientations, oracle_topological_order
 
 
 @pytest.fixture
@@ -42,6 +42,13 @@ class TestDag:
         schema = VariableSchema(("a", "b"), (2, 2))
         with pytest.raises(GcfitError):
             Dag(schema, (("a", "a"),))
+
+    @pytest.mark.parametrize("edges", [["ab"], "ab", [("a", "b", "a")]],
+                             ids=["str-edge", "str-edges", "triple"])
+    def test_edges_must_be_pairs_of_names(self, edges):
+        # tuple() would read "ab" as the edge a->b
+        with pytest.raises(GcfitError):
+            Dag(VariableSchema(("a", "b"), (2, 2)), edges)
 
     def test_parents_in_schema_order(self):
         schema = VariableSchema(("a", "b", "c"), (2, 2, 2))
@@ -98,21 +105,26 @@ class TestIsAcyclic:
         assert good == 6
 
 
+def skeleton(dag):
+    """Edge set with orientations erased; pairs sorted lexicographically."""
+    return frozenset(tuple(sorted(e)) for e in dag.edges)
+
+
 class TestSkeleton:
     def test_edgeless(self):
         schema = VariableSchema(("a", "b"), (2, 2))
-        assert Dag(schema, ()).skeleton() == frozenset()
+        assert skeleton(Dag(schema, ())) == frozenset()
 
     def test_both_fig1_orientations_share_skeleton(self, fig1_pdgraph):
         dags = [m.dag for m in enumerate_orientations(fig1_pdgraph)]
         assert len(dags) == 2
-        assert dags[0].skeleton() == dags[1].skeleton()
-        assert dags[0].skeleton() == {("a", "b"), ("a", "z"), ("b", "z")}
+        assert skeleton(dags[0]) == skeleton(dags[1])
+        assert skeleton(dags[0]) == {("a", "b"), ("a", "z"), ("b", "z")}
 
     def test_reversal_invariance(self):
         schema = VariableSchema(("p", "q", "r", "s"), (2, 2, 2, 2))
         dag = Dag(schema, (("p", "q"), ("p", "r"), ("r", "s")))
-        assert dag.skeleton() == dag.reversed().skeleton()
+        assert skeleton(dag) == skeleton(dag.reversed())
 
 
 class TestEnumerateOrientations:
@@ -141,7 +153,7 @@ class TestEnumerateOrientations:
             fig2_pdgraph.undirected
         )
         for m in enumerate_orientations(fig2_pdgraph):
-            assert m.dag.skeleton() == expected
+            assert skeleton(m.dag) == expected
 
     def test_count_bound_brute_force(self):
         # random PD graphs: an acyclic directed part (edges follow a random
@@ -195,11 +207,10 @@ class TestEnumerateOrientations:
         assert [m.dag.edges for m in a] == [m.dag.edges for m in b]
 
     def test_subset_selection(self, fig2_pdgraph):
-        dags = enumerate_orientations(fig2_pdgraph)
-        sub = dags.subset(["00", "10"])
+        sub = orientation_subset(fig2_pdgraph, ["10", "00"])
         assert [m.orientation for m in sub] == ["00", "10"]
         with pytest.raises(GcfitError):
-            dags.subset(["99"])
+            orientation_subset(fig2_pdgraph, ["99"])
 
 
     def test_orientation_subset_builds_what_enumerate_then_subset_keeps(self):
@@ -218,27 +229,29 @@ class TestEnumerateOrientations:
             acyclic = [m.orientation for m in dags]
             wanted = [acyclic[i] for i in rng.integers(0, len(acyclic), 4)]
             sub = orientation_subset(g, wanted)
-            assert sub == dags.subset(wanted)
+            assert sub == oracle_orientation_subset(dags, wanted)
             assert all(m.dag == Dag(g.schema, m.dag.edges) for m in sub)
             cyclic = sorted(set(map("".join, itertools.product("01", repeat=k))) - set(acyclic))
             for bad in cyclic[:2] + ["2" * max(k, 1), "0" * (k + 1)]:
                 with pytest.raises(GcfitError, match="unknown orientation vectors") as exc:
                     orientation_subset(g, wanted + [bad])
                 with pytest.raises(GcfitError) as expected:
-                    dags.subset(wanted + [bad])
+                    oracle_orientation_subset(dags, wanted + [bad])
                 assert str(exc.value) == str(expected.value)
         # no vectors; the empty vector of a graph with no undirected edges; a
         # vector whose 10**6 prefixes would hold 5e11 characters, so it must
         # be found unknown by its length; repeats
         g = PdGraph(schema, (("a", "b"),), (("b", "c"), ("c", "d")))
         dags = enumerate_orientations(g)
-        assert orientation_subset(g, []) == dags.subset([]) and len(dags.subset([])) == 0
+        assert orientation_subset(g, []) == oracle_orientation_subset(dags, [])
+        assert len(oracle_orientation_subset(dags, [])) == 0
         directed = PdGraph(schema, (("a", "b"),), ())
         assert orientation_subset(directed, [""]) == enumerate_orientations(directed)
         with pytest.raises(GcfitError) as exc:
             orientation_subset(g, ["01", "0" * 10**6])
         assert str(exc.value) == f"unknown orientation vectors: {['0' * 10**6]}"
-        assert orientation_subset(g, ["10", "00", "10", "00"]) == dags.subset(["00", "10"])
+        assert orientation_subset(g, ["10", "00", "10", "00"]) == oracle_orientation_subset(
+            dags, ["00", "10"])
 
     def test_orientation_subset_checks_the_cap_first(self, triangle):
         with pytest.raises(EnumerationLimit):
@@ -250,6 +263,12 @@ class TestPdGraphValidation:
         schema = VariableSchema(("a", "b"), (2, 2))
         with pytest.raises(GcfitError):
             PdGraph(schema, (("a", "b"),), (("a", "b"),))
+
+    @pytest.mark.parametrize("directed, undirected", [((), ["ab"]), (["ab"], ()), ((), "ab")],
+                             ids=["str-undirected-edge", "str-directed-edge", "str-edges"])
+    def test_edges_must_be_pairs_of_names(self, directed, undirected):
+        with pytest.raises(GcfitError):
+            PdGraph(VariableSchema(("a", "b"), (2, 2)), directed, undirected)
 
     def test_directed_part_must_be_acyclic(self):
         schema = VariableSchema(("a", "b", "c"), (2, 2, 2))

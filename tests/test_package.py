@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +73,12 @@ def test_numpy_free_paths(tmp_path, code):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_readme_library_example_runs(capsys):
+    """README's first python block runs as it stands and prints one line
+    per candidate for each of its two table sources."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(readme), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4

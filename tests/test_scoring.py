@@ -387,7 +387,7 @@ class TestBundle:
         with pytest.raises(GcfitError):
             InterventionBundle(obs, {("a", 0): bad})
 
-    @pytest.mark.parametrize("value", [5, -1])
+    @pytest.mark.parametrize("value", [5, -1, True, 1.0])
     @pytest.mark.parametrize("rows", [[], [[1, 0, 0]]], ids=["header-only", "with-rows"])
     def test_value_outside_the_node_states_rejected(self, fig1_schema, value, rows):
         # checked before the constant column, so rows cannot make it
@@ -856,14 +856,15 @@ class TestCountTables:
         infinite = missing = 0
         for _ in range(30):
             schema = random_dag(rng, max_nodes=4).schema
-            probs = sparse(schema.shape, 0.7)
+            probs = sparse(schema.cardinalities, 0.7)
             probs[-1] = 0.0  # no cell at the first variable's last state
             full, do = ProbTable.from_weights(schema, probs), {}
             for node in schema.names:
                 rest = schema.subset(set(schema.names) - {node})
                 for value in range(schema.cardinality(node)):
                     if rng.random() < 0.8:
-                        do[node, value] = ProbTable.from_weights(rest, sparse(rest.shape, 0.9))
+                        weights = sparse(rest.cardinalities, 0.9)
+                        do[node, value] = ProbTable.from_weights(rest, weights)
             tables = InterventionTables(full, do)
             for k in range(1, len(schema.names) + 1):
                 for subset in itertools.combinations(schema.names, k):
@@ -1027,9 +1028,9 @@ class TestCountTables:
         chain = tuple(zip(names, names[1:]))
         truth = Dag(schema, chain + tuple(zip(names, names[2:])))
         data = sample(random_net(truth, np.random.default_rng(1)), 5_000, 1)
-        cells = np.bincount(np.ravel_multi_index(tuple(data.rows.T), schema.shape),
+        cells = np.bincount(np.ravel_multi_index(tuple(data.rows.T), schema.cardinalities),
                             minlength=schema.n_cells)
-        p = (cells.astype(np.longdouble) + s).reshape(schema.shape)
+        p = (cells.astype(np.longdouble) + s).reshape(schema.cardinalities)
         p /= p.sum()
 
         def entropy(cols):

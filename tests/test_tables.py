@@ -14,6 +14,7 @@ from gcfit import (
     InvalidState,
     ParseError,
     ProbTable,
+    SchemaMismatch,
     UnknownVariable,
     VariableSchema,
     ZeroProbabilityEvidence,
@@ -47,6 +48,17 @@ class TestVariableSchema:
         with pytest.raises(GcfitError):
             VariableSchema(("a",), (1,))
 
+    @pytest.mark.parametrize("names, cards", [
+        (("a", "b"), (2.7, 3)),  # int() would read 2.7 as 2
+        (("a", "b"), ("3", 3)),  # and "3" as 3
+        (("a", "b"), (math.nan, 3)),
+        ("ab", (2, 2)),  # tuple() would split "ab" into a and b
+        ((1, 2), (2, 2)),
+    ], ids=["fraction", "str-cardinality", "nan-cardinality", "str-names", "int-names"])
+    def test_rejects_what_it_would_coerce(self, names, cards):
+        with pytest.raises(GcfitError):
+            VariableSchema(names, cards)
+
     def test_subset_preserves_order(self):
         s = VariableSchema(("x", "y", "z"), (2, 3, 2))
         sub = s.subset({"z", "x"})
@@ -78,6 +90,21 @@ class TestProbTable:
     def test_nan_rejected(self, ab_schema, probs):
         with pytest.raises(GcfitError):
             ProbTable(ab_schema, probs)
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda s: ProbTable(s, ["0.25"] * 4), GcfitError),
+        (lambda s: ProbTable(s, [[True, False], [False, False]]), GcfitError),
+        (lambda s: ProbTable(s, [[1, 0], [0, False]]), GcfitError),
+        (lambda s: ProbTable(s, [0.5, 0.5]), SchemaMismatch),
+        (lambda s: ProbTable(s, np.full((4, 1), 0.25)), SchemaMismatch),
+        (lambda s: ProbTable.from_weights(s, ["1"] * 4), GcfitError),
+        (lambda s: ProbTable.from_weights(s, [1, 1, 1]), SchemaMismatch),
+    ], ids=["str-entries", "bool-entries", "bool-among-numbers", "too-few-cells",
+            "another-shape", "str-weights", "too-few-weights"])
+    def test_rejects_what_it_would_coerce(self, ab_schema, make, error):
+        # np.asarray(dtype=float) and reshape would accept each of these
+        with pytest.raises(error):
+            make(ab_schema)
 
     def test_immutable(self, ab_table):
         with pytest.raises(ValueError):
@@ -284,6 +311,16 @@ class TestDatasetRows:
     def test_non_integer_cells_rejected(self, ab_schema, rows):
         # at the parent 0.7 and 1.9 were truncated to states 0 and 1
         with pytest.raises(InvalidState):
+            Dataset(ab_schema, rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 1, 0], [1, 1, 0, 0]],  # reshape(-1, 2) would read it as 4 rows
+        [0, 1, 1],
+        [0, 1, 1, 0],
+        [[[0, 1]]],
+    ], ids=["four-columns", "flat-odd", "flat", "3-d"])
+    def test_rows_of_another_shape_rejected(self, ab_schema, rows):
+        with pytest.raises(SchemaMismatch):
             Dataset(ab_schema, rows)
 
     def test_whole_numbers_of_any_dtype_accepted(self, ab_schema):
