@@ -11,6 +11,8 @@ the mutilated net.  `sample` and `sample_do` are one ancestral sampler;
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -119,9 +121,14 @@ def _mutilate(net: BayesNet, node: str, value: int) -> BayesNet:
 def _multiply(factors, out) -> np.ndarray:
     """Product of ``(table, scope)`` factors, summed onto the variables
     ``out`` (axes in that order).  Each einsum takes two operands labelled
-    only by the variables they span."""
-    table, scope = np.ones(()), ()
-    for other, other_scope in factors:
+    only by the variables they span, the running product starting from the
+    first factor; no factors give ``np.ones(())``.  A lone factor with
+    nothing to sum out comes back as a view of its table, which may be a
+    read-only CPT table."""
+    if not factors:
+        return np.ones(())
+    (table, scope), *rest = factors
+    for other, other_scope in rest:
         merged = scope + tuple(v for v in other_scope if v not in scope)
         label = {v: i for i, v in enumerate(merged)}
         table = np.einsum(table, [label[v] for v in scope],
@@ -140,6 +147,13 @@ def marginal(net: BayesNet, names) -> np.ndarray:
     the earliest in the schema), so the cost follows the width of the
     ancestral set, not its size.  No einsum sees more than two operands or
     more labels than the variables they span, whatever the number of nodes.
+
+    The order is kept in a heap of (cells, schema position) that an
+    elimination updates only for the variables its new factor spans, so a
+    step costs the size of that factor's neighbourhood, not of the whole
+    set.  Factors are numbered as they are made and always multiplied in
+    that order, so each einsum gets the operands a fresh scan would give.
+    The result may be a read-only view of a CPT table.
     """
     names = tuple(names)
     ancestral, stack = set(names), list(names)
@@ -150,24 +164,43 @@ def marginal(net: BayesNet, names) -> np.ndarray:
                 stack.append(parent)
     schema = net.schema
     card = dict(zip(schema.names, schema.cardinalities))
-    factors = [(net.cpts[n].table, net.cpts[n].parents + (n,))
-               for n in schema.names if n in ancestral]
-    hidden = [n for n in schema.names if n in ancestral and n not in names]
+    # factor id -> (table, scope), ids counting up as factors are made, and
+    # variable -> the ids of the factors that span it
+    factors, index, ids = {}, {v: set() for v in ancestral}, itertools.count()
 
-    while hidden:
-        # the variables each hidden one shares a factor with, in one pass
-        near = {v: set() for v in hidden}
-        for _, scope in factors:
-            for v in scope:
-                if v in near:
-                    near[v].update(scope)
-        var = min(hidden, key=lambda v: math.prod(card[u] for u in near[v]))
-        hidden.remove(var)
-        touching = [f for f in factors if var in f[1]]
+    def add(table, scope):
+        fid = next(ids)
+        factors[fid] = (table, scope)
+        for v in scope:
+            index[v].add(fid)
+
+    def cells(v):
+        return math.prod(card[u] for u in set().union(*(factors[i][1] for i in index[v])))
+
+    for n in schema.names:
+        if n in ancestral:
+            add(net.cpts[n].table, net.cpts[n].parents + (n,))
+    position = {n: i for i, n in enumerate(schema.names)}
+    weight = {n: cells(n) for n in schema.names if n in ancestral and n not in names}
+    heap = [(w, position[v], v) for v, w in weight.items()]
+    heapq.heapify(heap)
+    while heap:
+        w, _, var = heapq.heappop(heap)
+        if weight.get(var) != w:
+            continue  # eliminated, or re-weighed since this entry was pushed
+        del weight[var]
+        gone = index.pop(var)
+        touching = [factors.pop(i) for i in sorted(gone)]
         scope = tuple(dict.fromkeys(v for _, s in touching for v in s if v != var))
-        factors = [f for f in factors if var not in f[1]]
-        factors.append((_multiply(touching, scope), scope))
-    return _multiply(factors, names)
+        for v in scope:
+            index[v] -= gone
+        add(_multiply(touching, scope), scope)
+        # only the variables the new factor spans have new neighbours
+        for v in scope:
+            if v in weight:
+                weight[v] = cells(v)
+                heapq.heappush(heap, (weight[v], position[v], v))
+    return _multiply(list(factors.values()), names)
 
 
 def joint(net: BayesNet) -> ProbTable:

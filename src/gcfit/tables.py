@@ -102,10 +102,11 @@ class Dataset:
     """Complete-case dataset: one integer state per variable per row.
 
     ``rows`` is given as a 2-D array with one column per variable (``[]``
-    is no rows); any other shape raises SchemaMismatch.  ``rows`` holds
-    the states in the schema's narrowest unsigned dtype,
-    ``np.min_scalar_type(max cardinality - 1)``: uint8 up to 256 states,
-    uint16 up to 65 536.
+    is no rows); any other shape raises SchemaMismatch, and a cell that is
+    not a state (a string, a fraction, NaN, inf or out of range) raises
+    InvalidState.  ``rows`` holds the states in the schema's narrowest
+    unsigned dtype, ``np.min_scalar_type(max cardinality - 1)``: uint8 up
+    to 256 states, uint16 up to 65 536.
     Arithmetic in that dtype wraps, so a caller that computes with the
     rows widens them first (``rows.astype(np.int64)``).
     """
@@ -120,7 +121,11 @@ class Dataset:
         if arr.ndim != 2 or arr.shape[1] != len(names):
             raise SchemaMismatch(f"rows of shape {arr.shape} are not rows of {len(names)} columns")
         if arr.dtype.kind not in "biu":
-            # a cell that is not a whole number is no state: never truncate it
+            # a cell that is not a whole number is no state: never parse or truncate it
+            if arr.dtype.kind in "US" or (
+                arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
+            ):
+                raise InvalidState("cells must be whole numbers, not strings")
             arr = arr.astype(float)
             if not (np.isfinite(arr) & (np.floor(arr) == arr)).all():
                 raise InvalidState("cells must be whole numbers, not fractions, NaN or inf")

@@ -242,6 +242,55 @@ def oracle_joint(net):
     return out
 
 
+def oracle_multiply(factors, out):
+    """`bayesnet._multiply` as it was before the elimination order moved
+    into a heap: the running product starts from ``np.ones(())``."""
+    table, scope = np.ones(()), ()
+    for other, other_scope in factors:
+        merged = scope + tuple(v for v in other_scope if v not in scope)
+        label = {v: i for i, v in enumerate(merged)}
+        table = np.einsum(table, [label[v] for v in scope],
+                          other, [label[v] for v in other_scope], list(range(len(merged))))
+        scope = merged
+    label = {v: i for i, v in enumerate(scope)}
+    return np.einsum(table, list(range(len(scope))), [label[v] for v in out])
+
+
+def oracle_marginal(net, names):
+    """`bayesnet.marginal` as it was before the elimination order moved into
+    a heap: each step rebuilds every hidden variable's neighbours from all
+    factors and takes the ``min`` over the hidden ones (ties to the earliest
+    in the schema).  The heap must give every einsum the same operands in
+    the same order, so its marginals equal these bit for bit."""
+    names = tuple(names)
+    ancestral, stack = set(names), list(names)
+    while stack:
+        for parent in net.cpts[stack.pop()].parents:
+            if parent not in ancestral:
+                ancestral.add(parent)
+                stack.append(parent)
+    schema = net.schema
+    card = dict(zip(schema.names, schema.cardinalities))
+    factors = [(net.cpts[n].table, net.cpts[n].parents + (n,))
+               for n in schema.names if n in ancestral]
+    hidden = [n for n in schema.names if n in ancestral and n not in names]
+
+    while hidden:
+        # the variables each hidden one shares a factor with, in one pass
+        near = {v: set() for v in hidden}
+        for _, scope in factors:
+            for v in scope:
+                if v in near:
+                    near[v].update(scope)
+        var = min(hidden, key=lambda v: math.prod(card[u] for u in near[v]))
+        hidden.remove(var)
+        touching = [f for f in factors if var in f[1]]
+        scope = tuple(dict.fromkeys(v for _, s in touching for v in s if v != var))
+        factors = [f for f in factors if var not in f[1]]
+        factors.append((oracle_multiply(touching, scope), scope))
+    return oracle_multiply(factors, names)
+
+
 def oracle_has_cycle(names, edges):
     """Depth-first search with white/grey/black colouring; a grey node
     reached again closes a cycle."""

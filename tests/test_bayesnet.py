@@ -25,7 +25,7 @@ from gcfit import (
     sample,
     sample_do,
 )
-from conftest import oracle_joint, oracle_sample, random_dag, random_net
+from conftest import oracle_joint, oracle_marginal, oracle_sample, random_dag, random_net
 
 
 @pytest.fixture
@@ -147,7 +147,10 @@ class TestMarginal:
                 # the dense marginal has schema order; compare in ``keep`` order
                 order = [full.schema.subset(keep).names.index(n) for n in keep]
                 expected = full.marginalize(keep).probs.transpose(order)
-                np.testing.assert_allclose(bayesnet.marginal(net, keep), expected, rtol=1e-12, atol=1e-15)
+                got = bayesnet.marginal(net, keep)
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+                # the heap-kept order multiplies what the min scan did, in its order
+                assert np.array_equal(got, oracle_marginal(net, keep))
 
     def test_barren_nodes_are_left_out(self):
         # b's first row sums to 1 only within the CPT tolerance: had b's
@@ -159,6 +162,18 @@ class TestMarginal:
         }
         net = BayesNet(Dag(schema, (("a", "b"),)), cpts)
         assert np.array_equal(bayesnet.marginal(net, ["a"]), cpts["a"].table)
+
+    def test_equals_the_min_scan_bit_for_bit_on_a_long_chain_with_skips(self):
+        # 60 binary nodes, v_i -> v_i+1 and v_i -> v_i+2: long ancestral sets
+        # in which many variables tie on cells, so the tie rule decides the order
+        names = [f"v{i:02d}" for i in range(60)]
+        edges = [(a, b) for k in (1, 2) for a, b in zip(names, names[k:])]
+        rng = np.random.default_rng(5)
+        net = random_net(Dag(VariableSchema(tuple(names), (2,) * 60), edges), rng)
+        queries = [net.dag.parents(n) + (n,) for n in names]
+        queries += [[str(n) for n in rng.permutation(names)[:size]] for size in (1, 2, 3, 4) * 3]
+        for keep in queries:
+            assert np.array_equal(bayesnet.marginal(net, keep), oracle_marginal(net, keep))
 
 
 class TestDoIntervene:

@@ -253,6 +253,17 @@ class TestEnumerateOrientations:
         assert orientation_subset(g, ["10", "00", "10", "00"]) == oracle_orientation_subset(
             dags, ["00", "10"])
 
+    def test_orientation_subset_lists_unknown_vectors_sorted(self):
+        # the unknown vectors are a set, which iterates in string-hash order
+        # and so differs from run to run; eight of them, passed in reverse,
+        # leave an unsorted listing 1 chance in 40 320 of reading sorted
+        schema = VariableSchema(("a", "b", "c"), (2, 2, 2))
+        g = PdGraph(schema, (), (("a", "b"), ("b", "c")))
+        unknown = [f"{i}{j}" for i in "23" for j in "0123"]
+        with pytest.raises(GcfitError) as exc:
+            orientation_subset(g, ["00"] + unknown[::-1])
+        assert str(exc.value) == f"unknown orientation vectors: {unknown}"
+
     def test_orientation_subset_checks_the_cap_first(self, triangle):
         with pytest.raises(EnumerationLimit):
             orientation_subset(triangle, ["999"], max_undirected=2)

@@ -314,6 +314,18 @@ class TestDatasetRows:
             Dataset(ab_schema, rows)
 
     @pytest.mark.parametrize("rows", [
+        [["0", "1"]],
+        np.array([["0", "1"]]),
+        np.array([[b"0", b"1"]]),
+        np.array([[0, "1"]], dtype=object),
+        np.array([[b"0", 1]], dtype=object),
+    ], ids=["list", "str-array", "bytes-array", "object-str", "object-bytes"])
+    def test_string_cells_rejected(self, ab_schema, rows):
+        # at the parent astype(float) parsed "0" and "1" as states 0 and 1
+        with pytest.raises(InvalidState):
+            Dataset(ab_schema, rows)
+
+    @pytest.mark.parametrize("rows", [
         [[0, 1, 1, 0], [1, 1, 0, 0]],  # reshape(-1, 2) would read it as 4 rows
         [0, 1, 1],
         [0, 1, 1, 0],
