@@ -57,8 +57,8 @@ class InterventionTables:
         schema = observational.schema
         dtype = row_dtype(schema.cardinalities)
         do_rows = {}
-        for (node, value), table in do.items():
-            schema.check_state(node, value)
+        for key, table in do.items():
+            node, value = _do_key(schema, key)
             expected = schema.subset(set(schema.names) - {node})
             if table.schema != expected:
                 raise SchemaMismatch(
@@ -73,7 +73,6 @@ class InterventionTables:
         """Answer from ``rows``, distinct observational rows, with their
         ``weights``; ``do`` maps (node, value) to its rows and their weights,
         or None for weight 1 each."""
-        check_smoothing(smoothing)
         self._do = {key: (r, w, len(r) if w is None else w.sum().item())
                     for key, (r, w) in do.items()}
         total = weights.sum().item()
@@ -227,6 +226,14 @@ def _tally(parts, cols, cards) -> list[np.ndarray]:
     return counts
 
 
+def _do_key(schema: VariableSchema, key) -> tuple[str, int]:
+    """``key`` as a (node, value) pair, the value a state of the node."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise GcfitError(f"a do-key must be a (node, value) pair, not {key!r}")
+    schema.check_state(*key)
+    return key
+
+
 def _smoothed_kl(p_counts, p_total, q_counts, q_total, smoothing, cells) -> float:
     """KL(p || q) of p = (p_counts + s) / p_total and q = (q_counts + s) /
     q_total over a scope of ``cells`` cells, of which the counts cover the
@@ -247,13 +254,14 @@ class InterventionBundle:
     smoothing: float = 0.0
 
     def __post_init__(self):
+        check_smoothing(self.smoothing)
         schema = self.observational.schema
-        for (node, value), data in self.interventional.items():
+        for key, data in self.interventional.items():
+            node, value = _do_key(schema, key)
             if data.schema != schema:
                 raise SchemaMismatch(
                     f"interventional dataset for ({node}, {value}) has a different schema"
                 )
-            schema.check_state(node, value)
             col = data.column(node)
             if len(data) and not (col == value).all():
                 raise GcfitError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -116,16 +117,21 @@ class Dataset:
 
     def __post_init__(self):
         names, cards = self.schema.names, self.schema.cardinalities
-        arr = np.asarray(self.rows)
+        try:
+            arr = np.asarray(self.rows)
+        except ValueError:  # ragged nesting
+            raise SchemaMismatch(f"ragged rows are not rows of {len(names)} columns") from None
         arr = arr.reshape(0, len(names)) if arr.shape == (0,) else arr  # [] is no rows
         if arr.ndim != 2 or arr.shape[1] != len(names):
             raise SchemaMismatch(f"rows of shape {arr.shape} are not rows of {len(names)} columns")
+        # a cell that is not a real number is no state: never parse a string
+        # or drop an imaginary part
+        if arr.dtype.kind not in "biuf" and not (
+            arr.dtype.kind == "O" and all(isinstance(v, (numbers.Real, np.bool_)) for v in arr.flat)
+        ):
+            raise InvalidState("cells must be whole numbers, not strings, complex numbers "
+                               "or other objects")
         if arr.dtype.kind not in "biu":
-            # a cell that is not a whole number is no state: never parse or truncate it
-            if arr.dtype.kind in "US" or (
-                arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
-            ):
-                raise InvalidState("cells must be whole numbers, not strings")
             arr = arr.astype(float)
             if not (np.isfinite(arr) & (np.floor(arr) == arr)).all():
                 raise InvalidState("cells must be whole numbers, not fractions, NaN or inf")
@@ -153,71 +159,48 @@ class Dataset:
         idx = [self.schema.index(n) for n in sub.names]
         return Dataset(sub, self.rows[:, idx])
 
-    def _csv_grid(self) -> np.ndarray | None:
-        """The rows' CSV lines as one ``(N, 2n)`` uint8 grid, each cell a
-        digit then a comma or, last in its line, an LF, when every
-        cardinality is at most 10 (the canonical layout `from_csv` decodes
-        without the strict parser); else None."""
+    def write_csv(self, path) -> None:
+        """The header as `csv_lines` renders the names, then one line per
+        row, as UTF-8 bytes.  When every cardinality is at most 10 the rows
+        go to the file as one ``(N, 2n)`` uint8 grid, each cell a digit then
+        a comma or, last in its line, an LF (the canonical layout `read_csv`
+        decodes without the strict parser); else as text, one block of rows
+        at a time, since a join over the whole rows.tolist() holds several
+        times the output's size at once.  A zero-column dataset raises
+        GcfitError."""
         cards = self.schema.cardinalities
         if not cards:
             raise GcfitError("a zero-column dataset has no CSV: its lines would be blank, "
                              "and blank lines cannot keep its row count")
-        if max(cards) > 10:
-            return None
-        grid = np.empty((len(self), 2 * len(cards)), dtype=np.uint8)
-        grid[:, 1::2] = ord(",")
-        grid[:, -1] = ord("\n")
-        np.add(self.rows, _ZERO, out=grid[:, ::2], casting="unsafe")
-        return grid
-
-    def _csv_blocks(self):
-        """The rows' CSV lines as text, one block of rows at a time: a join
-        over the whole rows.tolist() holds several times the output's size
-        at once."""
-        for start in range(0, len(self), _CSV_WRITE_ROWS):
-            block = self.rows[start:start + _CSV_WRITE_ROWS].tolist()
-            yield "".join(",".join(map(str, r)) + "\n" for r in block)
-
-    def to_csv(self) -> str:
-        """CSV text: the header as `csv_lines` renders the names, then one
-        line per row.  A zero-column dataset raises GcfitError."""
-        grid = self._csv_grid()
-        body = "".join(self._csv_blocks()) if grid is None else grid.tobytes().decode("ascii")
-        return csv_lines([self.schema.names]) + body
-
-    def write_csv(self, path) -> None:
-        """`to_csv` as UTF-8 bytes; the byte grid goes to the file as it is,
-        never copied into text."""
-        grid = self._csv_grid()
         with open(path, "wb") as fh:
             fh.write(csv_lines([self.schema.names]).encode("utf-8"))
-            if grid is not None:
+            if max(cards) <= 10:
+                grid = np.empty((len(self), 2 * len(cards)), dtype=np.uint8)
+                grid[:, 1::2] = ord(",")
+                grid[:, -1] = ord("\n")
+                np.add(self.rows, _ZERO, out=grid[:, ::2], casting="unsafe")
                 fh.write(grid)
             else:
-                for block in self._csv_blocks():
-                    fh.write(block.encode("ascii"))
-
-    @classmethod
-    def from_csv(cls, text: str, schema: VariableSchema, path=None) -> "Dataset":
-        """Strict CSV parse: header must equal the schema names, cells must be
-        in-range integers.  Errors report line and column numbers (1-based).
-
-        Text in the canonical layout (the header as `csv_lines` renders the
-        names, then rows of single-digit cells separated by commas, each
-        ended by one LF) is checked and decoded as one byte grid instead.
-        That layout is a strict subset of what the strict parser accepts,
-        and on it both give the identical rows; everything `to_csv` writes
-        with every cardinality at most 10 is in it.  Any other text (CRLF,
-        blank lines, quoted or padded cells, multi-digit states, ...) goes
-        to the strict parser, the only source of error messages."""
-        rows = _canonical_rows(text, schema)
-        return cls(schema, cls._strict_rows(text, schema, path) if rows is None else rows)
+                for start in range(0, len(self), _CSV_WRITE_ROWS):
+                    block = self.rows[start:start + _CSV_WRITE_ROWS].tolist()
+                    fh.write("".join(",".join(map(str, r)) + "\n" for r in block).encode("ascii"))
 
     @classmethod
     def read_csv(cls, path, schema: VariableSchema) -> "Dataset":
-        """`from_csv` of the file's UTF-8 text.  The canonical layout is
-        decoded from the file's bytes as read, without building the text;
-        bytes that are not UTF-8 are a `ParseError`."""
+        """Strict CSV parse of the file's UTF-8 text: the header must equal
+        the schema names, cells must be in-range integers.  Errors report
+        line and column numbers (1-based); bytes that are not UTF-8 are a
+        `ParseError`.
+
+        A file in the canonical layout (the header as `csv_lines` renders
+        the names, then rows of single-digit cells separated by commas, each
+        ended by one LF) is checked and decoded from its bytes as one grid
+        instead, without building the text.  That layout is a strict subset
+        of what the strict parser accepts, and on it both give the identical
+        rows; everything `write_csv` writes with every cardinality at most
+        10 is in it.  Any other file (CRLF, blank lines, quoted or padded
+        cells, multi-digit states, ...) goes to the strict parser, the only
+        source of error messages."""
         with open(path, "rb") as fh:
             raw = fh.read()
         rows = _canonical_rows(raw, schema)
@@ -227,9 +210,9 @@ class Dataset:
 
     @staticmethod
     def _strict_rows(text: str, schema: VariableSchema, path) -> np.ndarray:
-        """The rows of ``text`` by the strict parser of `from_csv`."""
+        """The rows of ``text`` by the strict parser of `read_csv`."""
         reader = _csv_records(text, path)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None:
             raise ParseError("empty file", path=path, line=1)
         if tuple(header) != schema.names:
@@ -239,7 +222,7 @@ class Dataset:
                 line=1,
             )
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in reader:
             if not row:
                 continue
             if len(row) != len(schema.names):
@@ -277,17 +260,19 @@ def row_dtype(cardinalities) -> np.dtype:
 
 
 def _csv_records(text: str, path):
-    """The records of ``text`` as `csv.reader` splits them; a line it
-    cannot split (a bare CR outside quotes, ...) raises ParseError."""
+    """(first line, record) for each record of ``text`` as `csv.reader`
+    splits them, a quoted field holding an LF spanning several lines; a
+    line it cannot split (a bare CR outside quotes, ...) raises ParseError."""
     reader = csv.reader(io.StringIO(text))
     while True:
+        line = reader.line_num + 1
         try:
             record = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", path=path, line=reader.line_num) from None
-        yield record
+        yield line, record
 
 
 def csv_lines(records) -> str:
@@ -299,9 +284,9 @@ def csv_lines(records) -> str:
     return "".join(line[:-2] + "\n" for line in lines)
 
 
-def _canonical_rows(text, schema: VariableSchema):
-    """The rows of ``text`` (a str, or its UTF-8 bytes) as a uint8 array if it
-    is in the canonical layout of `Dataset.from_csv`, else None."""
+def _canonical_rows(raw: bytes, schema: VariableSchema):
+    """The rows of ``raw``, a file's bytes, as a uint8 array if they are in
+    the canonical layout of `Dataset.read_csv`, else None."""
     header = csv_lines([schema.names])
     try:
         # a header the csv module on this Python cannot read back is not canonical
@@ -310,8 +295,6 @@ def _canonical_rows(text, schema: VariableSchema):
         head = header.encode("utf-8")
     except (csv.Error, UnicodeEncodeError):
         return None
-    # a lone surrogate passes as bytes that no canonical body holds
-    raw = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
     width = 2 * len(schema.names)
     if not raw.startswith(head) or not width or (len(raw) - len(head)) % width:
         return None
@@ -361,8 +344,11 @@ def count_rows(data: Dataset, names) -> np.ndarray:
 
 
 def check_smoothing(smoothing: float) -> None:
-    """Laplace smoothing must be a finite number >= 0 (not NaN or inf)."""
-    if not 0 <= smoothing < math.inf:
+    """Laplace smoothing must be a finite real number >= 0 (not NaN, inf, a
+    bool or a string)."""
+    if isinstance(smoothing, bool) or not (
+        isinstance(smoothing, numbers.Real) and 0 <= smoothing < math.inf
+    ):
         raise GcfitError(f"smoothing must be a finite nonnegative number, got {smoothing!r}")
 
 

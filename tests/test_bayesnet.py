@@ -410,12 +410,12 @@ class TestSampling:
     def test_same_seed_identical(self, fig1_net):
         a = sample(fig1_net, 1_000, seed=99)
         b = sample(fig1_net, 1_000, seed=99)
-        assert a.to_csv() == b.to_csv()
+        assert np.array_equal(a.rows, b.rows)
 
     def test_different_seeds_differ(self, fig1_net):
         a = sample(fig1_net, 1_000, seed=99)
         b = sample(fig1_net, 1_000, seed=100)
-        assert a.to_csv() != b.to_csv()
+        assert not np.array_equal(a.rows, b.rows)
 
     def test_empirical_close_to_joint(self, fig1_net):
         from gcfit import empirical_from_dataset

@@ -420,6 +420,28 @@ class TestBundle:
         with pytest.raises(error, match=match):
             InterventionTables(full, {key: table})
 
+    @pytest.mark.parametrize("key", ["a", ("a",), ("a", 0, 1), "a0"],
+                             ids=["str", "one-item", "three-items", "two-letter-str"])
+    def test_do_key_must_be_a_node_value_pair(self, fig1_net, fig1_schema, key):
+        # at the parent unpacking the key raised a bare ValueError, and "a0"
+        # was read as the state "0" of "a"
+        obs = Dataset(fig1_schema, [[0, 0, 0]])
+        full = joint(fig1_net)
+        with pytest.raises(GcfitError, match=r"do-key must be a \(node, value\) pair"):
+            InterventionBundle(obs, {key: obs})
+        with pytest.raises(GcfitError, match=r"do-key must be a \(node, value\) pair"):
+            InterventionTables(full, {key: full.marginalize({"b", "z"})})
+
+    @pytest.mark.parametrize("smoothing", ["1", True, 1j, -1.0])
+    def test_smoothing_checked_when_the_bundle_is_built(self, fig1_schema, smoothing):
+        # at the parent the check ran in `tables()`, "1" raised a bare
+        # TypeError there and True passed as 1
+        obs = Dataset(fig1_schema, [[0, 0, 0]])
+        with pytest.raises(GcfitError, match="smoothing must be a finite nonnegative number"):
+            InterventionBundle(obs, {}, smoothing=smoothing)
+        with pytest.raises(GcfitError, match="smoothing must be a finite nonnegative number"):
+            gf(Dag(fig1_schema, ()), obs, smoothing=smoothing)
+
     def test_tables_drop_intervened_column(self, fig1_net):
         # smoothing spreads over the 4 (b, z) cells of the do-set, none of
         # them on the unclamped a=1 states: D_a is the KL against the dense

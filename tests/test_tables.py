@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,20 @@ from conftest import (
 @pytest.fixture
 def ab_schema():
     return VariableSchema(("a", "b"), (2, 2))
+
+
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    """A fresh working directory, so that a file read as ``d.csv`` is named so in errors."""
+    monkeypatch.chdir(tmp_path)
+
+
+def read_text(path, text, schema):
+    """`Dataset.read_csv` of ``text`` written to ``path`` as UTF-8 bytes, its
+    newlines as they are."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    return Dataset.read_csv(path, schema)
 
 
 @pytest.fixture
@@ -127,8 +143,9 @@ class TestEmpirical:
         with pytest.raises(EmptyDataset):
             empirical_from_dataset(data)
 
-    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf, "1", True, 1j])
     def test_smoothing_must_be_finite_and_nonnegative(self, ab_schema, smoothing):
+        # at the parent "1" and 1j raised a bare TypeError, and True passed as 1
         data = Dataset(ab_schema, [[0, 0], [1, 1]])
         with pytest.raises(GcfitError, match="smoothing"):
             empirical_from_dataset(data, smoothing=smoothing)
@@ -219,45 +236,55 @@ class TestDatasetCsv:
             (unicode, [[1, 2], [0, 0]], '"é,x",名前\n'),
         ]:
             data = Dataset(schema, rows)
-            text = data.to_csv()
-            assert text.startswith(header)
-            again = Dataset.from_csv(text, schema)
-            assert (again.rows == data.rows).all()
             data.write_csv(tmp_path / "d.csv")
-            assert (tmp_path / "d.csv").read_bytes() == text.encode("utf-8")
+            raw = (tmp_path / "d.csv").read_bytes()
+            assert raw.startswith(header.encode("utf-8"))
+            assert raw == oracle_csv_text(schema, data.rows.tolist()).encode("utf-8")
             assert (Dataset.read_csv(tmp_path / "d.csv", schema).rows == data.rows).all()
 
-    def test_header_mismatch(self, ab_schema):
+    def test_header_mismatch(self, ab_schema, tmp_path):
         with pytest.raises(ParseError):
-            Dataset.from_csv("a,c\n0,0\n", ab_schema)
+            read_text(tmp_path / "d.csv", "a,c\n0,0\n", ab_schema)
 
-    def test_non_integer_cell_names_location(self, ab_schema):
+    def test_non_integer_cell_names_location(self, ab_schema, tmp_path):
         # a blank line is skipped but still counted
         for text, line in [("a,b\n0,0\n1,x\n", 3), ("a,b\n0,0\n\n1,x\n", 4)]:
             with pytest.raises(ParseError) as exc:
-                Dataset.from_csv(text, ab_schema)
+                read_text(tmp_path / "d.csv", text, ab_schema)
             assert exc.value.line == line
             assert exc.value.column == 2
 
     @pytest.mark.parametrize(
         "text, message, line", [("", "empty file", 1), ("a,b\n0,0,1\n", "expected 2 fields, got 3", 2)]
     )
-    def test_malformed_file_names_line(self, ab_schema, text, message, line):
+    def test_malformed_file_names_line(self, ab_schema, tmp_path, text, message, line):
         with pytest.raises(ParseError, match=message) as exc:
-            Dataset.from_csv(text, ab_schema)
+            read_text(tmp_path / "d.csv", text, ab_schema)
         assert exc.value.line == line
         assert exc.value.column is None
 
     @pytest.mark.parametrize("text, line", [("a,b\r0,1\r1,0\n", 1), ("a,b\n0,1\n1,0\r0,0\n", 3)])
-    def test_bare_cr_names_line(self, ab_schema, text, line):
+    def test_bare_cr_names_line(self, ab_schema, in_tmp, text, line):
         # csv.reader cannot split a line with a bare CR outside quotes
         with pytest.raises(ParseError, match="malformed CSV: new-line character") as exc:
-            Dataset.from_csv(text, ab_schema, path="d.csv")
+            read_text("d.csv", text, ab_schema)
         assert (exc.value.path, exc.value.line, exc.value.column) == ("d.csv", line, None)
 
-    def test_out_of_range_cell(self, ab_schema):
+    @pytest.mark.parametrize("text, message, line, column", [
+        ('"a\nb",c\n0,1\n1,0\n0,5\n', "d.csv:5:2: state 5 out of range 0..1", 5, 2),
+        ('"a\nb",c\n0,1\n1,0,1\n', "d.csv:4: expected 2 fields, got 3", 4, None),
+    ], ids=["state", "fields"])
+    def test_lines_after_a_multi_line_header_are_physical(self, in_tmp, text, message, line,
+                                                          column):
+        # the quoted name holds an LF, so the header spans lines 1 and 2
+        schema = VariableSchema(("a\nb", "c"), (2, 2))
         with pytest.raises(ParseError) as exc:
-            Dataset.from_csv("a,b\n0,2\n", ab_schema)
+            read_text("d.csv", text, schema)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (message, line, column)
+
+    def test_out_of_range_cell(self, ab_schema, tmp_path):
+        with pytest.raises(ParseError) as exc:
+            read_text(tmp_path / "d.csv", "a,b\n0,2\n", ab_schema)
         assert exc.value.line == 2
         assert exc.value.column == 2
 
@@ -282,8 +309,6 @@ class TestDatasetCsv:
     def test_no_columns_have_no_csv(self, ab_schema, tmp_path):
         # its lines would be blank, and the parser skips blank lines
         empty = Dataset(ab_schema, [[0, 1], [1, 0]]).select(set())
-        with pytest.raises(GcfitError, match="zero-column .* row count"):
-            empty.to_csv()
         with pytest.raises(GcfitError, match="zero-column .* row count"):
             empty.write_csv(tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
@@ -330,9 +355,17 @@ class TestDatasetRows:
         [0, 1, 1],
         [0, 1, 1, 0],
         [[[0, 1]]],
-    ], ids=["four-columns", "flat-odd", "flat", "3-d"])
+        [[[0], 1]],  # at the parent np.asarray raised a bare ValueError
+    ], ids=["four-columns", "flat-odd", "flat", "3-d", "ragged"])
     def test_rows_of_another_shape_rejected(self, ab_schema, rows):
         with pytest.raises(SchemaMismatch):
+            Dataset(ab_schema, rows)
+
+    @pytest.mark.parametrize("rows", [[[1j, 0]], [[{}, 0]]], ids=["complex", "dict"])
+    def test_cells_that_are_not_real_numbers_rejected(self, ab_schema, rows):
+        # at the parent astype(float) kept 1j as state 0 with a ComplexWarning,
+        # and raised a bare TypeError on {}
+        with pytest.raises(InvalidState, match="cells must be whole numbers"):
             Dataset(ab_schema, rows)
 
     def test_whole_numbers_of_any_dtype_accepted(self, ab_schema):
@@ -362,14 +395,14 @@ class TestDatasetRows:
         rows = np.stack([rng.integers(0, c, 5_000) for c in cards], axis=1)
         rows[0], rows[1] = [c - 1 for c in cards], 0
         data = Dataset(schema, rows)
-        text = data.to_csv()
-        assert text.splitlines()[1] == ",".join(str(c - 1) for c in cards)
         data.write_csv(tmp_path / "d.csv")
-        for again in (Dataset.from_csv(text, schema), Dataset.read_csv(tmp_path / "d.csv", schema)):
-            assert again.rows.dtype == data.rows.dtype
-            assert again.rows.tolist() == rows.tolist()
+        text = (tmp_path / "d.csv").read_bytes().decode("utf-8")
+        assert text.splitlines()[1] == ",".join(str(c - 1) for c in cards)
+        again = Dataset.read_csv(tmp_path / "d.csv", schema)
+        assert again.rows.dtype == data.rows.dtype
+        assert again.rows.tolist() == rows.tolist()
         with pytest.raises(ParseError, match="state 256 out of range 0..255"):
-            Dataset.from_csv(text.replace("\n255,", "\n256,", 1), schema)
+            read_text(tmp_path / "e.csv", text.replace("\n255,", "\n256,", 1), schema)
 
     def test_reading_single_digit_csv_peaks_below_three_bytes_per_cell(self, tmp_path):
         # the canonical layout is decoded from the file's bytes into uint8
@@ -402,8 +435,25 @@ class TestDatasetRows:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert path.read_bytes() == data.to_csv().encode("utf-8")
+        assert path.read_bytes() == oracle_csv_text(schema, data.rows.tolist()).encode("utf-8")
         assert peak <= 1.5 * path.stat().st_size
+
+    def test_writing_multi_digit_csv_streams_its_row_blocks(self, monkeypatch, tmp_path):
+        # a cardinality above 10 writes text one block of rows at a time;
+        # joining every line before writing peaks at about twice the file
+        monkeypatch.setattr(tables, "_CSV_WRITE_ROWS", 64)
+        n_rows, n_cols = 20_000, 12
+        schema = VariableSchema(tuple(f"x{i:02d}" for i in range(n_cols)), (12,) * n_cols)
+        data = Dataset(schema, np.random.default_rng(2).integers(0, 12, (n_rows, n_cols)))
+        path = tmp_path / "d.csv"
+        tracemalloc.start()
+        try:
+            data.write_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (Dataset.read_csv(path, schema).rows == data.rows).all()
+        assert peak < 0.5 * path.stat().st_size
 
 
 # names that need quoting, are not ASCII, or are empty
@@ -419,17 +469,18 @@ def datasets(draw):
     return VariableSchema(tuple(names), tuple(cards)), rows
 
 
-def strict_from_csv(monkeypatch, text, schema):
+def strict_outcome(monkeypatch, text, schema):
     """`parse_outcome` with the canonical layout check switched off."""
     with monkeypatch.context() as m:
-        m.setattr(tables, "_canonical_rows", lambda text, schema: None)
+        m.setattr(tables, "_canonical_rows", lambda raw, schema: None)
         return parse_outcome(text, schema)
 
 
 def parse_outcome(text, schema):
-    """The parsed rows, or the (message, line, column) of the ParseError."""
+    """The rows `read_csv` parses from ``text`` in ``d.csv`` of the working
+    directory, or the (message, line, column) of the ParseError."""
     try:
-        return Dataset.from_csv(text, schema, path="d.csv").rows.tolist()
+        return read_text("d.csv", text, schema).rows.tolist()
     except ParseError as exc:
         return str(exc), exc.line, exc.column
 
@@ -441,14 +492,20 @@ class TestCsvFastPath:
         # both writer branches (a cardinality above 10 or not), zero rows,
         # one-column schemas
         schema, rows = case
-        text = Dataset(schema, np.array(rows, dtype=np.int64).reshape(-1, len(schema.names))).to_csv()
+        with tempfile.TemporaryDirectory() as tmp:  # no tmp_path inside @given
+            path = os.path.join(tmp, "d.csv")
+            data = Dataset(schema, np.array(rows, dtype=np.int64).reshape(-1, len(schema.names)))
+            data.write_csv(path)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            # every cardinality here is at most 256: the schema's rows are uint8
+            parsed = Dataset.read_csv(path, schema).rows
+        text = raw.decode("utf-8")
         assert text == oracle_csv_text(schema, rows)
         assert oracle_csv_rows(text) == (list(schema.names), rows)
-        # every cardinality here is at most 256: the schema's rows are uint8
-        parsed = Dataset.from_csv(text, schema).rows
         assert parsed.dtype == np.uint8 and parsed.tolist() == rows
         # single-digit data is canonical whatever the schema's cardinalities
-        canonical = tables._canonical_rows(text, schema)
+        canonical = tables._canonical_rows(raw, schema)
         assert (canonical is not None) == all(v < 10 for row in rows for v in row)
         if canonical is not None:
             assert canonical.dtype == np.uint8 and canonical.tolist() == rows
@@ -472,10 +529,10 @@ class TestCsvFastPath:
             ("a,b\n/,0\n", ("d.csv:2:1: non-integer cell '/'", 2, 1)),  # the byte below "0"
         ],
     )
-    def test_fallback_trigger(self, monkeypatch, ab_schema, text, expected):
-        assert tables._canonical_rows(text, ab_schema) is None
+    def test_fallback_trigger(self, monkeypatch, in_tmp, ab_schema, text, expected):
+        assert tables._canonical_rows(text.encode("utf-8"), ab_schema) is None
         assert parse_outcome(text, ab_schema) == expected
-        assert strict_from_csv(monkeypatch, text, ab_schema) == expected
+        assert strict_outcome(monkeypatch, text, ab_schema) == expected
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -489,16 +546,18 @@ class TestCsvFastPath:
             ("a,b\n١,1\n", ("d.csv:2:1: non-integer cell '١'", 2, 1)),  # Arabic-Indic one
         ],
     )
-    def test_fallback_trigger_per_column(self, monkeypatch, text, expected):
+    def test_fallback_trigger_per_column(self, monkeypatch, in_tmp, text, expected):
         schema = VariableSchema(("a", "b"), (12, 2))
-        assert tables._canonical_rows(text, schema) is None
+        assert tables._canonical_rows(text.encode("utf-8"), schema) is None
         assert parse_outcome(text, schema) == expected
-        assert strict_from_csv(monkeypatch, text, schema) == expected
+        assert strict_outcome(monkeypatch, text, schema) == expected
 
-    def test_name_with_bare_cr_round_trips(self, monkeypatch):
+    def test_name_with_bare_cr_round_trips(self, monkeypatch, in_tmp):
         # the header quotes the "\r", so both readers split it back out
         schema = VariableSchema(("a\rb",), (2,))
-        text = Dataset(schema, [[0]]).to_csv()
-        assert text == '"a\rb"\n0\n'
-        assert tables._canonical_rows(text, schema).tolist() == [[0]]
-        assert strict_from_csv(monkeypatch, text, schema) == [[0]]
+        Dataset(schema, [[0]]).write_csv("d.csv")
+        with open("d.csv", "rb") as fh:
+            raw = fh.read()
+        assert raw == b'"a\rb"\n0\n'
+        assert tables._canonical_rows(raw, schema).tolist() == [[0]]
+        assert strict_outcome(monkeypatch, raw.decode("utf-8"), schema) == [[0]]
