@@ -18,18 +18,21 @@ from . import __version__
 from .errors import EnumerationLimit, GcfitError, ParseError
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
-    enumerate_orientations,
+    EdgeRanks,
     iter_orientations,
     json_object,
     load_pdgraph,
-    orientation_subset,
     read_text,
+    subset_orientations,
 )
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_ENUMERATION = 3
+
+# scores.csv rows rendered per write: the file is streamed, never held whole
+WRITE_BATCH = 1024
 
 # the longest file name, in bytes, of the common file systems (NAME_MAX on Linux)
 MAX_FILE_NAME_BYTES = 255
@@ -42,10 +45,6 @@ def format_number(x: float) -> str:
     if math.isnan(x):
         return "nan"
     return f"{x:.12g}"
-
-
-def _edges_str(edges) -> str:
-    return ";".join(f"{a}->{b}" for a, b in edges)
 
 
 def load_manifest(path, schema):
@@ -92,10 +91,13 @@ def load_manifest(path, schema):
 
 def cmd_enumerate(args) -> int:
     graph = load_pdgraph(args.graph)
+    # a tab or a line break in a name would split the tab-separated lines
+    ranks = EdgeRanks(graph, (";", "->", "\t", "\n", "\r"))
+    vectors = iter_orientations(graph, args.max_undirected)
+    write = sys.stdout.write
     try:
-        for member in iter_orientations(graph, args.max_undirected):
-            orientation = member.orientation or "-"
-            print(f"{member.graph_id}\t{orientation}\t{_edges_str(member.dag.edges)}")
+        for vec in vectors:
+            write(f"G{vec}\t{vec or '-'}\t{ranks.text(ranks.of(vec))}\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has closed the pipe: stop quietly, with stdout on devnull
@@ -105,57 +107,54 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .scoring import InterventionBundle, score_set
+    from .scoring import InterventionBundle, score_orientations
     from .tables import check_smoothing, csv_lines
 
     check_smoothing(args.smoothing)
     graph = load_pdgraph(args.graph)
+    ranks = EdgeRanks(graph)
     if args.subset:
         # "-" is how enumerate and scores.csv print the empty vector
-        vectors = ("" if v == "-" else v for v in args.subset)
-        dags = orientation_subset(graph, vectors, args.max_undirected)
+        wanted = ("" if v == "-" else v for v in args.subset)
+        vectors = subset_orientations(graph, wanted, args.max_undirected)
     else:
-        dags = enumerate_orientations(graph, args.max_undirected)
+        vectors = iter_orientations(graph, args.max_undirected)
     observational, interventional = load_manifest(args.manifest, graph.schema)
     bundle = InterventionBundle(observational, interventional, smoothing=args.smoothing)
-    records = score_set(
-        dags,
-        bundle,
-        edges_policy=args.edges,
-        missing_policy=args.missing,
+    do_detail, scores = score_orientations(
+        ranks, vectors, bundle, edges_policy=args.edges, missing_policy=args.missing
     )
 
-    do_detail = records[0].do_detail  # every member shares it; a DagSet is never empty
-    files = {
-        "scores.csv": [["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]]
-        + [
-            [
-                r.graph_id,
-                r.orientation or "-",
-                _edges_str(r.dag.edges),
-                format_number(r.gf),
-                format_number(r.gcf),
-                format_number(r.gcf_abs),
-                ";".join(r.flags),
-            ]
-            for r in records
-        ],
-        "do_divergences.csv": [["node", "value", "D_a", "weight", "D_node"]]
-        + [
-            [node, value, format_number(d_value), format_number(weight), format_number(divergence)]
-            for node, (divergence, detail) in do_detail.items()
-            for value, weight, d_value in detail
-        ],
-    }
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, rows in files.items():
-        with open(os.path.join(args.out_dir, name), "w", newline="", encoding="utf-8") as fh:
-            fh.write(csv_lines(rows))
+    with open(os.path.join(args.out_dir, "do_divergences.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        fh.write(csv_lines(
+            [["node", "value", "D_a", "weight", "D_node"]]
+            + [
+                [node, value, format_number(d_value), format_number(weight),
+                 format_number(divergence)]
+                for node, (divergence, detail) in do_detail.items()
+                for value, weight, d_value in detail
+            ]
+        ))
+    points = []  # one per candidate, for --svg only; each row is written and dropped
+    with open(os.path.join(args.out_dir, "scores.csv"), "w", newline="", encoding="utf-8") as fh:
+        rows = [["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]]
+        for vec, leaf, gf, gcf, gcf_abs, flags in scores:
+            rows.append([
+                f"G{vec}", vec or "-", ranks.text(leaf), format_number(gf), format_number(gcf),
+                format_number(gcf_abs), ";".join(flags),
+            ])
+            if args.svg:
+                points.append((gf, gcf, f"G{vec}"))
+            if len(rows) == WRITE_BATCH:
+                fh.write(csv_lines(rows))
+                rows.clear()
+        fh.write(csv_lines(rows))
 
     if args.svg:
         from .svg import scatter_svg
 
-        points = [(r.gf, r.gcf, r.graph_id) for r in records]
         with open(os.path.join(args.out_dir, "plot.svg"), "w", encoding="utf-8") as fh:
             fh.write(scatter_svg(points))
     return EXIT_OK

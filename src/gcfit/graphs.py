@@ -243,17 +243,11 @@ class DagSet:
         return iter(self.members)
 
 
-def _reaches(children: dict[str, set[str]], src: str, dst: str) -> bool:
-    """True iff a directed path leads from ``src`` to ``dst``."""
-    seen, todo = {src}, [src]
-    while todo:
-        node = todo.pop()
-        if node == dst:
-            return True
-        fresh = children[node] - seen
-        seen |= fresh
-        todo.extend(fresh)
-    return False
+def _reaches_added(reach: list[int], u: int, v: int) -> list[int]:
+    """``reach`` after adding the edge u->v: every node that reaches u now
+    also reaches what v reaches."""
+    bit, more = 1 << u, reach[v]
+    return [r | more if r & bit else r for r in reach]
 
 
 def _oriented(edge: tuple[str, str], bit: str) -> tuple[str, str]:
@@ -263,68 +257,129 @@ def _oriented(edge: tuple[str, str], bit: str) -> tuple[str, str]:
 
 
 def iter_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP, prefixes=None):
-    """Yield the acyclic orientations of the undirected edges of ``g`` as
-    `TaggedDag`s, their vectors in lexicographic order, after checking the cap.
+    """The orientation vectors of the acyclic orientations of the undirected
+    edges of ``g``, in lexicographic order, as an iterator; the cap is
+    checked on the call, before the first vector is drawn.
 
-    Edges are oriented one at a time, in ``g.undirected`` order; a prefix
-    is extended by u->v only if v does not already reach u, so no prefix
-    that closes a cycle is extended.  With ``prefixes``, a set of vectors
-    holding every prefix of each of its members, the walk enters only the
-    vectors in the set, so it yields those of its members that orient all
-    the edges and close no cycle."""
+    A vector holds one bit per edge of ``g.undirected`` (see `TaggedDag`),
+    so it is all of a leaf's state: `tagged_orientation` builds its `Dag` and
+    `EdgeRanks` its edge list.  Edges are oriented one at a time, in
+    ``g.undirected`` order; a prefix is extended by u->v only if v does
+    not already reach u, so no prefix that closes a cycle is extended.
+    With ``prefixes``, a set of vectors holding every prefix of each of its
+    members, the walk enters only the vectors in the set, so it yields
+    those of its members that orient all the edges and close no cycle."""
     if max_undirected < 0:
         raise GcfitError(f"enumeration cap must be non-negative, got {max_undirected}")
-    und = g.undirected  # already sorted lexicographically
-    if len(und) > max_undirected:
-        raise EnumerationLimit(len(und), max_undirected)
-    children: dict[str, set[str]] = {n: set() for n in g.schema.names}
+    if len(g.undirected) > max_undirected:
+        raise EnumerationLimit(len(g.undirected), max_undirected)
+    return _walk(g, prefixes)
+
+
+def _walk(g: PdGraph, prefixes):
+    """`iter_orientations` after its cap check.  Each stack entry holds a
+    prefix and, per node, the bit mask of the nodes it reaches (itself
+    included) under the directed edges and the prefix."""
+    position = {n: i for i, n in enumerate(g.schema.names)}
+    ends = [(position[a], position[b]) for a, b in g.undirected]
+    if not ends:
+        if prefixes is None or "" in prefixes:
+            yield ""
+        return
+    reach = [1 << i for i in range(len(position))]
     for a, b in g.directed:
-        children[a].add(b)
-    oriented: list[tuple[str, str]] = []  # edges of the prefix held in ``children``
-    stack = [""]
+        reach = _reaches_added(reach, position[a], position[b])
+    last = len(ends) - 1
+    stack = [("", reach)]
     while stack:
-        vec = stack.pop()
-        if prefixes is not None and vec not in prefixes:
+        vec, reach = stack.pop()
+        a, b = ends[len(vec)]
+        forward = not reach[b] >> a & 1  # bit '0', a->b: b must not reach a
+        backward = not reach[a] >> b & 1  # bit '1', b->a
+        if len(vec) == last:  # leaves are yielded here, never stacked
+            for bit, ok in (("0", forward), ("1", backward)):
+                if ok and (prefixes is None or vec + bit in prefixes):
+                    yield vec + bit
             continue
-        if vec:
-            # the stack is depth-first, so vec[:-1] is a prefix of the last expansion
-            while len(oriented) >= len(vec):
-                a, b = oriented.pop()
-                children[a].discard(b)
-            a, b = _oriented(und[len(vec) - 1], vec[-1])
-            oriented.append((a, b))
-            children[a].add(b)
-        if len(vec) == len(und):
-            yield TaggedDag("G" + vec, vec, Dag._trusted(g.schema, g.directed + tuple(oriented)))
-            continue
-        for bit in "10":  # "0" pops first
-            u, v = _oriented(und[len(vec)], bit)
-            if not _reaches(children, v, u):
-                stack.append(vec + bit)
+        # "0" is stacked last, so it pops first
+        if backward and (prefixes is None or vec + "1" in prefixes):
+            stack.append((vec + "1", _reaches_added(reach, b, a)))
+        if forward and (prefixes is None or vec + "0" in prefixes):
+            stack.append((vec + "0", _reaches_added(reach, a, b)))
+
+
+def tagged_orientation(g: PdGraph, vec: str) -> TaggedDag:
+    """The `TaggedDag` of ``g`` whose undirected edges ``vec`` orients;
+    ``vec`` is one that `iter_orientations` yields."""
+    oriented = tuple(map(_oriented, g.undirected, vec))
+    return TaggedDag("G" + vec, vec, Dag._trusted(g.schema, g.directed + oriented))
 
 
 def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP) -> DagSet:
     """All acyclic ways of orienting the undirected edges of ``g``, in the
     order `iter_orientations` yields them."""
-    return DagSet(tuple(iter_orientations(g, max_undirected)), g.undirected)
+    vectors = iter_orientations(g, max_undirected)
+    return DagSet(tuple(tagged_orientation(g, vec) for vec in vectors), g.undirected)
+
+
+def subset_orientations(
+    g: PdGraph, vectors, max_undirected: int = DEFAULT_ENUMERATION_CAP
+) -> list[str]:
+    """The distinct members of ``vectors`` in the order `iter_orientations`
+    yields them, found by the same walk entering only their prefixes,
+    after the same cap check.  A vector that is malformed or orients a
+    cycle raises GcfitError ("unknown orientation vectors")."""
+    wanted, k = set(vectors), len(g.undirected)
+    # a vector of another length has no prefix the walk could enter
+    prefixes = {vec[:i] for vec in wanted if len(vec) == k for i in range(k + 1)}
+    found = list(iter_orientations(g, max_undirected, prefixes))
+    unknown = wanted.difference(found)
+    if unknown:
+        raise GcfitError(f"unknown orientation vectors: {sorted(unknown)}")
+    return found
 
 
 def orientation_subset(
     g: PdGraph, vectors, max_undirected: int = DEFAULT_ENUMERATION_CAP
 ) -> DagSet:
     """The members of ``enumerate_orientations(g, max_undirected)`` whose
-    vectors are in ``vectors``, in the same order, built by the same walk
-    entering only the prefixes of the named vectors, after the same cap
-    check.  A vector that is malformed or orients a cycle raises
-    GcfitError ("unknown orientation vectors")."""
-    wanted, k = set(vectors), len(g.undirected)
-    # a vector of another length has no prefix the walk could enter
-    prefixes = {vec[:i] for vec in wanted if len(vec) == k for i in range(k + 1)}
-    members = tuple(iter_orientations(g, max_undirected, prefixes))
-    unknown = wanted - {m.orientation for m in members}
-    if unknown:
-        raise GcfitError(f"unknown orientation vectors: {sorted(unknown)}")
-    return DagSet(members, g.undirected)
+    vectors are in ``vectors``, in the same order; see `subset_orientations`."""
+    found = subset_orientations(g, vectors, max_undirected)
+    return DagSet(tuple(tagged_orientation(g, vec) for vec in found), g.undirected)
+
+
+class EdgeRanks:
+    """Edge lists of the orientations of one PD graph, in sorted edge order,
+    rendered as the CLI prints them: "a->b" per edge, joined by ";".
+
+    Every edge an orientation can hold (each directed edge, and both
+    directions of each undirected one) is ranked once in that order and
+    rendered once, so a leaf's list is a sort of small ints and one join.
+    A variable name holding one of ``separators`` is refused, as it would
+    make the printed lists ambiguous."""
+
+    def __init__(self, g: PdGraph, separators=(";", "->")):
+        for name in g.schema.names:
+            for sep in separators:
+                if sep in name:
+                    raise GcfitError(f"variable name {name!r} holds {sep!r}, so its "
+                                     "edges cannot be printed unambiguously")
+        self.graph = g
+        self.edges = sorted(g.directed + g.undirected + tuple((b, a) for a, b in g.undirected))
+        rank = {e: r for r, e in enumerate(self.edges)}
+        self._text = [f"{a}->{b}" for a, b in self.edges]
+        self._directed = [rank[e] for e in g.directed]
+        # per undirected edge, its rank under each bit
+        self.by_bit = [{"0": rank[a, b], "1": rank[b, a]} for a, b in g.undirected]
+
+    def of(self, vec: str) -> list[int]:
+        """The ranks of the edges of the orientation ``vec``, ascending."""
+        ranks = self._directed + list(map(dict.__getitem__, self.by_bit, vec))
+        ranks.sort()
+        return ranks
+
+    def text(self, ranks) -> str:
+        return ";".join(map(self._text.__getitem__, ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 from typing import Mapping
 
 import numpy as np
 
-from .bayesnet import marginal
 from .divergences import kl_sum
 from .errors import (
     EmptyDataset,
@@ -24,7 +25,7 @@ from .errors import (
     SchemaMismatch,
     UnknownEdge,
 )
-from .graphs import Dag, DagSet, VariableSchema
+from .graphs import Dag, DagSet, EdgeRanks, VariableSchema
 from .tables import Dataset, ProbTable, check_smoothing, row_codes, row_dtype
 
 FLAG_NO_CAUSAL_SIGNAL = "no_causal_signal"
@@ -153,6 +154,8 @@ class _NetTables(InterventionTables):
         """P(key), axes in schema order, memoized per set: `marginal` over an
         ancestral set."""
         if key not in self._marginals:
+            from .bayesnet import marginal  # only net tables need it
+
             self._marginals[key] = marginal(self._net, [n for n in self.schema.names if n in key])
         return self._marginals[key]
 
@@ -164,7 +167,7 @@ class _NetTables(InterventionTables):
     def joint_entropy(self) -> float:
         """H(X) = sum_i H(X_i | Pa_i) along the net's DAG, summed as
         `gf_from_table` sums a candidate's."""
-        return _conditional_entropy(_parent_lists(self._net.dag), self.entropy, {})
+        return _Families(self.entropy).conditional_entropy(_parent_lists(self._net.dag))
 
     def _do_terms(self, node: str):
         """As `InterventionTables._do_terms`, in closed form: P(rest, a) /
@@ -318,22 +321,45 @@ def _parent_lists(dag: Dag) -> dict[str, list[str]]:
     return parents
 
 
-def _conditional_entropy(parents: Mapping[str, list[str]], entropy, memo: dict) -> float:
-    """sum_i H(X_i | Pa_i) over a DAG's parent lists, from marginal entropies.
+_ULP = 2**1074  # every finite float is an integer multiple of 2**-1074
 
-    ``memo`` maps (node, parents) to the pair (H(family), -H(parents)), so
-    a family shared by many candidates asks ``entropy`` twice in all.
-    `math.fsum` rounds the exact sum of the terms once.  Markov-equivalent
-    DAGs differ by covered edge reversals, which leave that signed
-    multiset of terms unchanged, so they get the same float."""
-    terms = []
-    for node, ps in parents.items():
-        key = (node, tuple(ps))
-        pair = memo.get(key)
-        if pair is None:
-            pair = memo[key] = (entropy(ps + [node]), -entropy(ps))
-        terms += pair
-    return math.fsum(terms)
+
+def _exact(x: float) -> int:
+    """A finite float as the integer multiple of 2**-1074 that it is."""
+    num, den = x.as_integer_ratio()  # den is a power of two
+    return num * (_ULP // den)
+
+
+def _rounded(total: int) -> float:
+    """The float nearest ``total`` * 2**-1074: int / int is correctly rounded."""
+    return total / _ULP
+
+
+class _Families:
+    """GF's node terms H(X_i, Pa_i) - H(Pa_i), from marginal entropies, each
+    held as an exact integer multiple of 2**-1074 and memoized per (node,
+    parents), so a family shared by many candidates asks ``entropy`` twice
+    in all.
+
+    A sum of terms is exact, and `_rounded` rounds it once, so it is the
+    float that `math.fsum` of the same entropies gives.
+    Markov-equivalent DAGs differ by covered edge reversals, which leave
+    that signed multiset of entropies unchanged, so they get the same float."""
+
+    def __init__(self, entropy):
+        self._entropy, self._memo = entropy, {}
+
+    def term(self, node: str, parents: tuple[str, ...]) -> int:
+        key = (node, parents)
+        term = self._memo.get(key)
+        if term is None:
+            family = _exact(self._entropy(parents + (node,)))
+            term = self._memo[key] = family - _exact(self._entropy(parents))
+        return term
+
+    def conditional_entropy(self, parents: Mapping[str, list[str]]) -> float:
+        """sum_i H(X_i | Pa_i) over a DAG's parent lists."""
+        return _rounded(sum(self.term(node, tuple(ps)) for node, ps in parents.items()))
 
 
 def _gf(conditional_entropy: float, joint_entropy: float) -> float:
@@ -358,7 +384,7 @@ def gf_from_table(dag: Dag, observational: ProbTable | InterventionTables) -> fl
         observational = InterventionTables(observational, {})
     if observational.schema != dag.schema:
         raise SchemaMismatch("table schema differs from DAG schema")
-    conditional = _conditional_entropy(_parent_lists(dag), observational.entropy, {})
+    conditional = _Families(observational.entropy).conditional_entropy(_parent_lists(dag))
     return _gf(conditional, observational.joint_entropy())
 
 
@@ -442,12 +468,19 @@ def edge_sign(dag: Dag, edge: tuple[str, str], dmap: Mapping[str, float]) -> int
     return _edge_terms([_orient(edge, _parent_lists(dag))], dmap, {})[0][0]
 
 
-def _gcf_value(details: tuple, flags: tuple[str, ...]) -> tuple[float, tuple[str, ...]]:
-    """GCF and its flags from the per-edge (edge, sign, distance) terms."""
-    if not details:
+def _fold(values) -> float:
+    """The float sum of ``values`` added left to right from 0.0, the order
+    in which `score_orientations` keeps its prefix sums (the builtin `sum`
+    compensates rounding from Python 3.12 on)."""
+    return reduce(add, values, 0.0)
+
+
+def _gcf_value(count: int, num: float, den: float, undefined: int) -> tuple[float, tuple[str, ...]]:
+    """GCF and its flags from ``count`` scored edges, the sums of their
+    signed and unsigned distances, and how many have both D infinite."""
+    flags = (FLAG_UNDEFINED_DISTANCE,) * undefined
+    if not count:
         return 1.0, flags
-    num = sum(s * d for _, s, d in details)
-    den = sum(d for _, s, d in details)
     if den == 0:
         return 0.0, flags + (FLAG_NO_CAUSAL_SIGNAL,)
     if math.isinf(den):
@@ -462,13 +495,16 @@ def _gcf_detail(parents, scored_edges, dmap, memo) -> tuple[float, tuple, tuple[
     terms = _edge_terms([_orient(e, parents) for e in scored_edges], dmap, memo)
     details = tuple((tuple(e), s, d) for e, (s, d, _) in zip(scored_edges, terms))
     value, flags = _gcf_value(
-        details, tuple(FLAG_UNDEFINED_DISTANCE for _, _, undefined in terms if undefined)
+        len(terms),
+        _fold(s * d for s, d, _ in terms),
+        _fold(d for _, d, _ in terms),
+        sum(undefined for _, _, undefined in terms),
     )
     return value, details, flags
 
 
 def _gcf_abs(edges, dmap, memo) -> float:
-    return float(sum(s * d for s, d, _ in _edge_terms(edges, dmap, memo)))
+    return _fold(s * d for s, d, _ in _edge_terms(edges, dmap, memo))
 
 
 def gcf_detail(
@@ -506,12 +542,12 @@ def score_set(
     (``edges_policy='pd'``); with ``edges_policy='all'`` it scores each
     DAG's full edge set instead (for sets with mixed skeletons).  Both
     scores are sums of local terms, each computed once for the whole set:
-    GF's entropy pair per (node, parents) and GCF's signed distance per
-    oriented edge.  A candidate then costs one pass over its edges, to
-    build its parent lists, and one lookup per node and per edge.
+    GF's term per (node, parents) and GCF's signed distance per oriented
+    edge.  A candidate then costs one pass over its edges, to build its
+    parent lists, and one lookup per node and per edge.  The orientations
+    of one PD graph are scored faster, and streamed, by `score_orientations`.
     """
-    if edges_policy not in ("pd", "all"):
-        raise GcfitError(f"unknown edges policy {edges_policy!r}")
+    _check_edges_policy(edges_policy)
     if edges_policy == "pd" and len(dags) > 1 and not dags.source_undirected:
         raise GcfitError(
             f"{len(dags)} candidates but no undirected edges to score: the DagSet's "
@@ -526,10 +562,10 @@ def score_set(
             raise SchemaMismatch(f"[{member.graph_id}] table schema differs from DAG schema")
         if len(needed) < len(tables.schema.names):  # else nothing is left to add
             needed.update(*member.dag.edges)
-    do_detail = {n: do_divergence_detail(n, tables, missing_policy) for n in sorted(needed)}
+    do_detail = _do_details(needed, tables, missing_policy)
     dmap = {n: d for n, (d, _) in do_detail.items()}
 
-    joint, families, edge_terms = tables.joint_entropy(), {}, {}
+    joint, families, edge_terms = tables.joint_entropy(), _Families(tables.entropy), {}
     records = []
     for member in dags:
         dag = member.dag
@@ -541,7 +577,7 @@ def score_set(
                 graph_id=member.graph_id,
                 orientation=member.orientation,
                 dag=dag,
-                gf=_gf(_conditional_entropy(parents, tables.entropy, families), joint),
+                gf=_gf(families.conditional_entropy(parents), joint),
                 gcf=value,
                 gcf_abs=_gcf_abs(dag.edges, dmap, edge_terms),
                 edge_details=details,
@@ -554,3 +590,108 @@ def score_set(
             raise
         records.append(record)
     return records
+
+
+def _check_edges_policy(edges_policy: str) -> None:
+    if edges_policy not in ("pd", "all"):
+        raise GcfitError(f"unknown edges policy {edges_policy!r}")
+
+
+def _do_details(nodes, tables: InterventionTables, missing_policy: str) -> dict:
+    """`do_divergence_detail` of each of ``nodes``, in sorted order."""
+    return {n: do_divergence_detail(n, tables, missing_policy) for n in sorted(nodes)}
+
+
+def score_orientations(
+    ranks: EdgeRanks,
+    vectors,
+    data: InterventionBundle | InterventionTables,
+    edges_policy: str = "pd",
+    missing_policy: str = "strict",
+):
+    """Score orientations of one PD graph, ``ranks.graph``, as a stream.
+
+    ``vectors`` are orientation vectors of the graph, as `iter_orientations`
+    and `subset_orientations` give them.  Returns the do-divergence detail
+    of the endpoints of the graph's edges, which every orientation holds,
+    computed before anything is scored, and an iterator of one tuple
+    (vector, edge ranks, gf, gcf, gcf_abs, flags) per vector.  Each score
+    is bitwise the one `score_set` gives the vector's `TaggedDag` of a
+    `DagSet` with the graph's undirected edges as source.
+
+    Consecutive vectors of the walk share a prefix, so the scores are kept
+    per prefix length and only the bits after the shared prefix are
+    rescored.  GF adds a node's term once its last undirected edge is
+    oriented, as an exact integer, and rounds once per vector.  GCF on the
+    undirected edges (``edges_policy='pd'``) keeps prefix sums in
+    ``g.undirected`` order.  ``gcf_abs``, and GCF on every edge, sum one
+    product per edge rank in the vector's rank order, the order of the
+    sorted ``dag.edges``.
+    """
+    _check_edges_policy(edges_policy)
+    g = ranks.graph
+    tables = data.tables() if isinstance(data, InterventionBundle) else data
+    if g.schema != tables.schema:
+        raise SchemaMismatch("table schema differs from graph schema")
+    do_detail = _do_details({n for e in ranks.edges for n in e}, tables, missing_policy)
+    dmap = {n: d for n, (d, _) in do_detail.items()}
+    return do_detail, _walk_scores(ranks, vectors, tables, dmap, edges_policy)
+
+
+def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, edges_policy):
+    """The iterator of `score_orientations`."""
+    g, families = ranks.graph, _Families(tables.entropy)
+    joint, und, k = tables.joint_entropy(), g.undirected, len(g.undirected)
+    terms = _edge_terms(ranks.edges, dmap, {})  # per edge rank
+    signed = [s * d for s, d, _ in terms]
+    distance = [d for _, d, _ in terms]
+    undefined = [int(u) for _, _, u in terms]
+
+    # GF: a node whose undirected edges are all oriented at depth i + 1
+    # joins closing[i]; one without undirected edges joins every vector
+    fixed = {n: [] for n in g.schema.names}
+    for a, b in g.directed:
+        fixed[b].append(a)
+    incident = {n: [] for n in g.schema.names}  # (edge index, neighbour, its parent bit)
+    for i, (a, b) in enumerate(und):
+        incident[b].append((i, a, "0"))
+        incident[a].append((i, b, "1"))
+    acc = [0] * (k + 1)  # acc[i]: the GF terms added by the first i bits
+    closing = [[] for _ in range(k)]
+    for node, edges in incident.items():
+        if not edges:
+            acc[0] += families.term(node, tuple(sorted(fixed[node])))
+        else:
+            key = itemgetter(*[i for i, _, _ in edges])
+            closing[edges[-1][0]].append((node, edges, key, {}))
+
+    num, den, bad = [0.0] * (k + 1), [0.0] * (k + 1), [0] * (k + 1)
+    previous = None
+    for vec in vectors:
+        # rescore from the first bit where vec differs from the previous vector
+        start = k - (int(vec, 2) ^ int(previous, 2)).bit_length() if previous else 0
+        previous = vec
+        for i in range(start, k):
+            total = acc[i]
+            for node, edges, key, memo in closing[i]:
+                bits = key(vec)
+                term = memo.get(bits)
+                if term is None:
+                    ps = fixed[node] + [nb for j, nb, bit in edges if vec[j] == bit]
+                    term = memo[bits] = families.term(node, tuple(sorted(ps)))
+                total += term
+            acc[i + 1] = total
+            r = ranks.by_bit[i][vec[i]]
+            num[i + 1] = num[i] + signed[r]
+            den[i + 1] = den[i] + distance[r]
+            bad[i + 1] = bad[i] + undefined[r]
+        leaf = ranks.of(vec)
+        gcf_abs = _fold(map(signed.__getitem__, leaf))
+        if edges_policy == "pd":
+            value, flags = _gcf_value(k, num[k], den[k], bad[k])
+        else:
+            value, flags = _gcf_value(
+                len(leaf), gcf_abs, _fold(map(distance.__getitem__, leaf)),
+                sum(map(undefined.__getitem__, leaf)),
+            )
+        yield vec, leaf, _gf(_rounded(acc[k]), joint), value, gcf_abs, flags

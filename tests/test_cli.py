@@ -1,19 +1,23 @@
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcfit import (
     Dag,
+    Dataset,
     InterventionBundle,
     PdGraph,
     VariableSchema,
@@ -21,10 +25,13 @@ from gcfit import (
     enumerate_orientations,
     gcf_abs,
     gcf_detail,
+    gf,
     save_bayesnet,
     save_pdgraph,
 )
 from gcfit.cli import format_number, load_manifest, main
+from gcfit.graphs import EdgeRanks, iter_orientations
+from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE, score_orientations
 from gcfit.svg import scatter_svg
 from conftest import random_net
 
@@ -63,6 +70,17 @@ def path_graph(tmp_path, k):
     schema = VariableSchema(names, (2,) * (k + 1))
     save_pdgraph(PdGraph(schema, (), tuple(zip(names, names[1:]))), graph)
     return graph
+
+
+def path_data(tmp_path, k):
+    """A path skeleton with k undirected edges and data from a net along it:
+    (graph file, manifest file)."""
+    graph = path_graph(tmp_path, k)
+    names = tuple(f"v{i:02d}" for i in range(k + 1))
+    chain = Dag(VariableSchema(names, (2,) * (k + 1)), tuple(zip(names, names[1:])))
+    save_bayesnet(random_net(chain, np.random.default_rng(k)), tmp_path / "truth.json")
+    assert run_synth(tmp_path, out=f"data{k}", n_obs="500", n_do="50") == 0
+    return graph, tmp_path / f"data{k}" / "manifest.json"
 
 
 def tree_digest(root):
@@ -170,6 +188,45 @@ class TestEnumerate:
         assert proc.wait() == 0
         assert first.startswith(b"G000000000000\t000000000000\tv00->v01;")
         assert err == b""
+
+    @pytest.mark.parametrize("command", ["enumerate", "score"])
+    def test_names_holding_edge_separators_exit_2(self, tmp_path, capsys, command):
+        # a->"b->c" and "a->b"->c would both print as a->b->c
+        schema = VariableSchema(("a", "b->c", "a->b", "c"), (2,) * 4)
+        graph = tmp_path / "arrows.json"
+        save_pdgraph(PdGraph(schema, (("a", "b->c"), ("a->b", "c")), ()), graph)
+        argv = [command, "--graph", str(graph)]
+        if command == "score":  # refused before the manifest is read
+            argv += ["--manifest", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: variable name 'b->c' holds '->', so its edges cannot be printed "
+            "unambiguously\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["enumerate", "score"])
+    def test_name_holding_a_semicolon_exit_2(self, tmp_path, capsys, command):
+        schema = VariableSchema(("a;b", "c"), (2, 2))
+        graph = tmp_path / "semicolon.json"
+        save_pdgraph(PdGraph(schema, (), (("a;b", "c"),)), graph)
+        argv = [command, "--graph", str(graph)]
+        if command == "score":
+            argv += ["--manifest", str(tmp_path / "nope.json")]
+        assert main(argv) == 2
+        assert "holds ';'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_name_that_would_split_a_line_exit_2(self, tmp_path, capsys, char):
+        # enumerate prints tab-separated lines; gcf score quotes such names in its CSV
+        schema = VariableSchema((f"a{char}b", "c"), (2, 2))
+        graph = tmp_path / "split.json"
+        save_pdgraph(PdGraph(schema, (), ((f"a{char}b", "c"),)), graph)
+        assert main(["enumerate", "--graph", str(graph)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: variable name {f'a{char}b'!r} holds")
 
 
 class TestSynth:
@@ -628,6 +685,60 @@ class TestScore:
                 assert None not in r
                 assert float(r["weight"]) > 0
 
+    def test_score_does_not_import_bayesnet(self, workdir):
+        # only exact tables from a net need bayesnet.marginal
+        assert run_synth(workdir, n_obs="200", n_do="50") == 0
+        argv = ["score", "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(workdir / "data" / "manifest.json"),
+                "--out-dir", str(workdir / "out"), "--svg"]
+        code = (
+            "import sys\n"
+            "from gcfit.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('gcfit.bayesnet' in sys.modules, 'gcfit.scoring' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False True\n"
+        assert len(read_scores(workdir / "out" / "scores.csv")) == 2
+
+    @pytest.mark.parametrize("k", [12, 14])
+    def test_flat_memory(self, tmp_path, k):
+        # scores.csv is written as the walk scores each DAG, so the traced
+        # peak of a warm run does not grow with the 2**k DAGs
+        graph, manifest = path_data(tmp_path, k)
+        argv = ["score", "--graph", str(graph), "--manifest", str(manifest),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+        with open(tmp_path / "out" / "scores.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == 2**k + 1
+
+    @pytest.mark.parametrize("vector", ["010", "01", "0x0"])  # cyclic, short, not bits
+    def test_bad_subset_vector_exit_2_before_any_file(self, workdir, fig1_schema, capsys, vector):
+        assert run_synth(workdir, n_obs="200", n_do="50") == 0
+        triangle = workdir / "triangle.json"  # "010" orients a->b, z->a, b->z
+        save_pdgraph(PdGraph(fig1_schema, (), (("a", "b"), ("a", "z"), ("b", "z"))), triangle)
+        rc = main(["score", "--graph", str(triangle),
+                   "--manifest", str(workdir / "data" / "manifest.json"),
+                   "--out-dir", str(workdir / "out"), "--subset", "000", vector])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown orientation vectors: [{vector!r}]\n"
+        assert not (workdir / "out").exists()
+
+    def test_cap_exit_3_before_the_manifest_is_read(self, workdir, capsys):
+        rc = main(["score", "--graph", str(workdir / "gpd.json"),
+                   "--manifest", str(workdir / "nope.json"), "--max-undirected", "0"])
+        assert rc == 3
+        assert "nope.json" not in capsys.readouterr().err
+
     def test_corrupt_dataset_exit_1(self, workdir):
         run_synth(workdir)
         obs = workdir / "data" / "obs.csv"
@@ -704,3 +815,120 @@ class TestScore:
         )
         assert proc.returncode == 0, proc.stderr
         assert tree_digest(tmp_path / "out_c") == tree_digest(tmp_path / "out")
+
+
+def expected_scores(pd, obs, inter, smoothing, edges_policy, vectors):
+    """Per DAG of ``enumerate_orientations`` with a vector in ``vectors``: its
+    scores.csv row, and its scores from the one-DAG functions, floats as hex."""
+    tables = InterventionBundle(obs, inter, smoothing=smoothing).tables()
+    dmap = do_divergence_map(sorted({n for e in pd.directed + pd.undirected for n in e}), tables)
+    rows, bits = [], []
+    for m in enumerate_orientations(pd):
+        if m.orientation not in vectors:
+            continue
+        scored = m.dag.edges if edges_policy == "all" else pd.undirected
+        value, _, flags = gcf_detail(m.dag, scored, dmap)
+        gf_value, abs_value = gf(m.dag, obs, smoothing), gcf_abs(m.dag, dmap)
+        rows.append([
+            m.graph_id, m.orientation or "-", ";".join(f"{a}->{b}" for a, b in m.dag.edges),
+            format_number(gf_value), format_number(value), format_number(abs_value), ";".join(flags),
+        ])
+        bits.append((m.orientation, gf_value.hex(), value.hex(), abs_value.hex(), flags))
+    return rows, bits
+
+
+def check_streamed_scores(root, pd, obs, inter, smoothing, edges_policy, subset):
+    """`gcf score` streams the rows the one-DAG functions give, and the
+    stream it writes them from holds their floats bitwise.  ``subset`` is
+    a list of vectors for --subset, or None."""
+    save_pdgraph(pd, os.path.join(root, "g.json"))
+    obs.write_csv(os.path.join(root, "obs.csv"))
+    entries = []
+    for i, ((node, value), data) in enumerate(inter.items()):
+        data.write_csv(os.path.join(root, f"do{i}.csv"))
+        entries.append({"file": f"do{i}.csv", "node": node, "value": value})
+    with open(os.path.join(root, "manifest.json"), "w") as fh:
+        json.dump({"observational": "obs.csv", "interventions": entries}, fh)
+    argv = ["score", "--graph", os.path.join(root, "g.json"),
+            "--manifest", os.path.join(root, "manifest.json"),
+            "--out-dir", os.path.join(root, "out"),
+            "--smoothing", str(smoothing), "--edges", edges_policy]
+    if subset is not None:
+        argv += ["--subset", *(v or "-" for v in subset)]
+    assert main(argv) == 0
+
+    vectors = set(iter_orientations(pd) if subset is None else subset)
+    rows, bits = expected_scores(pd, obs, inter, smoothing, edges_policy, vectors)
+    with open(os.path.join(root, "out", "scores.csv"), newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[1:] == rows
+    walk = iter_orientations(pd) if subset is None else sorted(subset)
+    _, stream = score_orientations(
+        EdgeRanks(pd), walk, InterventionBundle(obs, inter, smoothing=smoothing), edges_policy
+    )
+    streamed = [(v, g.hex(), c.hex(), a.hex(), flags) for v, _, g, c, a, flags in stream]
+    assert streamed == bits
+    return streamed
+
+
+@st.composite
+def scoring_problems(draw):
+    """A PD graph on 2..5 variables (names not in schema order), some of
+    each kind of edge, sparse data on it, and the scoring options."""
+    n = draw(st.integers(2, 5))
+    names = ("n", "b", "z", "a", "m")[:n]
+    schema = VariableSchema(names, tuple(draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))))
+    order = draw(st.permutations(range(n)))
+    directed, undirected = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        kind = draw(st.sampled_from(["none", "directed", "undirected"]))
+        edge = (names[i], names[j]) if order.index(i) < order.index(j) else (names[j], names[i])
+        {"none": [], "directed": directed, "undirected": undirected}[kind].append(edge)
+    pd = PdGraph(schema, tuple(directed), tuple(undirected))
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cards = schema.cardinalities
+    obs = Dataset(schema, rng.integers(0, cards, (draw(st.integers(1, 40)), n)))
+    inter = {}
+    for col, node in enumerate(names):
+        for value in range(cards[col]):
+            rows = rng.integers(0, cards, (draw(st.integers(1, 6)), n))
+            rows[:, col] = value
+            inter[node, value] = Dataset(schema, rows)
+
+    smoothing = draw(st.sampled_from([0.0, 1.0]))
+    edges_policy = draw(st.sampled_from(["pd", "all"]))
+    subset = None
+    if draw(st.booleans()):
+        every = list(iter_orientations(pd))
+        subset = draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+    return pd, obs, inter, smoothing, edges_policy, subset
+
+
+class TestStreamedScores:
+    @settings(max_examples=60, deadline=None)
+    @given(scoring_problems())
+    def test_rows_equal_the_one_dag_functions(self, problem):
+        with tempfile.TemporaryDirectory() as root:  # no tmp_path inside @given
+            check_streamed_scores(root, *problem)
+
+    @pytest.mark.parametrize("edges_policy", ["pd", "all"])
+    def test_infinite_do_divergences(self, tmp_path, edges_policy):
+        # at smoothing 0 every do-set but b's misses the one rest its
+        # conditioned rows reach: D(a) = D(c) = D(d) = inf, D(b) = 0
+        schema = VariableSchema(("a", "b", "c", "d"), (2,) * 4)
+        obs = Dataset(schema, [[0, 0, 0, 0], [1, 1, 1, 1]])
+        inter = {}
+        for col, node in enumerate(schema.names):
+            for value in (0, 1):
+                row = [value] * 4 if node == "b" else [1 - value] * 4
+                row[col] = value
+                inter[node, value] = Dataset(schema, [row])
+        pd = PdGraph(schema, (), (("a", "b"), ("b", "c"), ("c", "d")))
+        streamed = check_streamed_scores(str(tmp_path), pd, obs, inter, 0.0, edges_policy, None)
+        # G000 is a->b->c->d: -inf and +inf distances, and c->d with both D infinite
+        assert streamed[0][0] == "000"
+        assert streamed[0][2:] == (
+            "0x0.0p+0", "nan", (FLAG_UNDEFINED_DISTANCE, FLAG_NO_CAUSAL_SIGNAL)
+        )
+        rows = read_scores(tmp_path / "out" / "scores.csv")
+        assert rows[0]["gcf_abs"] == "nan"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcfit import (
     Dag,
@@ -40,8 +41,8 @@ from gcfit import (
     sample_do,
     score_set,
 )
-from gcfit import scoring, tables as tables_module
-from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE
+from gcfit import bayesnet, tables as tables_module
+from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE, _Families
 from conftest import (
     oracle_count_entropy,
     oracle_count_kl,
@@ -653,14 +654,14 @@ class TestNetTables:
         # the do-term of a node reads its family marginal, which GF of the
         # truth (a candidate here) reads as well: one elimination serves both
         counts = {}
-        real = scoring.marginal
+        real = bayesnet.marginal
 
         def counting(net, names):
             key = frozenset(names)
             counts[key] = counts.get(key, 0) + 1
             return real(net, names)
 
-        monkeypatch.setattr(scoring, "marginal", counting)
+        monkeypatch.setattr(bayesnet, "marginal", counting)
         net = random_net(fig2_truth, np.random.default_rng(3))
         dags = enumerate_orientations(fig2_pdgraph)
         assert any(set(m.dag.edges) == set(fig2_truth.edges) for m in dags)
@@ -711,6 +712,26 @@ def random_pdgraph(rng):
     undirected = tuple(e for e in truth.edges if rng.random() < 0.6)
     directed = tuple(e for e in truth.edges if e not in undirected)
     return PdGraph(truth.schema, directed, undirected), random_net(truth, rng)
+
+
+# the parent lists of a -> b, a -> c, b -> c, c -> d, and the name sets
+# their GF terms H(family) - H(parents) read
+FAMILY_PARENTS = {"a": [], "b": ["a"], "c": ["a", "b"], "d": ["c"]}
+FAMILY_SETS = sorted({frozenset(ps + [n]) for n, ps in FAMILY_PARENTS.items()}
+                     | {frozenset(ps) for ps in FAMILY_PARENTS.values()}, key=sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300), min_size=len(FAMILY_SETS), max_size=len(FAMILY_SETS)))
+def test_exact_family_sum_rounds_as_fsum(values):
+    # each term is an exact integer multiple of 2**-1074, and the sum is
+    # rounded once: the float math.fsum gives, subnormal and huge terms too
+    entropy = dict(zip(FAMILY_SETS, values))
+    terms = []
+    for node, ps in FAMILY_PARENTS.items():
+        terms += [entropy[frozenset(ps + [node])], -entropy[frozenset(ps)]]
+    families = _Families(lambda names: entropy[frozenset(names)])
+    assert families.conditional_entropy(FAMILY_PARENTS).hex() == math.fsum(terms).hex()
 
 
 class TestLocalTerms:
