@@ -250,22 +250,17 @@ def _reaches_added(reach: list[int], u: int, v: int) -> list[int]:
     return [r | more if r & bit else r for r in reach]
 
 
-def _oriented(edge: tuple[str, str], bit: str) -> tuple[str, str]:
-    """An undirected edge (a, b), a < b, oriented by its bit: '0' a->b, '1' b->a."""
-    a, b = edge
-    return (a, b) if bit == "0" else (b, a)
-
-
 def iter_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP, prefixes=None):
     """The orientation vectors of the acyclic orientations of the undirected
     edges of ``g``, in lexicographic order, as an iterator; the cap is
     checked on the call, before the first vector is drawn.
 
     A vector holds one bit per edge of ``g.undirected`` (see `TaggedDag`),
-    so it is all of a leaf's state: `tagged_orientation` builds its `Dag` and
-    `EdgeRanks` its edge list.  Edges are oriented one at a time, in
-    ``g.undirected`` order; a prefix is extended by u->v only if v does
-    not already reach u, so no prefix that closes a cycle is extended.
+    so it is all of a leaf's state: `enumerate_orientations` builds its
+    `Dag` from it, `EdgeRanks` its edge list and
+    `scoring.score_orientations` its scores.  Edges are oriented one at a
+    time, in ``g.undirected`` order; a prefix is extended by u->v only if v
+    does not already reach u, so no prefix that closes a cycle is extended.
     With ``prefixes``, a set of vectors holding every prefix of each of its
     members, the walk enters only the vectors in the set, so it yields
     those of its members that orient all the edges and close no cycle."""
@@ -308,18 +303,15 @@ def _walk(g: PdGraph, prefixes):
             stack.append((vec + "0", _reaches_added(reach, a, b)))
 
 
-def tagged_orientation(g: PdGraph, vec: str) -> TaggedDag:
-    """The `TaggedDag` of ``g`` whose undirected edges ``vec`` orients;
-    ``vec`` is one that `iter_orientations` yields."""
-    oriented = tuple(map(_oriented, g.undirected, vec))
-    return TaggedDag("G" + vec, vec, Dag._trusted(g.schema, g.directed + oriented))
-
-
 def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP) -> DagSet:
     """All acyclic ways of orienting the undirected edges of ``g``, in the
-    order `iter_orientations` yields them."""
-    vectors = iter_orientations(g, max_undirected)
-    return DagSet(tuple(tagged_orientation(g, vec) for vec in vectors), g.undirected)
+    order `iter_orientations` yields them, each as the `TaggedDag` its
+    vector builds."""
+    members = []
+    for vec in iter_orientations(g, max_undirected):
+        oriented = tuple((a, b) if bit == "0" else (b, a) for (a, b), bit in zip(g.undirected, vec))
+        members.append(TaggedDag("G" + vec, vec, Dag._trusted(g.schema, g.directed + oriented)))
+    return DagSet(tuple(members), g.undirected)
 
 
 def subset_orientations(
@@ -335,17 +327,9 @@ def subset_orientations(
     found = list(iter_orientations(g, max_undirected, prefixes))
     unknown = wanted.difference(found)
     if unknown:
-        raise GcfitError(f"unknown orientation vectors: {sorted(unknown)}")
+        # "-" is how `gcf enumerate` and scores.csv print the empty vector
+        raise GcfitError(f"unknown orientation vectors: {[v or '-' for v in sorted(unknown)]}")
     return found
-
-
-def orientation_subset(
-    g: PdGraph, vectors, max_undirected: int = DEFAULT_ENUMERATION_CAP
-) -> DagSet:
-    """The members of ``enumerate_orientations(g, max_undirected)`` whose
-    vectors are in ``vectors``, in the same order; see `subset_orientations`."""
-    found = subset_orientations(g, vectors, max_undirected)
-    return DagSet(tuple(tagged_orientation(g, vec) for vec in found), g.undirected)
 
 
 class EdgeRanks:

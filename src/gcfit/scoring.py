@@ -81,8 +81,13 @@ class InterventionTables:
             raise EmptyDataset("cannot estimate from an empty dataset without smoothing")
         self.schema: VariableSchema = schema
         self._rows, self._weights, self._smoothing = rows, weights, smoothing
-        self._total = total + smoothing * schema.n_cells
+        self._total = total + self._mass(schema.n_cells)
         self._entropies: dict[frozenset, float] = {}
+
+    def _mass(self, cells: int) -> float:
+        """The smoothing mass s·cells; 0.0 unsmoothed, where no float
+        multiplies a cell count, which can be past the largest float."""
+        return self._smoothing * cells if self._smoothing else 0.0
 
     @classmethod
     def from_net(cls, net) -> "InterventionTables":
@@ -103,7 +108,7 @@ class InterventionTables:
         cols = [i for i, n in enumerate(self.schema.names) if n in key]
         (counts,) = _tally([(self._rows, self._weights)], cols, self.schema.cardinalities)
         cells = math.prod(self.schema.cardinalities[i] for i in cols)
-        pseudo = self._smoothing * (self.schema.n_cells // cells)  # of each cell of the scope
+        pseudo = self._mass(self.schema.n_cells // cells)  # of each cell of the scope
         p = (counts + pseudo) / self._total
         h = -float(np.sum(p * np.log(p)))
         if pseudo:
@@ -124,9 +129,10 @@ class InterventionTables:
         col = schema.index(node)
         rest = [i for i in range(len(schema.names)) if i != col]
         cells = schema.n_cells // schema.cardinalities[col]
+        mass = self._mass(cells)
         for value in range(schema.cardinalities[col]):
             given = self._rows[:, col] == value
-            conditioned = self._weights[given].sum().item() + s * cells
+            conditioned = self._weights[given].sum().item() + mass
             if conditioned <= 0:
                 continue
             do = self._do.get((node, value))
@@ -137,7 +143,7 @@ class InterventionTables:
             parts = [(self._rows[given], self._weights[given]), (do_rows, do_weights)]
             p_counts, q_counts = _tally(parts, rest, schema.cardinalities)
             yield value, conditioned / self._total, _smoothed_kl(
-                p_counts, conditioned, q_counts, do_total + s * cells, s, cells
+                p_counts, conditioned, q_counts, do_total + mass, s, cells
             )
 
 
@@ -259,6 +265,13 @@ class InterventionBundle:
     def __post_init__(self):
         check_smoothing(self.smoothing)
         schema = self.observational.schema
+        try:  # the mass s·C that the tables add over the joint's C cells
+            finite = not self.smoothing or math.isfinite(self.smoothing * schema.n_cells)
+        except OverflowError:  # a cell count, or an int mass, past the largest float
+            finite = False
+        if not finite:
+            raise GcfitError(f"smoothing {self.smoothing!r} times the joint's cell count "
+                             "overflows a float")
         for key, data in self.interventional.items():
             node, value = _do_key(schema, key)
             if data.schema != schema:
@@ -297,9 +310,7 @@ class ScoreRecord:
     gcf: float
     gcf_abs: float
     edge_details: tuple[tuple[tuple[str, str], int, float], ...]
-    # node -> D(node), and node -> `do_divergence_detail`: each shared by the whole set
-    do_divergences: Mapping[str, float]
-    do_detail: Mapping[str, tuple[float, list[tuple[int, float, float]]]]
+    do_divergences: Mapping[str, float]  # node -> D(node), one map shared by the whole set
     flags: tuple[str, ...]
 
 
@@ -536,7 +547,9 @@ def score_set(
     edges_policy: str = "pd",
     missing_policy: str = "strict",
 ) -> list[ScoreRecord]:
-    """Score every DAG of a set against one shared do-divergence map.
+    """Score every DAG of a set against one shared do-divergence map,
+    `do_divergence_map` of the endpoints of the set's edges in sorted
+    order, which every record holds as ``do_divergences``.
 
     GCF scores the undirected edges of the generating PD graph
     (``edges_policy='pd'``); with ``edges_policy='all'`` it scores each
@@ -545,7 +558,8 @@ def score_set(
     GF's term per (node, parents) and GCF's signed distance per oriented
     edge.  A candidate then costs one pass over its edges, to build its
     parent lists, and one lookup per node and per edge.  The orientations
-    of one PD graph are scored faster, and streamed, by `score_orientations`.
+    of one PD graph are scored faster, and streamed, by `score_orientations`,
+    which also returns the per-value terms behind the map.
     """
     _check_edges_policy(edges_policy)
     if edges_policy == "pd" and len(dags) > 1 and not dags.source_undirected:
@@ -562,8 +576,7 @@ def score_set(
             raise SchemaMismatch(f"[{member.graph_id}] table schema differs from DAG schema")
         if len(needed) < len(tables.schema.names):  # else nothing is left to add
             needed.update(*member.dag.edges)
-    do_detail = _do_details(needed, tables, missing_policy)
-    dmap = {n: d for n, (d, _) in do_detail.items()}
+    dmap = do_divergence_map(sorted(needed), tables, missing_policy)
 
     joint, families, edge_terms = tables.joint_entropy(), _Families(tables.entropy), {}
     records = []
@@ -582,7 +595,6 @@ def score_set(
                 gcf_abs=_gcf_abs(dag.edges, dmap, edge_terms),
                 edge_details=details,
                 do_divergences=dmap,
-                do_detail=do_detail,
                 flags=flags,
             )
         except GcfitError as exc:
@@ -597,11 +609,6 @@ def _check_edges_policy(edges_policy: str) -> None:
         raise GcfitError(f"unknown edges policy {edges_policy!r}")
 
 
-def _do_details(nodes, tables: InterventionTables, missing_policy: str) -> dict:
-    """`do_divergence_detail` of each of ``nodes``, in sorted order."""
-    return {n: do_divergence_detail(n, tables, missing_policy) for n in sorted(nodes)}
-
-
 def score_orientations(
     ranks: EdgeRanks,
     vectors,
@@ -612,11 +619,12 @@ def score_orientations(
     """Score orientations of one PD graph, ``ranks.graph``, as a stream.
 
     ``vectors`` are orientation vectors of the graph, as `iter_orientations`
-    and `subset_orientations` give them.  Returns the do-divergence detail
-    of the endpoints of the graph's edges, which every orientation holds,
-    computed before anything is scored, and an iterator of one tuple
-    (vector, edge ranks, gf, gcf, gcf_abs, flags) per vector.  Each score
-    is bitwise the one `score_set` gives the vector's `TaggedDag` of a
+    and `subset_orientations` give them.  Returns a dict, node ->
+    `do_divergence_detail`, over the endpoints of the graph's edges (which
+    every orientation holds) in sorted order, computed before anything is
+    scored, and an iterator of one tuple (vector, edge ranks, gf, gcf,
+    gcf_abs, flags) per vector.  On every tables source, each score is
+    bitwise the one `score_set` gives the vector's `TaggedDag` of a
     `DagSet` with the graph's undirected edges as source.
 
     Consecutive vectors of the walk share a prefix, so the scores are kept
@@ -633,7 +641,8 @@ def score_orientations(
     tables = data.tables() if isinstance(data, InterventionBundle) else data
     if g.schema != tables.schema:
         raise SchemaMismatch("table schema differs from graph schema")
-    do_detail = _do_details({n for e in ranks.edges for n in e}, tables, missing_policy)
+    ends = sorted({n for e in ranks.edges for n in e})
+    do_detail = {n: do_divergence_detail(n, tables, missing_policy) for n in ends}
     dmap = {n: d for n, (d, _) in do_detail.items()}
     return do_detail, _walk_scores(ranks, vectors, tables, dmap, edges_policy)
 

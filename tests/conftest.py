@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gcfit import BayesNet, Cpt, Dag, DagSet, GcfitError, PdGraph, ProbTable, VariableSchema
+from gcfit import BayesNet, Cpt, Dag, GcfitError, PdGraph, ProbTable, VariableSchema
 from gcfit import kl_divergence
 
 
@@ -322,15 +322,16 @@ def oracle_orientations(g):
     return out
 
 
-def oracle_orientation_subset(dags, orientations):
-    """The members of a `DagSet` whose orientation vector is in
-    ``orientations``, filtered from the whole set; an unknown vector raises
-    the error `orientation_subset` raises."""
+def oracle_orientation_subset(vectors, orientations):
+    """The members of ``vectors``, every acyclic orientation vector of a PD
+    graph in walk order, that are in ``orientations``, filtered from the
+    whole list; an unknown vector raises the error `subset_orientations`
+    raises, which prints the empty vector as "-"."""
     wanted = set(orientations)
-    missing = wanted - {m.orientation for m in dags}
+    missing = wanted.difference(vectors)
     if missing:
-        raise GcfitError(f"unknown orientation vectors: {sorted(missing)}")
-    return DagSet(tuple(m for m in dags if m.orientation in wanted), dags.source_undirected)
+        raise GcfitError(f"unknown orientation vectors: {[v or '-' for v in sorted(missing)]}")
+    return [v for v in vectors if v in wanted]
 
 
 def oracle_topological_order(names, edges):

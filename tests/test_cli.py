@@ -467,6 +467,44 @@ class TestScore:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: smoothing must be")
 
+    def test_smoothing_mass_past_the_largest_float_exit_2_before_any_file(self, workdir, capsys):
+        # 1e308 over fig1's 8 cells; at the parent this wrote a
+        # do_divergences.csv of nan rows, then died with a traceback
+        assert run_synth(workdir, n_obs="200", n_do="50") == 0
+        rc = main(["score", "--graph", str(workdir / "gpd.json"),
+                   "--manifest", str(workdir / "data" / "manifest.json"),
+                   "--out-dir", str(workdir / "out"), "--smoothing", "1e308"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: smoothing 1e+308 times the joint's cell count overflows a float\n"
+        )
+        assert not (workdir / "out").exists()
+
+    def test_unsmoothed_score_of_more_cells_than_a_float_holds(self, tmp_path):
+        # 1100 binary columns, 2**1100 cells: at the parent --smoothing 0
+        # multiplied that count by 0.0 and raised OverflowError
+        names = [f"x{i:04d}" for i in range(1100)]
+        schema = VariableSchema(tuple(names), (2,) * len(names))
+        edge = (names[0], names[1])
+        save_pdgraph(PdGraph(schema, (), (edge,)), tmp_path / "g.json")
+        rng = np.random.default_rng(12)
+        obs = Dataset(schema, rng.integers(0, 2, (50, len(names))))
+        obs.write_csv(tmp_path / "obs.csv")
+        entries = []
+        for col, value in itertools.product((0, 1), (0, 1)):
+            rows = rng.integers(0, 2, (5, len(names)))
+            rows[:, col] = value
+            Dataset(schema, rows).write_csv(tmp_path / f"do{col}{value}.csv")
+            entries.append({"file": f"do{col}{value}.csv", "node": names[col], "value": value})
+        manifest = {"observational": "obs.csv", "interventions": entries}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        assert main(["score", "--graph", str(tmp_path / "g.json"),
+                     "--manifest", str(tmp_path / "m.json"),
+                     "--out-dir", str(tmp_path / "out"), "--smoothing", "0"]) == 0
+        rows = read_scores(tmp_path / "out" / "scores.csv")
+        assert [r["graph_id"] for r in rows] == ["G0", "G1"]
+        assert rows[0]["gf"] == format_number(gf(Dag(schema, (edge,)), obs, 0))
+
     def test_missing_intervention_strict_exit_2(self, workdir):
         run_synth(workdir)
         manifest_path = workdir / "data" / "manifest.json"
@@ -721,7 +759,8 @@ class TestScore:
         with open(tmp_path / "out" / "scores.csv", "rb") as fh:
             assert sum(1 for _ in fh) == 2**k + 1
 
-    @pytest.mark.parametrize("vector", ["010", "01", "0x0"])  # cyclic, short, not bits
+    # cyclic, short, not bits, and "-", the empty vector, printed as enumerate prints it
+    @pytest.mark.parametrize("vector", ["010", "01", "0x0", "-"])
     def test_bad_subset_vector_exit_2_before_any_file(self, workdir, fig1_schema, capsys, vector):
         assert run_synth(workdir, n_obs="200", n_do="50") == 0
         triangle = workdir / "triangle.json"  # "010" orients a->b, z->a, b->z

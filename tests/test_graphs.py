@@ -17,7 +17,7 @@ from gcfit import (
     pdgraph_from_json,
     pdgraph_to_json,
 )
-from gcfit.graphs import orientation_subset, topological_order
+from gcfit.graphs import subset_orientations, topological_order
 from conftest import oracle_orientation_subset, oracle_orientations, oracle_topological_order
 
 
@@ -207,13 +207,14 @@ class TestEnumerateOrientations:
         assert [m.dag.edges for m in a] == [m.dag.edges for m in b]
 
     def test_subset_selection(self, fig2_pdgraph):
-        sub = orientation_subset(fig2_pdgraph, ["10", "00"])
-        assert [m.orientation for m in sub] == ["00", "10"]
+        assert subset_orientations(fig2_pdgraph, ["10", "00"]) == ["00", "10"]
         with pytest.raises(GcfitError):
-            orientation_subset(fig2_pdgraph, ["99"])
+            subset_orientations(fig2_pdgraph, ["99"])
+        # the empty vector is printed as gcf enumerate and scores.csv print it
+        with pytest.raises(GcfitError, match=r"^unknown orientation vectors: \['-'\]$"):
+            subset_orientations(fig2_pdgraph, ["00", ""])
 
-
-    def test_orientation_subset_builds_what_enumerate_then_subset_keeps(self):
+    def test_subset_orientations_walks_to_what_the_oracle_keeps(self):
         # random PD graphs on 6 nodes; every vector of the right length is
         # asked for in a random order with repeats, so cyclic ones are too
         rng = np.random.default_rng(11)
@@ -225,35 +226,29 @@ class TestEnumerateOrientations:
             n_dir, k = int(rng.integers(0, 6)), int(rng.integers(0, 7))
             directed = tuple((a, b) if rank[a] < rank[b] else (b, a) for a, b in shuffled[:n_dir])
             g = PdGraph(schema, directed, tuple(shuffled[n_dir : n_dir + k]))
-            dags = enumerate_orientations(g)
-            acyclic = [m.orientation for m in dags]
+            acyclic = [vec for vec, _ in oracle_orientations(g)]
             wanted = [acyclic[i] for i in rng.integers(0, len(acyclic), 4)]
-            sub = orientation_subset(g, wanted)
-            assert sub == oracle_orientation_subset(dags, wanted)
-            assert all(m.dag == Dag(g.schema, m.dag.edges) for m in sub)
+            assert subset_orientations(g, wanted) == oracle_orientation_subset(acyclic, wanted)
             cyclic = sorted(set(map("".join, itertools.product("01", repeat=k))) - set(acyclic))
             for bad in cyclic[:2] + ["2" * max(k, 1), "0" * (k + 1)]:
                 with pytest.raises(GcfitError, match="unknown orientation vectors") as exc:
-                    orientation_subset(g, wanted + [bad])
+                    subset_orientations(g, wanted + [bad])
                 with pytest.raises(GcfitError) as expected:
-                    oracle_orientation_subset(dags, wanted + [bad])
+                    oracle_orientation_subset(acyclic, wanted + [bad])
                 assert str(exc.value) == str(expected.value)
         # no vectors; the empty vector of a graph with no undirected edges; a
         # vector whose 10**6 prefixes would hold 5e11 characters, so it must
         # be found unknown by its length; repeats
         g = PdGraph(schema, (("a", "b"),), (("b", "c"), ("c", "d")))
-        dags = enumerate_orientations(g)
-        assert orientation_subset(g, []) == oracle_orientation_subset(dags, [])
-        assert len(oracle_orientation_subset(dags, [])) == 0
+        assert subset_orientations(g, []) == []
         directed = PdGraph(schema, (("a", "b"),), ())
-        assert orientation_subset(directed, [""]) == enumerate_orientations(directed)
+        assert subset_orientations(directed, [""]) == [""]
         with pytest.raises(GcfitError) as exc:
-            orientation_subset(g, ["01", "0" * 10**6])
+            subset_orientations(g, ["01", "0" * 10**6])
         assert str(exc.value) == f"unknown orientation vectors: {['0' * 10**6]}"
-        assert orientation_subset(g, ["10", "00", "10", "00"]) == oracle_orientation_subset(
-            dags, ["00", "10"])
+        assert subset_orientations(g, ["10", "00", "10", "00"]) == ["00", "10"]
 
-    def test_orientation_subset_lists_unknown_vectors_sorted(self):
+    def test_subset_orientations_lists_unknown_vectors_sorted(self):
         # the unknown vectors are a set, which iterates in string-hash order
         # and so differs from run to run; eight of them, passed in reverse,
         # leave an unsorted listing 1 chance in 40 320 of reading sorted
@@ -261,12 +256,12 @@ class TestEnumerateOrientations:
         g = PdGraph(schema, (), (("a", "b"), ("b", "c")))
         unknown = [f"{i}{j}" for i in "23" for j in "0123"]
         with pytest.raises(GcfitError) as exc:
-            orientation_subset(g, ["00"] + unknown[::-1])
+            subset_orientations(g, ["00"] + unknown[::-1])
         assert str(exc.value) == f"unknown orientation vectors: {unknown}"
 
-    def test_orientation_subset_checks_the_cap_first(self, triangle):
+    def test_subset_orientations_checks_the_cap_first(self, triangle):
         with pytest.raises(EnumerationLimit):
-            orientation_subset(triangle, ["999"], max_undirected=2)
+            subset_orientations(triangle, ["999"], max_undirected=2)
 
 
 class TestPdGraphValidation:

@@ -42,7 +42,13 @@ from gcfit import (
     score_set,
 )
 from gcfit import bayesnet, tables as tables_module
-from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE, _Families
+from gcfit.graphs import EdgeRanks, iter_orientations
+from gcfit.scoring import (
+    FLAG_NO_CAUSAL_SIGNAL,
+    FLAG_UNDEFINED_DISTANCE,
+    _Families,
+    score_orientations,
+)
 from conftest import (
     oracle_count_entropy,
     oracle_count_kl,
@@ -443,6 +449,42 @@ class TestBundle:
         with pytest.raises(GcfitError, match="smoothing must be a finite nonnegative number"):
             gf(Dag(fig1_schema, ()), obs, smoothing=smoothing)
 
+    @pytest.mark.parametrize("smoothing, n", [(1e308, 1), (2.0**1022, 2), (1e-300, 1100)],
+                             ids=["inf-mass", "mass-of-2**1024", "cell-count-past-a-float"])
+    def test_smoothing_mass_past_the_largest_float_rejected(self, smoothing, n):
+        # the tables add s·C over the C cells of the joint; at the parent an
+        # infinite mass gave nan tables and a math domain error, and a cell
+        # count past the largest float an OverflowError
+        schema = VariableSchema(tuple(f"x{i:04d}" for i in range(n)), (2,) * n)
+        obs = Dataset(schema, np.zeros((2, n), dtype=int))
+        message = "times the joint's cell count overflows a float"
+        with pytest.raises(GcfitError, match=message):
+            InterventionBundle(obs, {}, smoothing=smoothing)
+        with pytest.raises(GcfitError, match=message):
+            gf(Dag(schema, ()), obs, smoothing=smoothing)
+        if n < 1024:  # half the mass is finite
+            InterventionBundle(obs, {}, smoothing=smoothing / 2)
+
+    def test_unsmoothed_tables_of_more_cells_than_a_float_holds(self):
+        # 2**1100 cells: at the parent 0.0 times that count raised
+        # OverflowError where the int 0 worked; nothing is smoothed, so no
+        # float multiplies it, and both give the same values
+        n = 1100
+        names = tuple(f"x{i:04d}" for i in range(n))
+        schema = VariableSchema(names, (2,) * n)
+        rng = np.random.default_rng(12)
+        obs = Dataset(schema, rng.integers(0, 2, (50, n)))
+        inter = {}
+        for value in (0, 1):
+            rows = rng.integers(0, 2, (5, n))
+            rows[:, 0] = value
+            inter[names[0], value] = Dataset(schema, rows)
+        dag = Dag(schema, ((names[0], names[1]),))
+        assert math.isfinite(gf(dag, obs, 0.0))
+        assert gf(dag, obs, 0.0) == gf(dag, obs, 0)
+        detail = do_divergence_detail(names[0], InterventionBundle(obs, inter, 0.0).tables())
+        assert detail == do_divergence_detail(names[0], InterventionBundle(obs, inter, 0).tables())
+
     def test_tables_drop_intervened_column(self, fig1_net):
         # smoothing spreads over the 4 (b, z) cells of the do-set, none of
         # them on the unclamped a=1 states: D_a is the KL against the dense
@@ -549,19 +591,13 @@ class TestScoreSet:
         assert by_orientation["1"].gcf == -1.0
 
     def test_dmap_is_shared_across_dags(self, fig1_pdgraph, fig1_net):
-        records = score_set(
-            enumerate_orientations(fig1_pdgraph), InterventionTables.from_net(fig1_net)
-        )
-        assert records[0].do_divergences == records[1].do_divergences
-        assert records[0].do_divergences is records[1].do_divergences
-
-    def test_do_detail_is_one_shared_mapping(self, fig1_pdgraph, fig1_net):
         tables = InterventionTables.from_net(fig1_net)
         records = score_set(enumerate_orientations(fig1_pdgraph), tables)
-        assert records[0].do_detail is records[1].do_detail
-        for node, (divergence, detail) in records[0].do_detail.items():
-            assert (divergence, detail) == do_divergence_detail(node, tables)
-            assert records[0].do_divergences[node] == divergence
+        assert records[0].do_divergences == records[1].do_divergences
+        assert records[0].do_divergences is records[1].do_divergences
+        assert list(records[0].do_divergences) == ["a", "b", "z"]
+        for node, divergence in records[0].do_divergences.items():
+            assert divergence == do_divergence_detail(node, tables)[0]
 
     def test_gf_is_the_same_per_dag_and_from_bundle_or_tables(self, fig2_pdgraph, fig2_truth):
         net = random_net(fig2_truth, np.random.default_rng(5))
@@ -779,6 +815,33 @@ class TestLocalTerms:
                 assert record_bits(r) == by_edges[r.dag.edges]
         if smoothing == 0.0:
             assert {FLAG_UNDEFINED_DISTANCE, FLAG_NO_CAUSAL_SIGNAL} <= flags_seen
+
+    @pytest.mark.parametrize("edges_policy", ["pd", "all"])
+    @pytest.mark.parametrize("source", ["net", "dense"])
+    def test_walk_scores_equal_the_records(self, source, edges_policy):
+        # `score_orientations` on the table sources `gcf score` never reads:
+        # on net tables the truth's Markov class gets GF +inf
+        rng = np.random.default_rng(31)
+        infinite = 0
+        for _ in range(8):
+            pd, net = random_pdgraph(rng)
+            tables = source_tables(net, source)
+            records = score_set(enumerate_orientations(pd), tables, edges_policy=edges_policy)
+            ranks = EdgeRanks(pd)
+            detail, stream = score_orientations(ranks, iter_orientations(pd), tables, edges_policy)
+            dmap = records[0].do_divergences
+            assert [(n, d) for n, (d, _) in detail.items()] == list(dmap.items())
+            assert detail == {n: do_divergence_detail(n, tables) for n in dmap}
+            streamed = [(v, ranks.text(leaf), g.hex(), c.hex(), a.hex(), flags)
+                        for v, leaf, g, c, a, flags in stream]
+            assert streamed == [
+                (r.orientation, ";".join(f"{a}->{b}" for a, b in r.dag.edges), r.gf.hex(),
+                 r.gcf.hex(), r.gcf_abs.hex(), r.flags)
+                for r in records
+            ]
+            infinite += sum(r.gf == math.inf for r in records)
+        if source == "net":
+            assert infinite >= 8  # the truth is a candidate of each graph
 
     @pytest.mark.parametrize("source", ["net", "data"])
     def test_each_local_term_is_computed_once_per_set(self, monkeypatch, source):
