@@ -322,8 +322,9 @@ def subset_orientations(
     after the same cap check.  A vector that is malformed or orients a
     cycle raises GcfitError ("unknown orientation vectors")."""
     wanted, k = set(vectors), len(g.undirected)
-    # a vector of another length has no prefix the walk could enter
-    prefixes = {vec[:i] for vec in wanted if len(vec) == k for i in range(k + 1)}
+    # no prefix is longer than a leaf; a vector of another length is no
+    # leaf the walk reaches, so it is left unknown
+    prefixes = {vec[:i] for vec in wanted for i in range(k + 1)}
     found = list(iter_orientations(g, max_undirected, prefixes))
     unknown = wanted.difference(found)
     if unknown:

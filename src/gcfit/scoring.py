@@ -272,6 +272,8 @@ class InterventionBundle:
         if not finite:
             raise GcfitError(f"smoothing {self.smoothing!r} times the joint's cell count "
                              "overflows a float")
+        # an int past int64 would overflow numpy's arithmetic in the tables
+        object.__setattr__(self, "smoothing", float(self.smoothing))
         for key, data in self.interventional.items():
             node, value = _do_key(schema, key)
             if data.schema != schema:

@@ -22,7 +22,11 @@ from .graphs import VariableSchema, decode_utf8
 
 NORMALIZATION_TOL = 1e-9
 _CSV_WRITE_ROWS = 4096
-_ZERO = ord("0")
+_CSV_READ_ROWS = 4096
+# a canonical cell as a little-endian 2-byte word: the digit's byte, then
+# its separator's; the last cell of a line ends in LF rather than ","
+_CELL = np.uint16(ord("0") | ord(",") << 8)
+_LAST_CELL_FIX = np.uint16((ord(",") - ord("\n")) << 8)
 
 
 def float_array(values, what: str) -> np.ndarray:
@@ -162,10 +166,11 @@ class Dataset:
     def write_csv(self, path) -> None:
         """The header as `csv_lines` renders the names, then one line per
         row, as UTF-8 bytes.  When every cardinality is at most 10 the rows
-        go to the file as one ``(N, 2n)`` uint8 grid, each cell a digit then
-        a comma or, last in its line, an LF (the canonical layout `read_csv`
-        decodes without the strict parser); else as text, one block of rows
-        at a time, since a join over the whole rows.tolist() holds several
+        go to the file as one ``(N, n)`` array of little-endian 2-byte
+        cells, each a digit then a comma or, last in its line, an LF (the
+        canonical layout `read_csv` decodes without the strict parser),
+        made by one add over all cells; else as text, one block of rows at
+        a time, since a join over the whole rows.tolist() holds several
         times the output's size at once.  A zero-column dataset raises
         GcfitError."""
         cards = self.schema.cardinalities
@@ -175,11 +180,9 @@ class Dataset:
         with open(path, "wb") as fh:
             fh.write(csv_lines([self.schema.names]).encode("utf-8"))
             if max(cards) <= 10:
-                grid = np.empty((len(self), 2 * len(cards)), dtype=np.uint8)
-                grid[:, 1::2] = ord(",")
-                grid[:, -1] = ord("\n")
-                np.add(self.rows, _ZERO, out=grid[:, ::2], casting="unsafe")
-                fh.write(grid)
+                cells = self.rows + _CELL  # uint8 rows: one uint16 word per cell
+                cells[:, -1] -= _LAST_CELL_FIX
+                fh.write(cells.astype("<u2", copy=False))
             else:
                 for start in range(0, len(self), _CSV_WRITE_ROWS):
                     block = self.rows[start:start + _CSV_WRITE_ROWS].tolist()
@@ -194,13 +197,13 @@ class Dataset:
 
         A file in the canonical layout (the header as `csv_lines` renders
         the names, then rows of single-digit cells separated by commas, each
-        ended by one LF) is checked and decoded from its bytes as one grid
-        instead, without building the text.  That layout is a strict subset
-        of what the strict parser accepts, and on it both give the identical
-        rows; everything `write_csv` writes with every cardinality at most
-        10 is in it.  Any other file (CRLF, blank lines, quoted or padded
-        cells, multi-digit states, ...) goes to the strict parser, the only
-        source of error messages."""
+        ended by one LF) is checked and decoded from its bytes instead, a
+        block of rows at a time, without building the text.  That layout is
+        a strict subset of what the strict parser accepts, and on it both
+        give the identical rows; everything `write_csv` writes with every
+        cardinality at most 10 is in it.  Any other file (CRLF, blank lines,
+        quoted or padded cells, multi-digit states, ...) goes to the strict
+        parser, the only source of error messages."""
         with open(path, "rb") as fh:
             raw = fh.read()
         rows = _canonical_rows(raw, schema)
@@ -286,7 +289,13 @@ def csv_lines(records) -> str:
 
 def _canonical_rows(raw: bytes, schema: VariableSchema):
     """The rows of ``raw``, a file's bytes, as a uint8 array if they are in
-    the canonical layout of `Dataset.read_csv`, else None."""
+    the canonical layout of `Dataset.read_csv`, else None.
+
+    The body is read as little-endian 2-byte cells, less the word of a
+    digit-0 cell: a cell in the layout is its digit, and any other (a wrong
+    separator, a byte that is no digit) wraps to 10 or more, so one bound
+    per column checks the layout.  The 2-byte differences are made one
+    block of `_CSV_READ_ROWS` rows at a time, so they never span the file."""
     header = csv_lines([schema.names])
     try:
         # a header the csv module on this Python cannot read back is not canonical
@@ -295,18 +304,21 @@ def _canonical_rows(raw: bytes, schema: VariableSchema):
         head = header.encode("utf-8")
     except (csv.Error, UnicodeEncodeError):
         return None
-    width = 2 * len(schema.names)
-    if not raw.startswith(head) or not width or (len(raw) - len(head)) % width:
+    n = len(schema.names)
+    if not raw.startswith(head) or not n or (len(raw) - len(head)) % (2 * n):
         return None
-    grid = np.frombuffer(raw, dtype=np.uint8, offset=len(head)).reshape(-1, width)
-    digits = grid[:, ::2] - np.uint8(_ZERO)  # a byte below "0" wraps past 9
-    if not (
-        (grid[:, 1:-1:2] == ord(",")).all()
-        and (grid[:, -1] == ord("\n")).all()
-        and (digits < np.minimum(schema.cardinalities, 10)).all()
-    ):
-        return None
-    return digits
+    cells = np.frombuffer(raw, dtype="<u2", offset=len(head)).reshape(-1, n)
+    bounds = np.minimum(schema.cardinalities, 10)
+    rows = np.empty(cells.shape, dtype=np.uint8)
+    for start in range(0, len(cells), _CSV_READ_ROWS):
+        digits = cells[start:start + _CSV_READ_ROWS] - _CELL
+        digits[:, -1] += _LAST_CELL_FIX
+        # the columns are bounded one by one only when some cell reaches
+        # the smallest bound: a reduction per column is the slow one
+        if digits.max() >= bounds.min() and (digits.max(axis=0) >= bounds).any():
+            return None
+        rows[start:start + _CSV_READ_ROWS] = digits
+    return rows
 
 
 def row_codes(rows: np.ndarray, cols, cards) -> np.ndarray:

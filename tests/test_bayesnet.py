@@ -390,6 +390,10 @@ class TestSampling:
         check(Dag(VariableSchema(("a", "b", "c"), (16, 17, 3)), (("a", "c"), ("b", "c"))), 11)
         check(Dag(VariableSchema(("a", "b"), (300, 3)), (("a", "b"),)), 12)
 
+    def test_net_of_no_variables_samples_empty_rows(self):
+        net = BayesNet(Dag(VariableSchema((), ()), ()), {})
+        assert sample(net, 3, seed=0).rows.shape == (3, 0)
+
     def test_sampling_peaks_below_four_bytes_per_cell(self):
         # rows are sampled in place in the schema's row dtype (uint8 here):
         # no int64 columns, no stacked int64 copy; tracemalloc counts this

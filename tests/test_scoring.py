@@ -485,6 +485,33 @@ class TestBundle:
         detail = do_divergence_detail(names[0], InterventionBundle(obs, inter, 0.0).tables())
         assert detail == do_divergence_detail(names[0], InterventionBundle(obs, inter, 0).tables())
 
+    @pytest.fixture
+    def two_binary_nodes(self):
+        schema = VariableSchema(("a", "b"), (2, 2))
+        obs = Dataset(schema, [[0, 0], [0, 1], [1, 1], [1, 0], [1, 1]])
+        inter = {("a", 0): Dataset(schema, [[0, 0], [0, 1], [0, 1]]),
+                 ("a", 1): Dataset(schema, [[1, 1], [1, 0]]),
+                 ("b", 0): Dataset(schema, [[0, 0], [1, 0], [1, 0]]),
+                 ("b", 1): Dataset(schema, [[1, 1], [0, 1]])}
+        return obs, inter
+
+    @staticmethod
+    def d_values(obs, inter, smoothing):
+        tables = InterventionBundle(obs, inter, smoothing=smoothing).tables()
+        return [do_divergence(node, tables) for node in ("a", "b")]
+
+    def test_int_smoothing_past_int64_scores_as_its_float(self, two_binary_nodes):
+        # an int mass within a float's range but past int64: at the parent
+        # the bundle took it and do_divergence raised a bare OverflowError
+        huge, huge_float = self.d_values(*two_binary_nodes, 10**307), self.d_values(
+            *two_binary_nodes, 1e307)
+        assert [d.hex() for d in huge] == [d.hex() for d in huge_float]
+
+    def test_int_smoothing_scores_as_its_float(self, two_binary_nodes):
+        one, one_float = self.d_values(*two_binary_nodes, 1), self.d_values(*two_binary_nodes, 1.0)
+        assert [d.hex() for d in one] == [d.hex() for d in one_float]
+        assert all(d > 0 for d in one)
+
     def test_tables_drop_intervened_column(self, fig1_net):
         # smoothing spreads over the 4 (b, z) cells of the do-set, none of
         # them on the unclamped a=1 states: D_a is the KL against the dense

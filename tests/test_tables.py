@@ -552,6 +552,45 @@ class TestCsvFastPath:
         assert parse_outcome(text, schema) == expected
         assert strict_outcome(monkeypatch, text, schema) == expected
 
+    @pytest.mark.parametrize("n_rows", [3, 4, 5, 0])
+    def test_block_decoder_gives_the_parsers_rows(self, monkeypatch, in_tmp, n_rows):
+        # blocks of 4 rows: one short block, one full, one full plus one row, none
+        monkeypatch.setattr(tables, "_CSV_READ_ROWS", 4)
+        schema = VariableSchema(("a", "b"), (3, 10))
+        rows = [[i % 3, 7 * i % 10] for i in range(n_rows)]
+        text = oracle_csv_text(schema, rows)
+        assert tables._canonical_rows(text.encode("utf-8"), schema).tolist() == rows
+        assert parse_outcome(text, schema) == strict_outcome(monkeypatch, text, schema) == rows
+
+    @pytest.mark.parametrize(
+        "offset, byte",
+        [(5, ","), (1, "\n"), (2, "/"), (4, "5"), (0, "3")],
+        ids=["comma-for-lf", "lf-for-comma", "below-zero", "past-card-5", "past-card-3"],
+    )
+    def test_block_decoder_rejects_a_fault_in_the_last_block(self, monkeypatch, in_tmp,
+                                                            offset, byte):
+        # 10 rows in blocks of 4: the fault is in the ninth row, in the third
+        # block; column b holds digits past the smallest cardinality there, so
+        # each column is checked against its own bound
+        monkeypatch.setattr(tables, "_CSV_READ_ROWS", 4)
+        schema = VariableSchema(("a", "b", "c"), (3, 10, 5))
+        rows = [[i % 3, 7 * i % 10, 2 * i % 5] for i in range(10)]
+        text = oracle_csv_text(schema, rows)
+        assert tables._canonical_rows(text.encode("utf-8"), schema) is not None
+        at = len("a,b,c\n") + 8 * len("0,0,0\n") + offset
+        text = text[:at] + byte + text[at + 1:]
+        assert tables._canonical_rows(text.encode("utf-8"), schema) is None
+        assert parse_outcome(text, schema) == strict_outcome(monkeypatch, text, schema)
+
+    def test_header_of_odd_length_takes_the_fast_path(self, monkeypatch, in_tmp):
+        # the 2-byte cells start at an odd offset, so their view is unaligned
+        schema = VariableSchema(("ab", "c"), (10, 2))
+        rows = [[9, 1], [0, 0], [4, 1]]
+        text = oracle_csv_text(schema, rows)
+        assert len("ab,c\n") % 2 == 1
+        assert tables._canonical_rows(text.encode("utf-8"), schema).tolist() == rows
+        assert parse_outcome(text, schema) == strict_outcome(monkeypatch, text, schema) == rows
+
     def test_name_with_bare_cr_round_trips(self, monkeypatch, in_tmp):
         # the header quotes the "\r", so both readers split it back out
         schema = VariableSchema(("a\rb",), (2,))
