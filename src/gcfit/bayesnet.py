@@ -266,22 +266,15 @@ def _draw_column(net: BayesNet, node: str, cols: np.ndarray, rng: np.random.Gene
 
 def _forward(net: BayesNet, n: int, seed) -> Dataset:
     """Ancestral sampling in topological order, in place into one
-    ``(variables, n)`` array of the schema's row dtype, so that each node
-    writes and each child reads a contiguous row; each node draws from its
-    own substream.  The array is transposed into rows once, at the end."""
+    ``(variables, n)`` array, so that each node writes and each child reads
+    a contiguous row; each node draws from its own substream."""
     if n < 1:
         raise GcfitError("n must be >= 1")
     cards = net.schema.cardinalities
     cols = np.zeros((len(cards), n), dtype=row_dtype(cards))
     for pos, node in enumerate(net.dag.topological_order()):
         _draw_column(net, node, cols, _node_rng(seed, pos))
-    # one strided column write per variable: a whole-array transposing copy
-    # walks the variables in its inner loop, and takes about twice as long
-    rows = np.empty(cols.shape[::-1], dtype=cols.dtype)
-    for j in range(len(cards)):
-        rows[:, j] = cols[j]
-    del cols  # freed before Dataset makes its copy of the rows
-    return Dataset(net.schema, rows)
+    return Dataset(net.schema, cols.T)
 
 
 def sample(net: BayesNet, n: int, seed) -> Dataset:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -39,11 +38,7 @@ MAX_FILE_NAME_BYTES = 255
 
 
 def format_number(x: float) -> str:
-    """Full-precision rendering: 12 significant digits, inf/-inf spelled out."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
+    """Full-precision rendering: 12 significant digits, or inf, -inf, nan."""
     return f"{x:.12g}"
 
 
@@ -173,6 +168,7 @@ def _file_name_ok(name: str) -> bool:
 
 def cmd_synth(args) -> int:
     from .bayesnet import load_bayesnet, sample, sample_do, substream
+    from .tables import csv_header
 
     if args.n_obs < 1 or args.n_do < 1:
         raise GcfitError("sample counts must be positive")
@@ -189,6 +185,7 @@ def cmd_synth(args) -> int:
     for entry in entries:
         if not _file_name_ok(entry["file"]):
             raise GcfitError(f"variable name {entry['node']!r} cannot be part of a file name")
+    csv_header(schema.names)  # every CSV's header
     os.makedirs(args.out_dir, exist_ok=True)
 
     obs = sample(net, args.n_obs, substream(args.seed, 0))

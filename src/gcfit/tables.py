@@ -106,12 +106,12 @@ class ProbTable:
 class Dataset:
     """Complete-case dataset: one integer state per variable per row.
 
-    ``rows`` is given as a 2-D array with one column per variable (``[]``
-    is no rows); any other shape raises SchemaMismatch, and a cell that is
-    not a state (a string, a fraction, NaN, inf or out of range) raises
-    InvalidState.  ``rows`` holds the states in the schema's narrowest
-    unsigned dtype, ``np.min_scalar_type(max cardinality - 1)``: uint8 up
-    to 256 states, uint16 up to 65 536.
+    ``rows`` is given as a 2-D array, in any layout, with one column per
+    variable (``[]`` is no rows); any other shape raises SchemaMismatch,
+    and a cell that is not a state (a string, a fraction, NaN, inf or out
+    of range) raises InvalidState.  ``rows`` holds the states row-major,
+    in the schema's narrowest unsigned dtype, ``np.min_scalar_type(max
+    cardinality - 1)``: uint8 up to 256 states, uint16 up to 65 536.
     Arithmetic in that dtype wraps, so a caller that computes with the
     rows widens them first (``rows.astype(np.int64)``).
     """
@@ -147,7 +147,7 @@ class Dataset:
                 col = arr[:, j]
                 if col.min() < 0 or col.max() >= card:
                     raise InvalidState(f"column {name!r} has values outside 0..{card - 1}")
-        arr = arr.astype(row_dtype(cards))
+        arr = arr.astype(row_dtype(cards), order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 
@@ -164,21 +164,20 @@ class Dataset:
         return Dataset(sub, self.rows[:, idx])
 
     def write_csv(self, path) -> None:
-        """The header as `csv_lines` renders the names, then one line per
-        row, as UTF-8 bytes.  When every cardinality is at most 10 the rows
-        go to the file as one ``(N, n)`` array of little-endian 2-byte
-        cells, each a digit then a comma or, last in its line, an LF (the
-        canonical layout `read_csv` decodes without the strict parser),
-        made by one add over all cells; else as text, one block of rows at
-        a time, since a join over the whole rows.tolist() holds several
-        times the output's size at once.  A zero-column dataset raises
-        GcfitError."""
+        """The `csv_header` of the names, then one line per row: with every
+        cardinality at most 10, little-endian 2-byte cells, each a digit then
+        a comma or, last in its line, an LF (the canonical layout `read_csv`
+        decodes without the strict parser), made by one add over all cells;
+        else text, one block of rows at a time, since a join over the whole
+        rows.tolist() holds several times the output's size at once.  No
+        columns, or a name `csv_header` refuses, raise GcfitError first."""
         cards = self.schema.cardinalities
         if not cards:
             raise GcfitError("a zero-column dataset has no CSV: its lines would be blank, "
                              "and blank lines cannot keep its row count")
+        header = csv_header(self.schema.names)
         with open(path, "wb") as fh:
-            fh.write(csv_lines([self.schema.names]).encode("utf-8"))
+            fh.write(header)
             if max(cards) <= 10:
                 cells = self.rows + _CELL  # uint8 rows: one uint16 word per cell
                 cells[:, -1] -= _LAST_CELL_FIX
@@ -285,6 +284,16 @@ def csv_lines(records) -> str:
     lines: list[str] = []
     csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(records)
     return "".join(line[:-2] + "\n" for line in lines)
+
+
+def csv_header(names) -> bytes:
+    """``names`` as `csv_lines` renders them, in UTF-8; a name UTF-8 cannot
+    encode (one holding a lone surrogate) raises GcfitError."""
+    try:
+        return csv_lines([names]).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        name = next(n for n in names if exc.object[exc.start] in n)
+        raise GcfitError(f"variable name {name!r} cannot be encoded as UTF-8") from None
 
 
 def _canonical_rows(raw: bytes, schema: VariableSchema):

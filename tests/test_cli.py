@@ -97,6 +97,9 @@ class TestFormatNumber:
         assert format_number(math.inf) == "inf"
         assert format_number(-math.inf) == "-inf"
 
+    def test_nan_of_either_sign(self):
+        assert format_number(math.nan) == format_number(-math.nan) == "nan"
+
     def test_twelve_significant_digits(self):
         assert format_number(1 / 3) == "0.333333333333"
 
@@ -267,9 +270,10 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "name",
-        # 300 bytes; 248 bytes in 124 characters; not encodable
-        [f"a{os.sep}b", "a\0b", "x" * 300, "\u00e9" * 124, "\ud800"],
-        ids=["separator", "nul", "long", "long_encoded", "lone_surrogate"],
+        # 300 bytes; 248 bytes in 124 characters; not encodable; a file name
+        # through surrogateescape, but no UTF-8 header
+        [f"a{os.sep}b", "a\0b", "x" * 300, "\u00e9" * 124, "\ud800", "a\udc80"],
+        ids=["separator", "nul", "long", "long_encoded", "lone_surrogate", "lone_low_surrogate"],
     )
     def test_name_that_cannot_be_a_file_name_exit_2(self, tmp_path, capsys, name):
         # do_<node>_<value>.csv must name a file in --out-dir: checked before

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcfit import (
+    BayesNet,
+    Cpt,
     Dag,
     DagSet,
     Dataset,
@@ -713,6 +715,23 @@ class TestNetTables:
             for values in by_class.values():
                 assert len(set(values)) == 1
 
+    def test_value_of_zero_probability_is_skipped(self):
+        # a never takes value 1, so no D_1 is defined: only value 0 is listed,
+        # as on the dense tables at smoothing 0
+        schema = VariableSchema(("a", "b"), (2, 3))
+        truth = Dag(schema, (("a", "b"),))
+        b = random_net(truth, np.random.default_rng(8)).cpts["b"]
+        net = BayesNet(truth, {"a": Cpt("a", (), np.array([1.0, 0.0])), "b": b})
+        exact, dense = InterventionTables.from_net(net), InterventionTables(*dense_tables(net))
+        assert [v for v, _, _ in do_divergence_detail("a", exact)[1]] == [0]
+        for node in schema.names:
+            (value, detail), (expected, expected_detail) = (
+                do_divergence_detail(node, t) for t in (exact, dense))
+            assert value == pytest.approx(expected, abs=1e-12)
+            assert [v for v, _, _ in detail] == [v for v, _, _ in expected_detail]
+            for (_, w, d), (_, ew, ed) in zip(detail, expected_detail):
+                assert (w, d) == pytest.approx((ew, ed), abs=1e-12)
+
     def test_each_variable_set_is_eliminated_once(self, monkeypatch, fig2_pdgraph, fig2_truth):
         # the do-term of a node reads its family marginal, which GF of the
         # truth (a candidate here) reads as well: one elimination serves both
@@ -842,6 +861,12 @@ class TestLocalTerms:
                 assert record_bits(r) == by_edges[r.dag.edges]
         if smoothing == 0.0:
             assert {FLAG_UNDEFINED_DISTANCE, FLAG_NO_CAUSAL_SIGNAL} <= flags_seen
+
+    def test_walk_of_another_schema_raises(self, fig1_tables):
+        schema = VariableSchema(("p", "q"), (2, 2))
+        ranks = EdgeRanks(PdGraph(schema, (), (("p", "q"),)))
+        with pytest.raises(SchemaMismatch, match="^table schema differs from graph schema$"):
+            score_orientations(ranks, iter_orientations(ranks.graph), fig1_tables)
 
     @pytest.mark.parametrize("edges_policy", ["pd", "all"])
     @pytest.mark.parametrize("source", ["net", "dense"])

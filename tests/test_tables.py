@@ -313,6 +313,30 @@ class TestDatasetCsv:
             empty.write_csv(tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("cards", [(2, 3, 10), (2, 12, 3)])
+    def test_any_row_layout_round_trips(self, tmp_path, cards):
+        # a selection's rows, a transpose and a strided view are not C-ordered
+        schema = VariableSchema(("a", "b", "c"), cards)
+        rows = np.random.default_rng(5).integers(0, min(cards), (40, 3))
+        cols = np.ascontiguousarray(rows.T)
+        sub = schema.subset({"a", "c"})
+        for schema_, expected, data in [
+            (sub, rows[:, [0, 2]], Dataset(schema, rows).select({"c", "a"})),
+            (schema, rows, Dataset(schema, cols.T)),
+            (sub, rows[:, [0, 2]], Dataset(sub, rows[:, ::2])),
+        ]:
+            data.write_csv(tmp_path / "d.csv")
+            raw = (tmp_path / "d.csv").read_bytes()
+            assert raw == oracle_csv_text(schema_, expected.tolist()).encode("utf-8")
+            assert Dataset.read_csv(tmp_path / "d.csv", schema_).rows.tolist() == expected.tolist()
+
+    def test_name_utf8_cannot_encode_leaves_no_file(self, tmp_path):
+        # a lone surrogate, which a file name can hold through surrogateescape
+        data = Dataset(VariableSchema(("a\udc80", "b"), (2, 2)), [[0, 1]])
+        with pytest.raises(GcfitError, match=r"^variable name 'a\\udc80' cannot be encoded"):
+            data.write_csv(tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestDatasetRows:
     """`Dataset.rows` is the schema's narrowest unsigned dtype, and every
@@ -329,6 +353,18 @@ class TestDatasetRows:
         for rows in ([top], np.array([top], dtype=np.int64), np.array([top], dtype=float), []):
             data = Dataset(schema, rows)
             assert data.rows.dtype == dtype and data.rows.tolist() == ([top] if len(rows) else [])
+
+    @pytest.mark.parametrize("cards", [(2, 3, 10), (2, 300, 3)], ids=["uint8", "uint16"])
+    def test_rows_are_c_ordered_whatever_the_layout_given(self, cards):
+        schema = VariableSchema(("a", "b", "c"), cards)
+        rows = np.random.default_rng(2).integers(0, min(cards), (7, 3))
+        wide = np.zeros((7, 6), dtype=tables.row_dtype(cards))
+        wide[:, ::2] = rows
+        # C-ordered int64, Fortran-ordered and strided in the row dtype
+        for given in (rows, np.asfortranarray(wide[:, ::2]), wide[:, ::2]):
+            data = Dataset(schema, given)
+            assert data.rows.flags.c_contiguous
+            assert data.rows.tolist() == rows.tolist()
 
     @pytest.mark.parametrize(
         "rows", [[[0.7, 1.0]], [[1.0, 1.9]], [[-0.5, 0.0]], [[math.nan, 0.0]], [[math.inf, 0.0]]]
