@@ -3,10 +3,12 @@ and seeded forward sampling.
 
 do(X=x) has one definition, `_mutilate`: the same DAG with X's CPT
 replaced by a point mass at x in every parent configuration.  Every exact
-quantity is one elimination over CPT factors, `marginal`: `joint` is the
-marginal of all variables, `do_intervene` that of every variable but X in
-the mutilated net.  `sample` and `sample_do` are one ancestral sampler;
-`sample_do` samples the mutilated net.
+quantity runs one elimination loop over CPT factors, `_eliminate`.
+`marginal` runs it over an ancestral set: `joint` is the marginal of all
+variables, `do_intervene` that of every variable but X in the mutilated
+net.  `CliqueTree` runs it once over the whole net to calibrate a junction
+tree, which then answers many marginals.  `sample` and `sample_do` are one
+ancestral sampler; `sample_do` samples the mutilated net.
 """
 
 from __future__ import annotations
@@ -138,22 +140,69 @@ def _multiply(factors, out) -> np.ndarray:
     return np.einsum(table, list(range(len(scope))), [label[v] for v in out])
 
 
+def _product(factors) -> tuple[np.ndarray, tuple]:
+    """The product of ``factors`` as one factor over every variable they span."""
+    scope = tuple(dict.fromkeys(v for _, s in factors for v in s))
+    return _multiply(factors, scope), scope
+
+
+def _eliminate(factors, keep, card, position, steps=None) -> np.ndarray:
+    """The product of ``factors``, ``(table, scope)`` pairs, summed onto the
+    variables ``keep`` (axes in that order).
+
+    The others are summed out one at a time, each time the one whose
+    factors span the fewest cells (ties to the smallest ``position``), so
+    the cost follows the width of the factors' graph, not its size.  A heap
+    of (cells, position) is updated only for the variables a new factor
+    spans.  Factors are numbered as made, ``factors`` first, and multiplied
+    in that order; no einsum sees more than two operands.  ``steps``, if
+    given, gets one ``(variable, ids, table, scope)`` per elimination: the
+    numbers of the factors it multiplied and the factor it made.  The
+    result may be a read-only view of a table.
+    """
+    factors = dict(enumerate(factors))
+    # variable -> the ids of the factors that span it
+    index, ids = {}, itertools.count(len(factors))
+    for fid, (_, scope) in factors.items():
+        for v in scope:
+            index.setdefault(v, set()).add(fid)
+
+    def cells(v):
+        return math.prod(card[u] for u in set().union(*(factors[i][1] for i in index[v])))
+
+    weight = {v: cells(v) for v in index if v not in keep}
+    heap = [(w, position[v], v) for v, w in weight.items()]
+    heapq.heapify(heap)
+    while heap:
+        w, _, var = heapq.heappop(heap)
+        if weight.get(var) != w:
+            continue  # eliminated, or re-weighed since this entry was pushed
+        del weight[var]
+        gone = sorted(index.pop(var))
+        touching = [factors.pop(i) for i in gone]
+        scope = tuple(dict.fromkeys(v for _, s in touching for v in s if v != var))
+        fid, table = next(ids), _multiply(touching, scope)
+        factors[fid] = table, scope
+        for v in scope:
+            index[v].difference_update(gone)
+            index[v].add(fid)
+        if steps is not None:
+            steps.append((var, gone, table, scope))
+        # only the variables the new factor spans have new neighbours
+        for v in scope:
+            if v in weight:
+                weight[v] = cells(v)
+                heapq.heappush(heap, (weight[v], position[v], v))
+    return _multiply(list(factors.values()), keep)
+
+
 def marginal(net: BayesNet, names) -> np.ndarray:
     """P(names) as an array with one axis per name, in the order given.
 
-    Only the CPTs of the ancestral set of ``names`` enter: the factor of a
-    barren node sums to 1.  The other ancestors are summed out one at a
-    time, each time the one whose factors span the fewest cells (ties to
-    the earliest in the schema), so the cost follows the width of the
-    ancestral set, not its size.  No einsum sees more than two operands or
-    more labels than the variables they span, whatever the number of nodes.
-
-    The order is kept in a heap of (cells, schema position) that an
-    elimination updates only for the variables its new factor spans, so a
-    step costs the size of that factor's neighbourhood, not of the whole
-    set.  Factors are numbered as they are made and always multiplied in
-    that order, so each einsum gets the operands a fresh scan would give.
-    The result may be a read-only view of a CPT table.
+    Only the CPTs of the ancestral set of ``names`` enter, in schema order:
+    the factor of a barren node sums to 1.  `_eliminate` sums out the other
+    ancestors, ties to the earliest in the schema.  The result may be a
+    read-only view of a CPT table.
     """
     names = tuple(names)
     ancestral, stack = set(names), list(names)
@@ -163,44 +212,84 @@ def marginal(net: BayesNet, names) -> np.ndarray:
                 ancestral.add(parent)
                 stack.append(parent)
     schema = net.schema
-    card = dict(zip(schema.names, schema.cardinalities))
-    # factor id -> (table, scope), ids counting up as factors are made, and
-    # variable -> the ids of the factors that span it
-    factors, index, ids = {}, {v: set() for v in ancestral}, itertools.count()
-
-    def add(table, scope):
-        fid = next(ids)
-        factors[fid] = (table, scope)
-        for v in scope:
-            index[v].add(fid)
-
-    def cells(v):
-        return math.prod(card[u] for u in set().union(*(factors[i][1] for i in index[v])))
-
-    for n in schema.names:
-        if n in ancestral:
-            add(net.cpts[n].table, net.cpts[n].parents + (n,))
+    factors = [(net.cpts[n].table, net.cpts[n].parents + (n,)) for n in schema.names if n in ancestral]
     position = {n: i for i, n in enumerate(schema.names)}
-    weight = {n: cells(n) for n in schema.names if n in ancestral and n not in names}
-    heap = [(w, position[v], v) for v, w in weight.items()]
-    heapq.heapify(heap)
-    while heap:
-        w, _, var = heapq.heappop(heap)
-        if weight.get(var) != w:
-            continue  # eliminated, or re-weighed since this entry was pushed
-        del weight[var]
-        gone = index.pop(var)
-        touching = [factors.pop(i) for i in sorted(gone)]
-        scope = tuple(dict.fromkeys(v for _, s in touching for v in s if v != var))
-        for v in scope:
-            index[v] -= gone
-        add(_multiply(touching, scope), scope)
-        # only the variables the new factor spans have new neighbours
-        for v in scope:
-            if v in weight:
-                weight[v] = cells(v)
-                heapq.heappush(heap, (weight[v], position[v], v))
-    return _multiply(list(factors.values()), names)
+    return _eliminate(factors, names, dict(zip(schema.names, schema.cardinalities)), position)
+
+
+class CliqueTree:
+    """Exact marginals of a net from one calibrated junction tree of its
+    moral graph (Lauritzen & Spiegelhalter, JRSS-B 1988; Koller & Friedman,
+    2009, ch. 10).  One `_eliminate` of every CPT, keeping nothing, builds
+    the tree and runs its upward pass: eliminating v makes clique(v), v and
+    its neighbours then, from the CPTs placed there and its children's
+    messages, and the factor it makes is its message to its parent, the
+    clique of the separator's first-eliminated variable; an empty separator
+    ends a component.  The downward pass multiplies and never divides
+    (Shafer-Shenoy), so zero cells need no 0/0 rule."""
+
+    def __init__(self, net: BayesNet):
+        schema = net.schema
+        self._card = dict(zip(schema.names, schema.cardinalities))
+        self._position = {n: i for i, n in enumerate(schema.names)}
+        cpts = [(net.cpts[n].table, net.cpts[n].parents + (n,)) for n in schema.names]
+        steps = []
+        _eliminate(cpts, (), self._card, self._position, steps)
+        made = len(cpts)  # the id of the first factor a step makes
+        self._home = {var: k for k, (var, _, _, _) in enumerate(steps)}
+        self._clique = [(var,) + scope for var, _, _, scope in steps]
+        self._own = [[cpts[i] for i in ids if i < made] for _, ids, _, _ in steps]
+        self._children = [[i - made for i in ids if i >= made] for _, ids, _, _ in steps]
+        self._up = [(table, scope) for _, _, table, scope in steps]
+        self._parent, self._root = [None] * len(steps), list(range(len(steps)))
+        self._down, self._beliefs = [None] * len(steps), {}
+        # parents come after their children, so this runs root first; a
+        # child's message multiplies the clique's own factors by one product
+        # of the messages before it and one of those after it: O(d) products
+        # for d children, not O(d**2)
+        for k in reversed(range(len(steps))):
+            kids = self._children[k]
+            before = [self._potentials(k, set(kids))]
+            for c in kids[:-1]:
+                before.append([_product(before[-1] + [self._up[c]])])
+            after = []
+            for c, factors in zip(reversed(kids), reversed(before)):
+                self._parent[c], self._root[c] = k, self._root[k]
+                factors = factors + after  # constant in the separator's other variables
+                sep = tuple(v for v in self._up[c][1] if any(v in s for _, s in factors))
+                self._down[c] = _multiply(factors, sep), sep
+                after = [_product(after + [self._up[c]])] if after else [self._up[c]]
+
+    def _potentials(self, k: int, inside=()) -> list:
+        """Clique k's CPTs and the messages it gets from cliques not in ``inside``."""
+        parent = self._parent[k]
+        down = [self._down[k]] if parent is not None and parent not in inside else []
+        return self._own[k] + [self._up[j] for j in self._children[k] if j not in inside] + down
+
+    def marginal(self, names) -> np.ndarray:
+        """P(names), one axis per name in the order given.  From the belief of
+        clique(first-eliminated name) when every name is in it, else by
+        `_eliminate` over the smallest subtree holding every name's clique,
+        with the messages that enter it; P() is 1.  The result may be a
+        read-only view of a belief."""
+        names = tuple(names)
+        homes = {self._home[n] for n in names}
+        if homes and set(names) <= set(self._clique[min(homes)]):
+            k = min(homes)
+            if k not in self._beliefs:
+                self._beliefs[k] = _multiply(self._potentials(k), self._clique[k])
+            return _multiply([(self._beliefs[k], self._clique[k])], names)
+        # the lowest clique climbs to its parent while another of its
+        # component is left: none of those can be below it
+        nodes = set(homes)
+        while homes:
+            k = min(homes)
+            homes.remove(k)
+            if any(self._root[j] == self._root[k] for j in homes):
+                homes.add(self._parent[k])
+                nodes.add(self._parent[k])
+        factors = [f for k in sorted(nodes) for f in self._potentials(k, nodes)]
+        return _eliminate(factors, names, self._card, self._position)
 
 
 def joint(net: BayesNet) -> ProbTable:

@@ -93,6 +93,15 @@ def check_names(values, what: str) -> tuple[str, ...]:
     return tuple(values)
 
 
+def check_utf8(name: str) -> None:
+    """Raise GcfitError unless UTF-8 can encode the variable name ``name``
+    (one holding a lone surrogate cannot), as every output must."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise GcfitError(f"variable name {name!r} cannot be encoded as UTF-8") from None
+
+
 def schema_to_obj(schema: VariableSchema) -> list:
     return [
         {"name": n, "cardinality": c}
@@ -341,10 +350,11 @@ class EdgeRanks:
     directions of each undirected one) is ranked once in that order and
     rendered once, so a leaf's list is a sort of small ints and one join.
     A variable name holding one of ``separators`` is refused, as it would
-    make the printed lists ambiguous."""
+    make the printed lists ambiguous, and so is one UTF-8 cannot encode."""
 
     def __init__(self, g: PdGraph, separators=(";", "->")):
         for name in g.schema.names:
+            check_utf8(name)
             for sep in separators:
                 if sep in name:
                     raise GcfitError(f"variable name {name!r} holds {sep!r}, so its "

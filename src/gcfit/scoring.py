@@ -99,7 +99,8 @@ class InterventionTables:
         no names, where the marginal is a point mass."""
         key = frozenset(names)
         if key not in self._entropies:
-            self.schema.subset(key)  # an unknown name raises UnknownVariable
+            for name in key:
+                self.schema.index(name)  # an unknown name raises UnknownVariable
             self._entropies[key] = self._set_entropy(key) if key else 0.0
         return self._entropies[key]
 
@@ -148,21 +149,21 @@ class InterventionTables:
 
 
 class _NetTables(InterventionTables):
-    """Exact tables of a net from its CPTs, through one memo of marginals per
-    variable set, so each set is eliminated once; `joint` and `do_intervene`
-    build dense ones."""
+    """Exact tables of a net from its CPTs: one `CliqueTree`, calibrated
+    here, answers each variable set once, through a memo of marginals;
+    `joint` and `do_intervene` build dense ones."""
 
     def __init__(self, net):
-        self.schema, self._net = net.schema, net
+        from .bayesnet import CliqueTree  # only net tables need it
+
+        self.schema, self._net, self._tree = net.schema, net, CliqueTree(net)
+        self._position = {n: i for i, n in enumerate(self.schema.names)}
         self._marginals, self._entropies = {}, {}
 
     def _marginal(self, key: frozenset) -> np.ndarray:
-        """P(key), axes in schema order, memoized per set: `marginal` over an
-        ancestral set."""
+        """P(key), axes in schema order, memoized per set."""
         if key not in self._marginals:
-            from .bayesnet import marginal  # only net tables need it
-
-            self._marginals[key] = marginal(self._net, [n for n in self.schema.names if n in key])
+            self._marginals[key] = self._tree.marginal(sorted(key, key=self._position.get))
         return self._marginals[key]
 
     def _set_entropy(self, key: frozenset) -> float:
@@ -178,14 +179,12 @@ class _NetTables(InterventionTables):
     def _do_terms(self, node: str):
         """As `InterventionTables._do_terms`, in closed form: P(rest, a) /
         P(rest | do(node)=a) = P(a | pa), so D_a = sum_pa P(pa | a)
-        ln(P(a | pa) / P(a)), read from the CPT and the family marginal;
-        weighted by P(a) it sums to I(node; Pa(node))."""
+        ln(P(a | pa) / P(a)), read from the CPT and P(pa, a) = P(pa) P(a | pa);
+        weighted by P(a) it sums to I(node; Pa(node)).  P() = 1, so a root's
+        ratio is exactly 1 and its D exactly 0."""
         cpt = self._net.cpts[node]
-        scope = cpt.parents + (node,)
-        axes = [n for n in self.schema.names if n in scope]
-        # the memo's axes (schema order) moved into the CPT's (parents..., node)
-        family = np.moveaxis(self._marginal(frozenset(scope)), [axes.index(n) for n in scope],
-                             range(len(scope)))
+        # a CPT's parents are the DAG's, in schema order, as the memo's axes
+        family = self._marginal(frozenset(cpt.parents))[..., None] * cpt.table
         for value in range(self.schema.cardinality(node)):
             joint_a = family[..., value]
             weight = joint_a.sum()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyDataset, GcfitError, InvalidState, ParseError, SchemaMismatch
 from .errors import ZeroProbabilityEvidence
-from .graphs import VariableSchema, decode_utf8
+from .graphs import VariableSchema, check_utf8, decode_utf8
 
 NORMALIZATION_TOL = 1e-9
 _CSV_WRITE_ROWS = 4096
@@ -288,12 +288,10 @@ def csv_lines(records) -> str:
 
 def csv_header(names) -> bytes:
     """``names`` as `csv_lines` renders them, in UTF-8; a name UTF-8 cannot
-    encode (one holding a lone surrogate) raises GcfitError."""
-    try:
-        return csv_lines([names]).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        name = next(n for n in names if exc.object[exc.start] in n)
-        raise GcfitError(f"variable name {name!r} cannot be encoded as UTF-8") from None
+    encode raises GcfitError (`check_utf8`)."""
+    for name in names:
+        check_utf8(name)
+    return csv_lines([names]).encode("utf-8")
 
 
 def _canonical_rows(raw: bytes, schema: VariableSchema):

@@ -221,6 +221,29 @@ class TestEnumerate:
         assert main(argv) == 2
         assert "holds ';'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["enumerate", "score"])
+    def test_name_utf8_cannot_encode_exit_2(self, tmp_path, command):
+        # a lone surrogate reaches stdout as a raw byte that is not UTF-8;
+        # refused before anything is printed, and without importing numpy
+        graph = tmp_path / "surrogate.json"
+        graph.write_text(json.dumps({
+            "variables": [{"name": "a\udc80", "cardinality": 2}, {"name": "b", "cardinality": 2}],
+            "undirected": [["a\udc80", "b"]],
+        }))
+        argv = [command, "--graph", str(graph)]
+        if command == "score":
+            argv += ["--manifest", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "out")]
+        script = ("import sys\nfrom gcfit.cli import main\nrc = main(sys.argv[1:])\n"
+                  "print('numpy' in sys.modules, file=sys.stderr)\nsys.exit(rc)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        error, numpy_imported = proc.stderr.splitlines()
+        assert error == b"error: variable name 'a\\udc80' cannot be encoded as UTF-8"
+        assert command == "score" or numpy_imported == b"False"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
     def test_name_that_would_split_a_line_exit_2(self, tmp_path, capsys, char):
         # enumerate prints tab-separated lines; gcf score quotes such names in its CSV

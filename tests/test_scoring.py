@@ -57,6 +57,7 @@ from conftest import (
     oracle_dense_do_terms,
     oracle_dense_entropy,
     oracle_gf,
+    oracle_marginal,
     oracle_v_structures,
     random_dag,
     random_net,
@@ -733,22 +734,95 @@ class TestNetTables:
                 assert (w, d) == pytest.approx((ew, ed), abs=1e-12)
 
     def test_each_variable_set_is_eliminated_once(self, monkeypatch, fig2_pdgraph, fig2_truth):
-        # the do-term of a node reads its family marginal, which GF of the
-        # truth (a candidate here) reads as well: one elimination serves both
-        counts = {}
-        real = bayesnet.marginal
+        # the tree is calibrated once per tables object; the do-term of a node
+        # reads its parents' marginal, which GF of the truth (a candidate
+        # here) reads as well: one query serves both
+        calibrated, counts = [], {}
+        real_init, real_marginal = bayesnet.CliqueTree.__init__, bayesnet.CliqueTree.marginal
 
-        def counting(net, names):
+        def counting_init(tree, net):
+            calibrated.append(net)
+            real_init(tree, net)
+
+        def counting_marginal(tree, names):
             key = frozenset(names)
             counts[key] = counts.get(key, 0) + 1
-            return real(net, names)
+            return real_marginal(tree, names)
 
-        monkeypatch.setattr(bayesnet, "marginal", counting)
+        monkeypatch.setattr(bayesnet.CliqueTree, "__init__", counting_init)
+        monkeypatch.setattr(bayesnet.CliqueTree, "marginal", counting_marginal)
         net = random_net(fig2_truth, np.random.default_rng(3))
         dags = enumerate_orientations(fig2_pdgraph)
         assert any(set(m.dag.edges) == set(fig2_truth.edges) for m in dags)
-        score_set(dags, InterventionTables.from_net(net))
+        tables = InterventionTables.from_net(net)
+        score_set(dags, tables)
+        score_set(dags, tables)
+        assert calibrated == [net]
         assert counts and max(counts.values()) == 1
+        assert all(frozenset(fig2_truth.parents(n)) in counts for n in fig2_truth.schema.names)
+
+    def test_tree_marginals_match_the_oracle(self):
+        # every variable set, the empty one too, on random nets of 2-4 states
+        # with zero CPT entries; some nets fall apart into components, and
+        # some sets fit in no clique
+        rng = np.random.default_rng(23)
+        seen = {"components": 0, "spanning": 0}
+        for _ in range(30):
+            truth = random_dag(rng, min_nodes=4, max_nodes=6, max_card=4)
+            net = with_zeros(random_net(truth, rng), rng)
+            tree = bayesnet.CliqueTree(net)
+            names = truth.schema.names
+            seen["components"] += sum(tree._parent[k] is None for k in range(len(names))) > 1
+            for size in range(len(names) + 1):
+                for keep in itertools.combinations(names, size):
+                    keep = tuple(rng.permutation(keep)) if keep else ()
+                    expected = oracle_marginal(net, keep)
+                    got = tree.marginal(keep)
+                    assert got.shape == expected.shape
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                    seen["spanning"] += not any(set(keep) <= set(c) for c in tree._clique)
+        assert seen["components"] >= 3 and seen["spanning"] >= 30
+
+    def test_family_reversing_a_chain_edge_spans_cliques(self):
+        # x1's family in the candidate that reverses x1 -> x2 is {x0, x1, x2},
+        # which spans the cliques {x0, x1} and {x1, x2} of the chain
+        names = ("x0", "x1", "x2", "x3")
+        truth = Dag(VariableSchema(names, (3, 2, 4, 2)), tuple(zip(names, names[1:])))
+        net = with_zeros(random_net(truth, np.random.default_rng(4)), np.random.default_rng(5))
+        tree = bayesnet.CliqueTree(net)
+        assert sorted(len(c) for c in tree._clique) == [1, 2, 2, 2]
+        for keep in (("x0", "x1", "x2"), ("x2", "x0"), ("x3", "x0", "x1")):
+            assert not any(set(keep) <= set(c) for c in tree._clique)
+            np.testing.assert_allclose(tree.marginal(keep), oracle_marginal(net, keep),
+                                       rtol=0, atol=1e-12)
+
+    def test_calibrated_tables_follow_the_tree_width(self):
+        # the skip-2 chain triangulates into cliques of 3 variables, so no
+        # message or belief passes 2**3 cells
+        names = tuple(f"x{i:02d}" for i in range(60))
+        edges = tuple((a, b) for k in (1, 2) for a, b in zip(names, names[k:]))
+        truth = Dag(VariableSchema(names, (2,) * 60), edges)
+        tree = bayesnet.CliqueTree(random_net(truth, np.random.default_rng(6)))
+        for n in names:
+            tree.marginal((n,))
+        tables = [t for t, _ in tree._up + tree._down[:-1]] + list(tree._beliefs.values())
+        assert tree._down[-1] is None  # the root's
+        assert len(tree._beliefs) == 60 and max(t.size for t in tables) == 8
+
+    def test_root_divergence_is_exactly_zero(self):
+        # P(a | ()) / P(a) is exactly 1, so no rounding of a marginal makes D
+        # of a root -0.0 or a tiny nonzero
+        rng = np.random.default_rng(31)
+        roots = 0
+        for _ in range(20):
+            truth = random_dag(rng, max_card=4)
+            tables = InterventionTables.from_net(random_net(truth, rng))
+            for node in truth.schema.names:
+                if not truth.parents(node):
+                    d = do_divergence(node, tables)
+                    assert d == 0.0 and math.copysign(1.0, d) == 1.0
+                    roots += 1
+        assert roots >= 20
 
     def test_sixty_node_net(self):
         # a dense table would need 2**60 cells; the last node's ancestral set
@@ -771,6 +845,20 @@ class TestNetTables:
             assert math.isfinite(r.gcf) and -1.0 <= r.gcf <= 1.0
         assert records[0].do_divergences[names[0]] == 0.0  # a root
         assert all(d > 0 for n, d in records[0].do_divergences.items() if n != names[0])
+
+
+def with_zeros(net, rng):
+    """``net`` with one entry of about a third of its CPT rows set to 0 and
+    the row renormalized."""
+    cpts = {}
+    for node, cpt in net.cpts.items():
+        rows = cpt.table.reshape(-1, cpt.table.shape[-1]).copy()
+        for row in rows:
+            if rng.random() < 0.35:
+                row[rng.integers(len(row))] = 0.0
+                row /= row.sum()
+        cpts[node] = Cpt(node, cpt.parents, rows.reshape(cpt.table.shape))
+    return BayesNet(net.dag, cpts)
 
 
 def bitwise(gf_value, gcf_value, gcf_abs_value, details, flags):
