@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import __version__
 from .errors import EnumerationLimit, GcfitError, ParseError
@@ -88,11 +89,12 @@ def cmd_enumerate(args) -> int:
     graph = load_pdgraph(args.graph)
     # a tab or a line break in a name would split the tab-separated lines
     ranks = EdgeRanks(graph, (";", "->", "\t", "\n", "\r"))
-    vectors = iter_orientations(graph, args.max_undirected)
-    write = sys.stdout.write
+    lists = ranks.lists(iter_orientations(graph, args.max_undirected))
+    lines = (f"G{vec}\t{vec or '-'}\t{text}\n" for vec, _, text, _ in lists)
     try:
-        for vec in vectors:
-            write(f"G{vec}\t{vec or '-'}\t{ranks.text(ranks.of(vec))}\n")
+        # a few hundred lines per write, as stdout may be unbuffered (python -u)
+        while chunk := "".join(islice(lines, 256)):
+            sys.stdout.write(chunk)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has closed the pipe: stop quietly, with stdout on devnull
@@ -135,9 +137,9 @@ def cmd_score(args) -> int:
     points = []  # one per candidate, for --svg only; each row is written and dropped
     with open(os.path.join(args.out_dir, "scores.csv"), "w", newline="", encoding="utf-8") as fh:
         rows = [["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]]
-        for vec, leaf, gf, gcf, gcf_abs, flags in scores:
+        for vec, text, gf, gcf, gcf_abs, flags in scores:
             rows.append([
-                f"G{vec}", vec or "-", ranks.text(leaf), format_number(gf), format_number(gcf),
+                f"G{vec}", vec or "-", text, format_number(gf), format_number(gcf),
                 format_number(gcf_abs), ";".join(flags),
             ])
             if args.svg:

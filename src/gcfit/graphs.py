@@ -13,11 +13,16 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 from .errors import EnumerationLimit, GcfitError, InvalidState, ParseError, UnknownVariable
 
 DEFAULT_ENUMERATION_CAP = 24
+# rendered values `EdgeRanks` keeps per edge-list block: a block reading at
+# most 6 bits keeps them all, a wider one starts over when this many are held,
+# so memory does not grow with the number of candidates
+_BLOCK_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,7 @@ class VariableSchema:
 
     names: tuple[str, ...]
     cardinalities: tuple[int, ...]
+    _position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", check_names(self.names, "variable names"))
@@ -40,7 +46,8 @@ class VariableSchema:
         object.__setattr__(self, "cardinalities", cards)
         if len(self.names) != len(self.cardinalities):
             raise GcfitError("names and cardinalities must have equal length")
-        if len(set(self.names)) != len(self.names):
+        object.__setattr__(self, "_position", {n: i for i, n in enumerate(self.names)})
+        if len(self._position) != len(self.names):
             raise GcfitError("variable names must be unique")
         if any(c < 2 for c in self.cardinalities):
             raise GcfitError("every cardinality must be >= 2")
@@ -51,8 +58,8 @@ class VariableSchema:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._position[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownVariable(f"unknown variable {name!r}") from None
 
     def cardinality(self, name: str) -> int:
@@ -186,8 +193,15 @@ class Dag:
 
     def parents(self, node: str) -> tuple[str, ...]:
         self.schema.index(node)
-        ps = [a for a, b in self.edges if b == node]
-        return tuple(sorted(ps, key=self.schema.index))
+        return self._parents[node]
+
+    @cached_property
+    def _parents(self) -> dict[str, tuple[str, ...]]:
+        """Each node's parents in schema order, built once."""
+        ps = {n: [] for n in self.schema.names}
+        for a, b in self.edges:
+            ps[b].append(a)
+        return {n: tuple(sorted(p, key=self.schema.index)) for n, p in ps.items()}
 
     def topological_order(self) -> list[str]:
         order = topological_order(self.schema, self.edges)
@@ -252,13 +266,6 @@ class DagSet:
         return iter(self.members)
 
 
-def _reaches_added(reach: list[int], u: int, v: int) -> list[int]:
-    """``reach`` after adding the edge u->v: every node that reaches u now
-    also reaches what v reaches."""
-    bit, more = 1 << u, reach[v]
-    return [r | more if r & bit else r for r in reach]
-
-
 def iter_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP, prefixes=None):
     """The orientation vectors of the acyclic orientations of the undirected
     edges of ``g``, in lexicographic order, as an iterator; the cap is
@@ -281,35 +288,53 @@ def iter_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP,
 
 
 def _walk(g: PdGraph, prefixes):
-    """`iter_orientations` after its cap check.  Each stack entry holds a
-    prefix and, per node, the bit mask of the nodes it reaches (itself
-    included) under the directed edges and the prefix."""
-    position = {n: i for i, n in enumerate(g.schema.names)}
-    ends = [(position[a], position[b]) for a, b in g.undirected]
-    if not ends:
+    """`iter_orientations` after its cap check.  Reach is kept only among
+    the terminals, the endpoints of ``g.undirected``: each stack entry holds
+    a prefix and one int, a bit matrix whose row b, ``width`` bits from row
+    b - 1, holds the terminals b reaches (itself included) under the
+    directed edges and the prefix, so "b reaches a" is bit b*width + a."""
+    if not g.undirected:
         if prefixes is None or "" in prefixes:
             yield ""
         return
-    reach = [1 << i for i in range(len(position))]
+    slot = {n: i for i, n in enumerate(sorted({n for e in g.undirected for n in e}))}
+    t = len(slot)
+    width = 8 * -(-t // 8)  # whole bytes per row, so one from_bytes packs them
+    children = {n: [] for n in g.schema.names}
     for a, b in g.directed:
-        reach = _reaches_added(reach, position[a], position[b])
+        children[a].append(b)
+    below = {}  # per node, the terminals it reaches under the directed edges
+    for node in reversed(topological_order(g.schema, g.directed)):
+        below[node] = reduce(operator.or_, map(below.__getitem__, children[node]),
+                             1 << slot[node] if node in slot else 0)
+    rows = b"".join(below[n].to_bytes(width // 8, "little") for n in slot)
+    reach = int.from_bytes(rows, "little")
+    col = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * t, "little")  # bit 0 of every row
+    row = (1 << width) - 1
+    # per edge a-b: its ends, each end's row offset, and the bits "b reaches
+    # a" and "a reaches b"
+    ends = [(x, y, x * width, y * width, y * width + x, x * width + y)
+            for x, y in ((slot[a], slot[b]) for a, b in g.undirected)]
     last = len(ends) - 1
     stack = [("", reach)]
     while stack:
-        vec, reach = stack.pop()
-        a, b = ends[len(vec)]
-        forward = not reach[b] >> a & 1  # bit '0', a->b: b must not reach a
-        backward = not reach[a] >> b & 1  # bit '1', b->a
+        vec, m = stack.pop()
+        a, b, row_a, row_b, b_to_a, a_to_b = ends[len(vec)]
+        forward = not m >> b_to_a & 1  # bit '0', a->b: b must not reach a
+        backward = not m >> a_to_b & 1  # bit '1', b->a
         if len(vec) == last:  # leaves are yielded here, never stacked
-            for bit, ok in (("0", forward), ("1", backward)):
-                if ok and (prefixes is None or vec + bit in prefixes):
-                    yield vec + bit
+            if forward and (prefixes is None or vec + "0" in prefixes):
+                yield vec + "0"
+            if backward and (prefixes is None or vec + "1" in prefixes):
+                yield vec + "1"
             continue
+        # adding u->v gives every row that reaches u the row of v; the rows
+        # are width bits apart, so the product carries nothing between them.
         # "0" is stacked last, so it pops first
         if backward and (prefixes is None or vec + "1" in prefixes):
-            stack.append((vec + "1", _reaches_added(reach, b, a)))
+            stack.append((vec + "1", m | (m >> b & col) * (m >> row_a & row)))
         if forward and (prefixes is None or vec + "0" in prefixes):
-            stack.append((vec + "0", _reaches_added(reach, a, b)))
+            stack.append((vec + "0", m | (m >> a & col) * (m >> row_b & row)))
 
 
 def enumerate_orientations(g: PdGraph, max_undirected: int = DEFAULT_ENUMERATION_CAP) -> DagSet:
@@ -347,10 +372,15 @@ class EdgeRanks:
     rendered as the CLI prints them: "a->b" per edge, joined by ";".
 
     Every edge an orientation can hold (each directed edge, and both
-    directions of each undirected one) is ranked once in that order and
-    rendered once, so a leaf's list is a sort of small ints and one join.
-    A variable name holding one of ``separators`` is refused, as it would
-    make the printed lists ambiguous, and so is one UTF-8 cannot encode."""
+    directions of each undirected one) is ranked once in that order.  Sorted
+    edges group by tail, in name order.  A tail joins the block of depth d,
+    the first d such that the first d bits of a vector orient every
+    undirected edge of that tail and of each tail before it; so the blocks
+    of depth 0..d are a prefix of the list, fixed by those bits.  Each
+    block's ranks and text are memoized per value of the bits it reads, up
+    to _BLOCK_MEMO values.  A variable name holding one of ``separators``
+    is refused, as it would make the printed lists ambiguous, and so is one
+    UTF-8 cannot encode."""
 
     def __init__(self, g: PdGraph, separators=(";", "->")):
         for name in g.schema.names:
@@ -362,19 +392,55 @@ class EdgeRanks:
         self.graph = g
         self.edges = sorted(g.directed + g.undirected + tuple((b, a) for a, b in g.undirected))
         rank = {e: r for r, e in enumerate(self.edges)}
-        self._text = [f"{a}->{b}" for a, b in self.edges]
-        self._directed = [rank[e] for e in g.directed]
+        self._text = [f";{a}->{b}" for a, b in self.edges]
         # per undirected edge, its rank under each bit
         self.by_bit = [{"0": rank[a, b], "1": rank[b, a]} for a, b in g.undirected]
+        # per tail, in name order: its directed edges' ranks, and per
+        # undirected edge out of it, (edge index, the bit that orients it
+        # out, its rank)
+        tails = {a: ([], []) for a, _ in self.edges}
+        for e in g.directed:
+            tails[e[0]][0].append(rank[e])
+        for i, (a, b) in enumerate(g.undirected):
+            tails[a][1].append((i, "0", rank[a, b]))
+            tails[b][1].append((i, "1", rank[b, a]))
+        k = len(g.undirected)
+        blocks = [([], []) for _ in range(k + 1)]
+        depth = 0
+        for fixed, out in tails.values():
+            depth = max([depth] + [i + 1 for i, _, _ in out])
+            blocks[depth][0].extend(fixed)
+            blocks[depth][1].extend(out)
+        # per block: the bits it reads, as a mask on int(vector, 2), and a
+        # memo of its (text, ranks) per value of those bits
+        self._blocks = [(sum({1 << k - 1 - i for i, _, _ in out}), {}, fixed, out)
+                        for fixed, out in blocks]
 
-    def of(self, vec: str) -> list[int]:
-        """The ranks of the edges of the orientation ``vec``, ascending."""
-        ranks = self._directed + list(map(dict.__getitem__, self.by_bit, vec))
-        ranks.sort()
-        return ranks
-
-    def text(self, ranks) -> str:
-        return ";".join(map(self._text.__getitem__, ranks))
+    def lists(self, vectors):
+        """(vector, depth, edge list, blocks) for each of ``vectors``, where
+        blocks[d] holds the ascending ranks of the edges of the vector's
+        block of depth d; blocks is one list, updated in place.  The blocks
+        and the text are kept per depth, and a vector rebuilds them after
+        its first bit that differs from the previous vector's, the depth
+        given."""
+        k = len(self.graph.undirected)
+        text, blocks = [""] * (k + 2), [[]] * (k + 1)  # text[d + 1]: blocks 0..d
+        previous = None
+        for vec in vectors:
+            code = int(vec or "0", 2)
+            start = 0 if previous is None else k - (code ^ previous).bit_length()
+            for d in range(0 if previous is None else start + 1, k + 1):
+                mask, memo, fixed, out = self._blocks[d]
+                found = memo.get(code & mask)
+                if found is None:
+                    if len(memo) == _BLOCK_MEMO:
+                        memo.clear()
+                    ranks = sorted(fixed + [r for i, bit, r in out if vec[i] == bit])
+                    found = memo[code & mask] = "".join(map(self._text.__getitem__, ranks)), ranks
+                block_text, blocks[d] = found
+                text[d + 1] = text[d] + block_text
+            previous = code
+            yield vec, start, text[k + 1][1:], blocks
 
 
 # ---------------------------------------------------------------------------

@@ -623,10 +623,11 @@ def score_orientations(
     and `subset_orientations` give them.  Returns a dict, node ->
     `do_divergence_detail`, over the endpoints of the graph's edges (which
     every orientation holds) in sorted order, computed before anything is
-    scored, and an iterator of one tuple (vector, edge ranks, gf, gcf,
-    gcf_abs, flags) per vector.  On every tables source, each score is
-    bitwise the one `score_set` gives the vector's `TaggedDag` of a
-    `DagSet` with the graph's undirected edges as source.
+    scored, and an iterator of one tuple (vector, edge list as
+    `EdgeRanks.lists` renders it, gf, gcf, gcf_abs, flags) per vector.  On
+    every tables source, each score is bitwise the one `score_set` gives
+    the vector's `TaggedDag` of a `DagSet` with the graph's undirected
+    edges as source.
 
     Consecutive vectors of the walk share a prefix, so the scores are kept
     per prefix length and only the bits after the shared prefix are
@@ -635,7 +636,7 @@ def score_orientations(
     undirected edges (``edges_policy='pd'``) keeps prefix sums in
     ``g.undirected`` order.  ``gcf_abs``, and GCF on every edge, sum one
     product per edge rank in the vector's rank order, the order of the
-    sorted ``dag.edges``.
+    sorted ``dag.edges``, kept per depth of `EdgeRanks.lists`.
     """
     _check_edges_policy(edges_policy)
     g = ranks.graph
@@ -676,11 +677,18 @@ def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, ed
             closing[edges[-1][0]].append((node, edges, key, {}))
 
     num, den, bad = [0.0] * (k + 1), [0.0] * (k + 1), [0] * (k + 1)
-    previous = None
-    for vec in vectors:
+    # gcf_abs, and GCF's sums on every edge, in rank order: the block of
+    # depth d (`EdgeRanks.lists`) extends the sums of the blocks before it
+    def add_block(block, signed_sum, distance_sum, n_undefined):
+        return (reduce(add, map(signed.__getitem__, block), signed_sum),
+                reduce(add, map(distance.__getitem__, block), distance_sum),
+                n_undefined + sum(map(undefined.__getitem__, block)))
+
+    every = [None] * (k + 1)
+    for vec, start, text, blocks in ranks.lists(vectors):
+        if start == 0:
+            every[0] = add_block(blocks[0], 0.0, 0.0, 0)
         # rescore from the first bit where vec differs from the previous vector
-        start = k - (int(vec, 2) ^ int(previous, 2)).bit_length() if previous else 0
-        previous = vec
         for i in range(start, k):
             total = acc[i]
             for node, edges, key, memo in closing[i]:
@@ -695,13 +703,10 @@ def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, ed
             num[i + 1] = num[i] + signed[r]
             den[i + 1] = den[i] + distance[r]
             bad[i + 1] = bad[i] + undefined[r]
-        leaf = ranks.of(vec)
-        gcf_abs = _fold(map(signed.__getitem__, leaf))
+            every[i + 1] = add_block(blocks[i + 1], *every[i])
+        gcf_abs = every[k][0]
         if edges_policy == "pd":
             value, flags = _gcf_value(k, num[k], den[k], bad[k])
-        else:
-            value, flags = _gcf_value(
-                len(leaf), gcf_abs, _fold(map(distance.__getitem__, leaf)),
-                sum(map(undefined.__getitem__, leaf)),
-            )
-        yield vec, leaf, _gf(_rounded(acc[k]), joint), value, gcf_abs, flags
+        else:  # every orientation holds the directed edges and one of each undirected pair
+            value, flags = _gcf_value(len(ranks.edges) - k, *every[k])
+        yield vec, text, _gf(_rounded(acc[k]), joint), value, gcf_abs, flags

@@ -72,15 +72,41 @@ def path_graph(tmp_path, k):
     return graph
 
 
+def matching_graph(tmp_path, k):
+    """A PD graph file of k undirected edges a_i - b_i that share no node,
+    every b name sorting after every a name: its 2**k orientations are all
+    acyclic, and one block of their edge lists reads every bit."""
+    names = tuple(f"a{i:02d}" for i in range(k)) + tuple(f"b{i:02d}" for i in range(k))
+    graph = tmp_path / f"matching{k}.json"
+    schema = VariableSchema(names, (2,) * (2 * k))
+    save_pdgraph(PdGraph(schema, (), tuple(zip(names, names[k:]))), graph)
+    return graph
+
+
+def net_data(tmp_path, names, edges, out, seed):
+    """The manifest file of data sampled from a random binary net of the
+    DAG ``edges`` on ``names`` (CPTs drawn with ``seed``), written to the
+    folder ``out``."""
+    dag = Dag(VariableSchema(names, (2,) * len(names)), edges)
+    save_bayesnet(random_net(dag, np.random.default_rng(seed)), tmp_path / "truth.json")
+    assert run_synth(tmp_path, out=out, n_obs="500", n_do="50") == 0
+    return tmp_path / out / "manifest.json"
+
+
 def path_data(tmp_path, k):
     """A path skeleton with k undirected edges and data from a net along it:
     (graph file, manifest file)."""
-    graph = path_graph(tmp_path, k)
     names = tuple(f"v{i:02d}" for i in range(k + 1))
-    chain = Dag(VariableSchema(names, (2,) * (k + 1)), tuple(zip(names, names[1:])))
-    save_bayesnet(random_net(chain, np.random.default_rng(k)), tmp_path / "truth.json")
-    assert run_synth(tmp_path, out=f"data{k}", n_obs="500", n_do="50") == 0
-    return graph, tmp_path / f"data{k}" / "manifest.json"
+    return path_graph(tmp_path, k), net_data(tmp_path, names, tuple(zip(names, names[1:])),
+                                             f"data{k}", k)
+
+
+def matching_data(tmp_path, k):
+    """`matching_graph` and data from a net with the edges a_i -> b_i:
+    (graph file, manifest file)."""
+    names = tuple(f"a{i:02d}" for i in range(k)) + tuple(f"b{i:02d}" for i in range(k))
+    return matching_graph(tmp_path, k), net_data(tmp_path, names, tuple(zip(names, names[k:])),
+                                                 f"matching{k}", k)
 
 
 def tree_digest(root):
@@ -161,20 +187,29 @@ class TestEnumerate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: enumeration cap must be non-negative")
 
-    @pytest.mark.parametrize("k", [12, 14])
-    def test_flat_memory(self, tmp_path, k):
-        # each line is printed as its DAG is found, so the traced peak of a
-        # warm run does not grow with the 2**k DAGs
-        argv = ["enumerate", "--graph", str(path_graph(tmp_path, k))]
+    @staticmethod
+    def traced_peak(graph):
+        """The traced peak of a warm `gcf enumerate` of ``graph``."""
+        argv = ["enumerate", "--graph", str(graph)]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             assert main(argv) == 0
             tracemalloc.start()
             try:
                 assert main(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 2**20
+
+    @pytest.mark.parametrize("k", [12, 14])
+    def test_flat_memory(self, tmp_path, k):
+        # lines are printed 256 at a time as their DAGs are found, so the
+        # traced peak of a warm run does not grow with the 2**k DAGs
+        assert self.traced_peak(path_graph(tmp_path, k)) < 2**20
+
+    def test_flat_memory_on_a_matching(self, tmp_path):
+        # the edges out of every b node render as one block, which takes
+        # 2**14 values; its memo is bounded, so the peak stays flat
+        assert self.traced_peak(matching_graph(tmp_path, 14)) < 2**20
 
     def test_closed_stdout_ends_quietly(self, tmp_path):
         # 4096 lines of about 140 bytes fill the pipe long before the last
@@ -768,11 +803,10 @@ class TestScore:
         assert proc.stdout == "False True\n"
         assert len(read_scores(workdir / "out" / "scores.csv")) == 2
 
-    @pytest.mark.parametrize("k", [12, 14])
-    def test_flat_memory(self, tmp_path, k):
-        # scores.csv is written as the walk scores each DAG, so the traced
-        # peak of a warm run does not grow with the 2**k DAGs
-        graph, manifest = path_data(tmp_path, k)
+    @staticmethod
+    def traced_peak(tmp_path, graph, manifest, k):
+        """The traced peak of a warm `gcf score` of the 2**k candidates of
+        ``graph``."""
         argv = ["score", "--graph", str(graph), "--manifest", str(manifest),
                 "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 0
@@ -782,9 +816,20 @@ class TestScore:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**21
         with open(tmp_path / "out" / "scores.csv", "rb") as fh:
             assert sum(1 for _ in fh) == 2**k + 1
+        return peak
+
+    @pytest.mark.parametrize("k", [12, 14])
+    def test_flat_memory(self, tmp_path, k):
+        # scores.csv is written as the walk scores each DAG, so the traced
+        # peak of a warm run does not grow with the 2**k DAGs
+        assert self.traced_peak(tmp_path, *path_data(tmp_path, k), k) < 2**21
+
+    def test_flat_memory_on_a_matching(self, tmp_path):
+        # the edges out of every b node render as one block, which takes
+        # 2**14 values; its memo is bounded, so the peak stays flat
+        assert self.traced_peak(tmp_path, *matching_data(tmp_path, 14), 14) < 2**21
 
     # cyclic, short, not bits, and "-", the empty vector, printed as enumerate prints it
     @pytest.mark.parametrize("vector", ["010", "01", "0x0", "-"])

@@ -10,6 +10,7 @@ from gcfit import (
     GcfitError,
     ParseError,
     PdGraph,
+    UnknownVariable,
     VariableSchema,
     enumerate_orientations,
     is_acyclic,
@@ -17,7 +18,7 @@ from gcfit import (
     pdgraph_from_json,
     pdgraph_to_json,
 )
-from gcfit.graphs import subset_orientations, topological_order
+from gcfit.graphs import EdgeRanks, iter_orientations, subset_orientations, topological_order
 from conftest import oracle_orientation_subset, oracle_orientations, oracle_topological_order
 
 
@@ -54,6 +55,16 @@ class TestDag:
         schema = VariableSchema(("a", "b", "c"), (2, 2, 2))
         dag = Dag(schema, (("c", "b"), ("a", "b")))
         assert dag.parents("b") == ("a", "c")
+
+    def test_schema_index_by_name(self):
+        schema = VariableSchema(("c", "a", "b"), (2, 3, 2))
+        assert [schema.index(n) for n in ("a", "b", "c")] == [1, 2, 0]
+        assert schema == VariableSchema(["c", "a", "b"], [2, 3, 2])
+        for name in ("d", ["a"], None):  # a list is unhashable
+            with pytest.raises(UnknownVariable):
+                schema.index(name)
+        with pytest.raises(UnknownVariable):
+            Dag(schema, (("c", "a"),)).parents("d")
 
     def test_topological_order_is_deterministic(self):
         schema = VariableSchema(("a", "b", "c"), (2, 2, 2))
@@ -262,6 +273,98 @@ class TestEnumerateOrientations:
     def test_subset_orientations_checks_the_cap_first(self, triangle):
         with pytest.raises(EnumerationLimit):
             subset_orientations(triangle, ["999"], max_undirected=2)
+
+
+def through_hubs(rng):
+    """A random PD graph whose undirected edges join a few terminals and
+    whose directed edges mostly run through nodes with no undirected edge,
+    so reach between terminals goes through them.  The schema lists the
+    names out of name order, and "a" is a prefix of "ab"."""
+    names = [str(n) for n in rng.permutation(["m", "ab", "c", "a", "x", "b", "z", "k"])]
+    rank = {n: i for i, n in enumerate(rng.permutation(names))}
+    terminals = set(names[: int(rng.integers(2, 7))])
+    pairs = [tuple(sorted(p)) for p in itertools.combinations(names, 2)]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    undirected = [p for p in pairs if set(p) <= terminals][: int(rng.integers(0, 9))]
+    directed = [(a, b) if rank[a] < rank[b] else (b, a)
+                for a, b in pairs if not set((a, b)) <= terminals][: int(rng.integers(0, 12))]
+    directed += [(a, b) if rank[a] < rank[b] else (b, a)
+                 for a, b in pairs if {a, b} <= terminals and (a, b) not in undirected][:1]
+    schema = VariableSchema(tuple(names), (2,) * len(names))
+    return PdGraph(schema, tuple(directed), tuple(undirected))
+
+
+class TestReachThroughOtherNodes:
+    """The walk keeps reach among the undirected edges' endpoints only; a
+    directed path through other nodes must still refuse a cycle."""
+
+    def test_path_through_a_node_without_undirected_edges(self):
+        # a -> x -> b and a - b: b -> a, vector "1", closes a cycle
+        schema = VariableSchema(("b", "x", "a"), (2, 2, 2))
+        g = PdGraph(schema, (("a", "x"), ("x", "b")), (("a", "b"),))
+        assert list(iter_orientations(g)) == ["0"] == [v for v, _ in oracle_orientations(g)]
+        with pytest.raises(GcfitError, match=r"^unknown orientation vectors: \['1'\]$"):
+            subset_orientations(g, ["0", "1"])
+
+    def test_walks_equal_the_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            g = through_hubs(rng)
+            acyclic = [vec for vec, _ in oracle_orientations(g)]
+            assert list(iter_orientations(g)) == acyclic
+            wanted = [acyclic[i] for i in rng.integers(0, len(acyclic), 3)]
+            assert subset_orientations(g, wanted) == oracle_orientation_subset(acyclic, wanted)
+            k = len(g.undirected)
+            cyclic = sorted(set(map("".join, itertools.product("01", repeat=k))) - set(acyclic))
+            for bad in cyclic[:2]:
+                with pytest.raises(GcfitError, match="unknown orientation vectors"):
+                    subset_orientations(g, wanted + [bad])
+
+
+class TestEdgeLists:
+    """`EdgeRanks.lists` renders each vector's sorted edges, a block per
+    depth, for vectors in any order."""
+
+    @staticmethod
+    def expected(g):
+        return {vec: ";".join(f"{a}->{b}" for a, b in edges)
+                for vec, edges in oracle_orientations(g)}
+
+    def test_every_candidate_in_walk_and_shuffled_orders(self):
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            g = through_hubs(rng)
+            expected = self.expected(g)
+            ranks = EdgeRanks(g)
+            walk = list(iter_orientations(g))
+            assert [(v, text) for v, _, text, _ in ranks.lists(walk)] == list(expected.items())
+            shuffled = [walk[i] for i in rng.permutation(len(walk))]
+            # the blocks, read as each vector is yielded, hold its edges' ranks
+            rendered = [(text, [ranks.edges[r] for b in blocks for r in b])
+                        for _, _, text, blocks in ranks.lists(shuffled)]
+            oracle = dict(oracle_orientations(g))
+            assert rendered == [(expected[v], list(oracle[v])) for v in shuffled]
+            # the depth a vector rebuilds from is where it first differs from the previous
+            depths = [start for _, start, _, _ in ranks.lists(shuffled)]
+            assert depths[0] == 0
+            assert depths[1:] == [
+                next((i for i, (x, y) in enumerate(zip(u, v)) if x != y), len(v))
+                for u, v in zip(shuffled, shuffled[1:])
+            ]
+
+    def test_empty_vector_and_tails_without_edges(self):
+        schema = VariableSchema(("d", "c", "b", "a"), (2,) * 4)
+        # no undirected edge: the one vector is empty
+        g = PdGraph(schema, (("c", "a"), ("b", "a")), ())
+        assert [item[:3] for item in EdgeRanks(g).lists([""])] == [("", 0, "b->a;c->a")]
+        # no edge at all
+        assert [item[:3] for item in EdgeRanks(PdGraph(schema, (), ())).lists([""])] == [("", 0, "")]
+        # "b" has edges only as a head or when its undirected edge points
+        # out of it, and "d" has none: a block's text may be empty
+        g = PdGraph(schema, (("a", "c"),), (("a", "b"), ("b", "c"), ("c", "d")))
+        expected = self.expected(g)
+        assert [(v, text) for v, _, text, _ in EdgeRanks(g).lists(expected)] == list(expected.items())
+        assert expected["000"] == "a->b;a->c;b->c;c->d"
 
 
 class TestPdGraphValidation:

@@ -972,8 +972,8 @@ class TestLocalTerms:
             dmap = records[0].do_divergences
             assert [(n, d) for n, (d, _) in detail.items()] == list(dmap.items())
             assert detail == {n: do_divergence_detail(n, tables) for n in dmap}
-            streamed = [(v, ranks.text(leaf), g.hex(), c.hex(), a.hex(), flags)
-                        for v, leaf, g, c, a, flags in stream]
+            streamed = [(v, text, g.hex(), c.hex(), a.hex(), flags)
+                        for v, text, g, c, a, flags in stream]
             assert streamed == [
                 (r.orientation, ";".join(f"{a}->{b}" for a, b in r.dag.edges), r.gf.hex(),
                  r.gcf.hex(), r.gcf_abs.hex(), r.flags)
@@ -982,6 +982,23 @@ class TestLocalTerms:
             infinite += sum(r.gf == math.inf for r in records)
         if source == "net":
             assert infinite >= 8  # the truth is a candidate of each graph
+
+    @pytest.mark.parametrize("edges_policy", ["pd", "all"])
+    def test_walk_scores_in_any_order(self, edges_policy):
+        # each vector rescores from its first bit that differs from the
+        # previous one, so a shuffled order gives the same items bitwise
+        rng = np.random.default_rng(37)
+        for _ in range(8):
+            pd, net = random_pdgraph(rng)
+            tables, ranks = source_tables(net, "net"), EdgeRanks(pd)
+            walk = list(iter_orientations(pd))
+            shuffled = [walk[i] for i in rng.permutation(len(walk))]
+            by_vector = [
+                {v: (text, g.hex(), c.hex(), a.hex(), flags) for v, text, g, c, a, flags
+                 in score_orientations(ranks, order, tables, edges_policy)[1]}
+                for order in (walk, shuffled)
+            ]
+            assert by_vector[0] == by_vector[1]
 
     @pytest.mark.parametrize("source", ["net", "data"])
     def test_each_local_term_is_computed_once_per_set(self, monkeypatch, source):
