@@ -90,7 +90,7 @@ def cmd_enumerate(args) -> int:
     # a tab or a line break in a name would split the tab-separated lines
     ranks = EdgeRanks(graph, (";", "->", "\t", "\n", "\r"))
     lists = ranks.lists(iter_orientations(graph, args.max_undirected))
-    lines = (f"G{vec}\t{vec or '-'}\t{text}\n" for vec, _, text, _ in lists)
+    lines = (f"G{vec}\t{vec or '-'}\t{text}\n" for vec, _, text in lists)
     try:
         # a few hundred lines per write, as stdout may be unbuffered (python -u)
         while chunk := "".join(islice(lines, 256)):

@@ -9,6 +9,7 @@ built one edge at a time so that a prefix closing a cycle is not extended.
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
 import math
@@ -142,21 +143,23 @@ def _checked_edges(schema: VariableSchema, edges) -> list[tuple[str, str]]:
 
 
 def topological_order(schema: VariableSchema, edges) -> list[str] | None:
-    """Kahn's algorithm, ties broken by schema order: place the first node
-    in schema order whose parents are all placed.  None if cyclic."""
-    pending: dict[str, set[str]] = {n: set() for n in schema.names}
-    for parent, child in edges:
-        pending[parent]  # KeyError for an endpoint outside the schema, as for the child
-        pending[child].add(parent)
-    order, placed = [], set()
-    while pending:
-        node = next((n for n, ps in pending.items() if ps <= placed), None)
-        if node is None:
-            return None
-        del pending[node]
-        order.append(node)
-        placed.add(node)
-    return order
+    """Kahn's algorithm, ties broken by schema order through a heap of
+    schema positions.  None if cyclic."""
+    position, n = schema._position, len(schema.names)
+    children, waiting = [[] for _ in range(n)], [0] * n
+    # KeyError for an endpoint outside the schema; a repeated edge counts once
+    for parent, child in {(position[p], position[c]) for p, c in edges}:
+        children[parent].append(child)
+        waiting[child] += 1
+    ready, order = [i for i, w in enumerate(waiting) if not w], []  # ascending: a heap
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(schema.names[node])
+        for child in children[node]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                heapq.heappush(ready, child)
+    return order if len(order) == n else None
 
 
 def is_acyclic(schema: VariableSchema, edges) -> bool:
@@ -377,9 +380,9 @@ class EdgeRanks:
     the first d such that the first d bits of a vector orient every
     undirected edge of that tail and of each tail before it; so the blocks
     of depth 0..d are a prefix of the list, fixed by those bits.  Each
-    block's ranks and text are memoized per value of the bits it reads, up
-    to _BLOCK_MEMO values.  A variable name holding one of ``separators``
-    is refused, as it would make the printed lists ambiguous, and so is one
+    block's text is memoized per value of the bits it reads, up to
+    _BLOCK_MEMO values.  A variable name holding one of ``separators`` is
+    refused, as it would make the printed lists ambiguous, and so is one
     UTF-8 cannot encode."""
 
     def __init__(self, g: PdGraph, separators=(";", "->")):
@@ -393,8 +396,6 @@ class EdgeRanks:
         self.edges = sorted(g.directed + g.undirected + tuple((b, a) for a, b in g.undirected))
         rank = {e: r for r, e in enumerate(self.edges)}
         self._text = [f";{a}->{b}" for a, b in self.edges]
-        # per undirected edge, its rank under each bit
-        self.by_bit = [{"0": rank[a, b], "1": rank[b, a]} for a, b in g.undirected]
         # per tail, in name order: its directed edges' ranks, and per
         # undirected edge out of it, (edge index, the bit that orients it
         # out, its rank)
@@ -412,35 +413,31 @@ class EdgeRanks:
             blocks[depth][0].extend(fixed)
             blocks[depth][1].extend(out)
         # per block: the bits it reads, as a mask on int(vector, 2), and a
-        # memo of its (text, ranks) per value of those bits
+        # memo of its text per value of those bits
         self._blocks = [(sum({1 << k - 1 - i for i, _, _ in out}), {}, fixed, out)
                         for fixed, out in blocks]
 
     def lists(self, vectors):
-        """(vector, depth, edge list, blocks) for each of ``vectors``, where
-        blocks[d] holds the ascending ranks of the edges of the vector's
-        block of depth d; blocks is one list, updated in place.  The blocks
-        and the text are kept per depth, and a vector rebuilds them after
-        its first bit that differs from the previous vector's, the depth
-        given."""
+        """(vector, depth, edge list) for each of ``vectors``.  The text is
+        kept per depth, and a vector rebuilds it after its first bit that
+        differs from the previous vector's, the depth given."""
         k = len(self.graph.undirected)
-        text, blocks = [""] * (k + 2), [[]] * (k + 1)  # text[d + 1]: blocks 0..d
+        text = [""] * (k + 2)  # text[d + 1]: blocks 0..d
         previous = None
         for vec in vectors:
             code = int(vec or "0", 2)
             start = 0 if previous is None else k - (code ^ previous).bit_length()
             for d in range(0 if previous is None else start + 1, k + 1):
                 mask, memo, fixed, out = self._blocks[d]
-                found = memo.get(code & mask)
-                if found is None:
+                block_text = memo.get(code & mask)
+                if block_text is None:
                     if len(memo) == _BLOCK_MEMO:
                         memo.clear()
                     ranks = sorted(fixed + [r for i, bit, r in out if vec[i] == bit])
-                    found = memo[code & mask] = "".join(map(self._text.__getitem__, ranks)), ranks
-                block_text, blocks[d] = found
+                    block_text = memo[code & mask] = "".join(map(self._text.__getitem__, ranks))
                 text[d + 1] = text[d] + block_text
             previous = code
-            yield vec, start, text[k + 1][1:], blocks
+            yield vec, start, text[k + 1][1:]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -427,10 +426,9 @@ def do_divergence_detail(
         covered.append((value, weight, divergence))
     if not covered:
         raise MissingIntervention(node, "any")
-    total_weight = sum(w for _, w, _ in covered)
+    total_weight = _total(w for _, w, _ in covered)
     detail = [(v, w / total_weight, d) for v, w, d in covered]
-    divergence = sum(w * d for _, w, d in detail)
-    return float(divergence), detail
+    return _total(w * d for _, w, d in detail), detail
 
 
 def do_divergence(node: str, tables: InterventionTables, missing_policy: str = "strict") -> float:
@@ -480,11 +478,13 @@ def edge_sign(dag: Dag, edge: tuple[str, str], dmap: Mapping[str, float]) -> int
     return _edge_terms([_orient(edge, _parent_lists(dag))], dmap, {})[0][0]
 
 
-def _fold(values) -> float:
-    """The float sum of ``values`` added left to right from 0.0, the order
-    in which `score_orientations` keeps its prefix sums (the builtin `sum`
-    compensates rounding from Python 3.12 on)."""
-    return reduce(add, values, 0.0)
+def _total(values) -> float:
+    """The float nearest the exact sum of ``values``, in any order
+    (`math.fsum`); nan where they hold both -inf and +inf."""
+    try:
+        return math.fsum(values)
+    except ValueError:  # -inf + inf
+        return math.nan
 
 
 def _gcf_value(count: int, num: float, den: float, undefined: int) -> tuple[float, tuple[str, ...]]:
@@ -508,15 +508,15 @@ def _gcf_detail(parents, scored_edges, dmap, memo) -> tuple[float, tuple, tuple[
     details = tuple((tuple(e), s, d) for e, (s, d, _) in zip(scored_edges, terms))
     value, flags = _gcf_value(
         len(terms),
-        _fold(s * d for s, d, _ in terms),
-        _fold(d for _, d, _ in terms),
+        _total(s * d for s, d, _ in terms),
+        _total(d for _, d, _ in terms),
         sum(undefined for _, _, undefined in terms),
     )
     return value, details, flags
 
 
 def _gcf_abs(edges, dmap, memo) -> float:
-    return _fold(s * d for s, d, _ in _edge_terms(edges, dmap, memo))
+    return _total(s * d for s, d, _ in _edge_terms(edges, dmap, memo))
 
 
 def gcf_detail(
@@ -631,12 +631,13 @@ def score_orientations(
 
     Consecutive vectors of the walk share a prefix, so the scores are kept
     per prefix length and only the bits after the shared prefix are
-    rescored.  GF adds a node's term once its last undirected edge is
-    oriented, as an exact integer, and rounds once per vector.  GCF on the
-    undirected edges (``edges_policy='pd'``) keeps prefix sums in
-    ``g.undirected`` order.  ``gcf_abs``, and GCF on every edge, sum one
-    product per edge rank in the vector's rank order, the order of the
-    sorted ``dag.edges``, kept per depth of `EdgeRanks.lists`.
+    rescored.  Every sum is exact and rounded once per vector, so it has no
+    order.  GF adds a node's term once its last undirected edge is
+    oriented.  Of GCF's sums only the signed one over the undirected edges
+    depends on the bits: it is kept per prefix, each term split into an
+    exact integer and a special float (0.0, an infinity or nan).  The
+    distances, the undefined count and the directed edges' signed sum are
+    the same for every vector, so they are summed once.
     """
     _check_edges_policy(edges_policy)
     g = ranks.graph
@@ -649,14 +650,16 @@ def score_orientations(
     return do_detail, _walk_scores(ranks, vectors, tables, dmap, edges_policy)
 
 
+def _split(x: float) -> tuple[int, float]:
+    """``x`` as (multiple of 2**-1074, special): (exact, 0.0) if finite, else
+    (0, ``x``); `_total` of terms is ``_rounded(sum of ints) + sum of specials``."""
+    return (_exact(x), 0.0) if math.isfinite(x) else (0, x)
+
+
 def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, edges_policy):
     """The iterator of `score_orientations`."""
     g, families = ranks.graph, _Families(tables.entropy)
     joint, und, k = tables.joint_entropy(), g.undirected, len(g.undirected)
-    terms = _edge_terms(ranks.edges, dmap, {})  # per edge rank
-    signed = [s * d for s, d, _ in terms]
-    distance = [d for _, d, _ in terms]
-    undefined = [int(u) for _, _, u in terms]
 
     # GF: a node whose undirected edges are all oriented at depth i + 1
     # joins closing[i]; one without undirected edges joins every vector
@@ -676,18 +679,18 @@ def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, ed
             key = itemgetter(*[i for i, _, _ in edges])
             closing[edges[-1][0]].append((node, edges, key, {}))
 
-    num, den, bad = [0.0] * (k + 1), [0.0] * (k + 1), [0] * (k + 1)
-    # gcf_abs, and GCF's sums on every edge, in rank order: the block of
-    # depth d (`EdgeRanks.lists`) extends the sums of the blocks before it
-    def add_block(block, signed_sum, distance_sum, n_undefined):
-        return (reduce(add, map(signed.__getitem__, block), signed_sum),
-                reduce(add, map(distance.__getitem__, block), distance_sum),
-                n_undefined + sum(map(undefined.__getitem__, block)))
-
-    every = [None] * (k + 1)
-    for vec, start, text, blocks in ranks.lists(vectors):
-        if start == 0:
-            every[0] = add_block(blocks[0], 0.0, 0.0, 0)
+    # GCF: an edge's distance and undefined flag do not depend on its
+    # direction, so of its sums only the signed one over und depends on the bits
+    terms = dict(zip(ranks.edges, _edge_terms(ranks.edges, dmap, {})))  # per oriented edge
+    scored = [terms[e] for e in (und if edges_policy == "pd" else g.directed + und)]
+    den, bad = _total(d for _, d, _ in scored), sum(u for _, _, u in scored)
+    signed = {e: _split(s * d) for e, (s, d, _) in terms.items()}
+    base = [signed[e] for e in g.directed]  # the terms every vector holds
+    base_exact, base_special = sum(e for e, _ in base), _total(x for _, x in base)
+    by_bit = [{"0": signed[a, b], "1": signed[b, a]} for a, b in und]
+    # exact[i], special[i]: the signed sum over the first i undirected edges
+    exact, special = [0] * (k + 1), [0.0] * (k + 1)
+    for vec, start, text in ranks.lists(vectors):
         # rescore from the first bit where vec differs from the previous vector
         for i in range(start, k):
             total = acc[i]
@@ -699,14 +702,12 @@ def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, ed
                     term = memo[bits] = families.term(node, tuple(sorted(ps)))
                 total += term
             acc[i + 1] = total
-            r = ranks.by_bit[i][vec[i]]
-            num[i + 1] = num[i] + signed[r]
-            den[i + 1] = den[i] + distance[r]
-            bad[i + 1] = bad[i] + undefined[r]
-            every[i + 1] = add_block(blocks[i + 1], *every[i])
-        gcf_abs = every[k][0]
+            e, x = by_bit[i][vec[i]]
+            exact[i + 1] = exact[i] + e
+            special[i + 1] = special[i] + x
+        gcf_abs = _rounded(base_exact + exact[k]) + (base_special + special[k])
         if edges_policy == "pd":
-            value, flags = _gcf_value(k, num[k], den[k], bad[k])
-        else:  # every orientation holds the directed edges and one of each undirected pair
-            value, flags = _gcf_value(len(ranks.edges) - k, *every[k])
+            value, flags = _gcf_value(k, _rounded(exact[k]) + special[k], den, bad)
+        else:
+            value, flags = _gcf_value(len(scored), gcf_abs, den, bad)
         yield vec, text, _gf(_rounded(acc[k]), joint), value, gcf_abs, flags

@@ -344,6 +344,25 @@ def oracle_topological_order(names, edges):
     return None
 
 
+def oracle_scan_topological_order(names, edges):
+    """Kahn's algorithm by rescanning: at each step place the first pending
+    node in schema order whose parents are all placed; None if none is.
+    O(n^2), so for small graphs only."""
+    pending = {n: set() for n in names}
+    for parent, child in edges:
+        pending[parent]  # KeyError for an endpoint outside the names, as for the child
+        pending[child].add(parent)
+    order, placed = [], set()
+    while pending:
+        node = next((n for n, ps in pending.items() if ps <= placed), None)
+        if node is None:
+            return None
+        del pending[node]
+        order.append(node)
+        placed.add(node)
+    return order
+
+
 def oracle_csv_text(schema, rows):
     """Dataset CSV written with one csv.writer call per data row."""
     buf = io.StringIO()

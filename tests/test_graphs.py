@@ -19,7 +19,12 @@ from gcfit import (
     pdgraph_to_json,
 )
 from gcfit.graphs import EdgeRanks, iter_orientations, subset_orientations, topological_order
-from conftest import oracle_orientation_subset, oracle_orientations, oracle_topological_order
+from conftest import (
+    oracle_orientation_subset,
+    oracle_orientations,
+    oracle_scan_topological_order,
+    oracle_topological_order,
+)
 
 
 @pytest.fixture
@@ -86,6 +91,27 @@ class TestDag:
             assert topological_order(schema, edges) == expected
             assert is_acyclic(schema, edges) == (expected is not None)
         assert 0 < cyclic < 300
+
+    def test_heap_order_equals_the_scan(self):
+        # graphs too large for the permutation oracle, against the scan that
+        # rescans the pending nodes at each step; repeated edges, self-loops
+        # and cycles included
+        rng = np.random.default_rng(30)
+        cyclic = 0
+        for _ in range(1000):
+            n = int(rng.integers(1, 31))
+            names = tuple(f"v{i}" for i in rng.permutation(n))
+            schema = VariableSchema(names, (2,) * n)
+            rank = rng.permutation(n)  # edges follow it, but for a few reversed ones
+            edges = []
+            for _ in range(int(rng.integers(0, 2 * n + 1))):
+                i, j = sorted(rng.integers(0, n, 2), key=rank.__getitem__)
+                edges.append((names[j], names[i]) if rng.random() < 0.03 else (names[i], names[j]))
+            edges += edges[: int(rng.integers(0, 3))]
+            expected = oracle_scan_topological_order(names, edges)
+            cyclic += expected is None
+            assert topological_order(schema, edges) == expected
+        assert 0 < cyclic < 1000
 
 
 class TestIsAcyclic:
@@ -337,15 +363,12 @@ class TestEdgeLists:
             expected = self.expected(g)
             ranks = EdgeRanks(g)
             walk = list(iter_orientations(g))
-            assert [(v, text) for v, _, text, _ in ranks.lists(walk)] == list(expected.items())
+            assert [(v, text) for v, _, text in ranks.lists(walk)] == list(expected.items())
             shuffled = [walk[i] for i in rng.permutation(len(walk))]
-            # the blocks, read as each vector is yielded, hold its edges' ranks
-            rendered = [(text, [ranks.edges[r] for b in blocks for r in b])
-                        for _, _, text, blocks in ranks.lists(shuffled)]
-            oracle = dict(oracle_orientations(g))
-            assert rendered == [(expected[v], list(oracle[v])) for v in shuffled]
+            rendered = [(v, text) for v, _, text in ranks.lists(shuffled)]
+            assert rendered == [(v, expected[v]) for v in shuffled]
             # the depth a vector rebuilds from is where it first differs from the previous
-            depths = [start for _, start, _, _ in ranks.lists(shuffled)]
+            depths = [start for _, start, _ in ranks.lists(shuffled)]
             assert depths[0] == 0
             assert depths[1:] == [
                 next((i for i, (x, y) in enumerate(zip(u, v)) if x != y), len(v))
@@ -356,14 +379,14 @@ class TestEdgeLists:
         schema = VariableSchema(("d", "c", "b", "a"), (2,) * 4)
         # no undirected edge: the one vector is empty
         g = PdGraph(schema, (("c", "a"), ("b", "a")), ())
-        assert [item[:3] for item in EdgeRanks(g).lists([""])] == [("", 0, "b->a;c->a")]
+        assert list(EdgeRanks(g).lists([""])) == [("", 0, "b->a;c->a")]
         # no edge at all
-        assert [item[:3] for item in EdgeRanks(PdGraph(schema, (), ())).lists([""])] == [("", 0, "")]
+        assert list(EdgeRanks(PdGraph(schema, (), ())).lists([""])) == [("", 0, "")]
         # "b" has edges only as a head or when its undirected edge points
         # out of it, and "d" has none: a block's text may be empty
         g = PdGraph(schema, (("a", "c"),), (("a", "b"), ("b", "c"), ("c", "d")))
         expected = self.expected(g)
-        assert [(v, text) for v, _, text, _ in EdgeRanks(g).lists(expected)] == list(expected.items())
+        assert [(v, text) for v, _, text in EdgeRanks(g).lists(expected)] == list(expected.items())
         assert expected["000"] == "a->b;a->c;b->c;c->d"
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcfit import (
     BayesNet,
@@ -49,6 +49,8 @@ from gcfit.scoring import (
     FLAG_NO_CAUSAL_SIGNAL,
     FLAG_UNDEFINED_DISTANCE,
     _Families,
+    _gcf_value,
+    _walk_scores,
     score_orientations,
 )
 from conftest import (
@@ -688,6 +690,8 @@ class TestNetTables:
                     full, parents + (node,)
                 ) + (oracle_dense_entropy(full, parents) if parents else 0.0)
                 value, detail = do_divergence_detail(node, exact)
+                # the weighted terms' sum is rounded once, in no order
+                assert value.hex() == math.fsum(w * d for _, w, d in detail).hex()
                 expected_detail = oracle_dense_do_terms(full, do, node)
                 assert value == pytest.approx(sum(w * d for _, w, d in expected_detail), abs=1e-12)
                 assert value == pytest.approx(mutual, abs=1e-12)
@@ -902,6 +906,57 @@ def test_exact_family_sum_rounds_as_fsum(values):
         terms += [entropy[frozenset(ps + [node])], -entropy[frozenset(ps)]]
     families = _Families(lambda names: entropy[frozenset(names)])
     assert families.conditional_entropy(FAMILY_PARENTS).hex() == math.fsum(terms).hex()
+
+
+def fsum_or_nan(values):
+    """`math.fsum`, or nan where it raises on -inf + inf."""
+    try:
+        return math.fsum(values)
+    except ValueError:
+        return math.nan
+
+
+# a - b, a - c and b - d undirected, c -> d directed: 8 candidates, of which
+# "111" closes the cycle a -> c -> d -> b -> a
+SUM_GRAPH = PdGraph(VariableSchema(("a", "b", "c", "d"), (2,) * 4),
+                    (("c", "d"),), (("a", "b"), ("a", "c"), ("b", "d")))
+SUM_TABLES = InterventionTables.from_net(
+    random_net(Dag(SUM_GRAPH.schema, (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))),
+               np.random.default_rng(30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 1e300), st.just(math.inf)), min_size=4, max_size=4),
+       st.sampled_from(["pd", "all"]))
+# D of a, b, c, d: candidate "000" holds the signed terms +1e16, +1, -1e16
+# and -1, in sorted edge order; added left to right they read 0.0 (GCF's
+# numerator on "pd") and -1.0 (gcf_abs), where the exact sums are 1 and 0
+@example([0.0, 1e16, 1.0, 0.0], "pd")
+@example([0.0, 1e16, 1.0, 0.0], "all")
+def test_edge_sums_round_as_fsum(values, edges_policy):
+    # GCF's numerator and denominator and gcf_abs are each the float nearest
+    # the exact sum of their edge terms, on the one-DAG functions and on the
+    # walk's split sums; opposite infinite terms give nan, as
+    # test_opposite_infinite_distances_give_nan has it
+    dmap = dict(zip(SUM_GRAPH.schema.names, values))
+    walk = _walk_scores(EdgeRanks(SUM_GRAPH), iter_orientations(SUM_GRAPH), SUM_TABLES, dmap,
+                        edges_policy)
+    members = enumerate_orientations(SUM_GRAPH).members
+    for member, (vec, _, _, walk_gcf, walk_abs, walk_flags) in itertools.zip_longest(members, walk):
+        dag = member.dag
+        assert vec == member.orientation
+        signed = [(1 if dmap[h] >= dmap[t] else -1) * dodiv_distance(dmap[t], dmap[h])
+                  for t, h in dag.edges]
+        assert gcf_abs(dag, dmap).hex() == walk_abs.hex() == fsum_or_nan(signed).hex()
+        scored = dag.edges if edges_policy == "all" else SUM_GRAPH.undirected
+        value, details, flags = gcf_detail(dag, scored, dmap)
+        expected, expected_flags = _gcf_value(
+            len(details),
+            fsum_or_nan(s * d for _, s, d in details),
+            fsum_or_nan(d for _, _, d in details),
+            flags.count(FLAG_UNDEFINED_DISTANCE),
+        )
+        assert (value.hex(), flags) == (walk_gcf.hex(), walk_flags) == (expected.hex(), expected_flags)
 
 
 class TestLocalTerms:
