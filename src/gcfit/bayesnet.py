@@ -3,12 +3,11 @@ and seeded forward sampling.
 
 do(X=x) has one definition, `_mutilate`: the same DAG with X's CPT
 replaced by a point mass at x in every parent configuration.  Every exact
-quantity runs one elimination loop over CPT factors, `_eliminate`.
-`marginal` runs it over an ancestral set: `joint` is the marginal of all
-variables, `do_intervene` that of every variable but X in the mutilated
-net.  `CliqueTree` runs it once over the whole net to calibrate a junction
-tree, which then answers many marginals.  `sample` and `sample_do` are one
-ancestral sampler; `sample_do` samples the mutilated net.
+quantity runs one elimination loop, `_eliminate`, over every CPT of a net
+(`_factors`): `joint` keeps all variables, `do_intervene` every variable
+but X in the mutilated net, and `CliqueTree` keeps none, to calibrate a
+junction tree that then answers many marginals.  `sample` and `sample_do`
+are one ancestral sampler; `sample_do` samples the mutilated net.
 """
 
 from __future__ import annotations
@@ -196,25 +195,12 @@ def _eliminate(factors, keep, card, position, steps=None) -> np.ndarray:
     return _multiply(list(factors.values()), keep)
 
 
-def marginal(net: BayesNet, names) -> np.ndarray:
-    """P(names) as an array with one axis per name, in the order given.
-
-    Only the CPTs of the ancestral set of ``names`` enter, in schema order:
-    the factor of a barren node sums to 1.  `_eliminate` sums out the other
-    ancestors, ties to the earliest in the schema.  The result may be a
-    read-only view of a CPT table.
-    """
-    names = tuple(names)
-    ancestral, stack = set(names), list(names)
-    while stack:
-        for parent in net.cpts[stack.pop()].parents:
-            if parent not in ancestral:
-                ancestral.add(parent)
-                stack.append(parent)
+def _factors(net: BayesNet):
+    """Every CPT of ``net`` as a ``(table, parents + (node,))`` factor in
+    schema order, with the cardinalities and positions `_eliminate` takes."""
     schema = net.schema
-    factors = [(net.cpts[n].table, net.cpts[n].parents + (n,)) for n in schema.names if n in ancestral]
-    position = {n: i for i, n in enumerate(schema.names)}
-    return _eliminate(factors, names, dict(zip(schema.names, schema.cardinalities)), position)
+    factors = [(net.cpts[n].table, net.cpts[n].parents + (n,)) for n in schema.names]
+    return factors, dict(zip(schema.names, schema.cardinalities)), schema._position
 
 
 class CliqueTree:
@@ -229,10 +215,7 @@ class CliqueTree:
     (Shafer-Shenoy), so zero cells need no 0/0 rule."""
 
     def __init__(self, net: BayesNet):
-        schema = net.schema
-        self._card = dict(zip(schema.names, schema.cardinalities))
-        self._position = {n: i for i, n in enumerate(schema.names)}
-        cpts = [(net.cpts[n].table, net.cpts[n].parents + (n,)) for n in schema.names]
+        cpts, self._card, self._position = _factors(net)
         steps = []
         _eliminate(cpts, (), self._card, self._position, steps)
         made = len(cpts)  # the id of the first factor a step makes
@@ -294,14 +277,16 @@ class CliqueTree:
 
 def joint(net: BayesNet) -> ProbTable:
     """Exact joint distribution: the product of all CPT factors."""
-    return ProbTable(net.schema, marginal(net, net.schema.names))
+    factors, card, position = _factors(net)
+    return ProbTable(net.schema, _eliminate(factors, net.schema.names, card, position))
 
 
 def do_intervene(net: BayesNet, node: str, value: int) -> ProbTable:
     """P(rest | do(node)=value): the marginal of every other variable in
     the mutilated net, as a normalized table."""
     rest = net.schema.subset(set(net.schema.names) - {node})
-    return ProbTable.from_weights(rest, marginal(_mutilate(net, node, value), rest.names))
+    factors, card, position = _factors(_mutilate(net, node, value))
+    return ProbTable.from_weights(rest, _eliminate(factors, rest.names, card, position))
 
 
 def fit_cpts(dag: Dag, data: Dataset, smoothing: float = 0.0) -> BayesNet:

@@ -156,13 +156,12 @@ class _NetTables(InterventionTables):
         from .bayesnet import CliqueTree  # only net tables need it
 
         self.schema, self._net, self._tree = net.schema, net, CliqueTree(net)
-        self._position = {n: i for i, n in enumerate(self.schema.names)}
         self._marginals, self._entropies = {}, {}
 
     def _marginal(self, key: frozenset) -> np.ndarray:
         """P(key), axes in schema order, memoized per set."""
         if key not in self._marginals:
-            self._marginals[key] = self._tree.marginal(sorted(key, key=self._position.get))
+            self._marginals[key] = self._tree.marginal(sorted(key, key=self.schema.index))
         return self._marginals[key]
 
     def _set_entropy(self, key: frozenset) -> float:
@@ -342,8 +341,11 @@ def _exact(x: float) -> int:
 
 
 def _rounded(total: int) -> float:
-    """The float nearest ``total`` * 2**-1074: int / int is correctly rounded."""
-    return total / _ULP
+    """The float nearest ``total`` * 2**-1074, ±inf past the largest float."""
+    try:
+        return total / _ULP  # int / int is correctly rounded, and raises past it
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 class _Families:
@@ -480,11 +482,16 @@ def edge_sign(dag: Dag, edge: tuple[str, str], dmap: Mapping[str, float]) -> int
 
 def _total(values) -> float:
     """The float nearest the exact sum of ``values``, in any order
-    (`math.fsum`); nan where they hold both -inf and +inf."""
+    (`math.fsum`): ±inf where it is past the largest float, and nan where
+    ``values`` hold both -inf and +inf."""
+    values = list(values)
     try:
         return math.fsum(values)
     except ValueError:  # -inf + inf
         return math.nan
+    except OverflowError:  # a partial sum past the largest float
+        parts = [_split(x) for x in values]
+        return _joined(sum(e for e, _ in parts), sum(x for _, x in parts))
 
 
 def _gcf_value(count: int, num: float, den: float, undefined: int) -> tuple[float, tuple[str, ...]]:
@@ -652,8 +659,14 @@ def score_orientations(
 
 def _split(x: float) -> tuple[int, float]:
     """``x`` as (multiple of 2**-1074, special): (exact, 0.0) if finite, else
-    (0, ``x``); `_total` of terms is ``_rounded(sum of ints) + sum of specials``."""
+    (0, ``x``); `_total` of terms is `_joined` of the sum of each part."""
     return (_exact(x), 0.0) if math.isfinite(x) else (0, x)
+
+
+def _joined(exact: int, special: float) -> float:
+    """The sum of split terms from the sums of their parts: infinite terms
+    outweigh any finite sum, so they decide it where there are any."""
+    return special or _rounded(exact)
 
 
 def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, edges_policy):
@@ -705,9 +718,9 @@ def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, ed
             e, x = by_bit[i][vec[i]]
             exact[i + 1] = exact[i] + e
             special[i + 1] = special[i] + x
-        gcf_abs = _rounded(base_exact + exact[k]) + (base_special + special[k])
+        gcf_abs = _joined(base_exact + exact[k], base_special + special[k])
         if edges_policy == "pd":
-            value, flags = _gcf_value(k, _rounded(exact[k]) + special[k], den, bad)
+            value, flags = _gcf_value(k, _joined(exact[k], special[k]), den, bad)
         else:
             value, flags = _gcf_value(len(scored), gcf_abs, den, bad)
         yield vec, text, _gf(_rounded(acc[k]), joint), value, gcf_abs, flags

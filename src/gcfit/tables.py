@@ -69,7 +69,8 @@ class ProbTable:
 
     @classmethod
     def from_weights(cls, schema: VariableSchema, weights) -> "ProbTable":
-        arr = float_array(weights, "weights")
+        # in C order: numpy sums in memory order, so a total would follow the layout
+        arr = np.asarray(float_array(weights, "weights"), order="C")
         total = arr.sum()
         if total <= 0:
             raise GcfitError("weights must have positive total")

@@ -256,24 +256,33 @@ def oracle_multiply(factors, out):
     return np.einsum(table, list(range(len(scope))), [label[v] for v in out])
 
 
-def oracle_marginal(net, names):
-    """`bayesnet.marginal` as it was before the elimination order moved into
-    a heap: each step rebuilds every hidden variable's neighbours from all
-    factors and takes the ``min`` over the hidden ones (ties to the earliest
-    in the schema).  The heap must give every einsum the same operands in
-    the same order, so its marginals equal these bit for bit."""
-    names = tuple(names)
+def ancestral_factors(net, names):
+    """The CPTs of the ancestral set of ``names`` as ``(table, parents +
+    (node,))`` factors, in schema order; the other CPTs are barren and
+    their product sums to 1, so these have the marginal of ``names``."""
     ancestral, stack = set(names), list(names)
     while stack:
         for parent in net.cpts[stack.pop()].parents:
             if parent not in ancestral:
                 ancestral.add(parent)
                 stack.append(parent)
+    return [(net.cpts[n].table, net.cpts[n].parents + (n,))
+            for n in net.schema.names if n in ancestral]
+
+
+def oracle_marginal(net, names):
+    """P(names), one axis per name in the order given, by elimination over
+    `ancestral_factors` as `bayesnet._eliminate` ran before its order moved
+    into a heap: each step rebuilds every hidden variable's neighbours from
+    all factors and takes the ``min`` over the hidden ones (ties to the
+    earliest in the schema).  The heap must give every einsum the same
+    operands in the same order, so `_eliminate` over the same factors gives
+    these bit for bit."""
+    names = tuple(names)
     schema = net.schema
     card = dict(zip(schema.names, schema.cardinalities))
-    factors = [(net.cpts[n].table, net.cpts[n].parents + (n,))
-               for n in schema.names if n in ancestral]
-    hidden = [n for n in schema.names if n in ancestral and n not in names]
+    factors = ancestral_factors(net, names)
+    hidden = [s[-1] for _, s in factors if s[-1] not in names]
 
     while hidden:
         # the variables each hidden one shares a factor with, in one pass

@@ -25,7 +25,14 @@ from gcfit import (
     sample,
     sample_do,
 )
-from conftest import oracle_joint, oracle_marginal, oracle_sample, random_dag, random_net
+from conftest import (
+    ancestral_factors,
+    oracle_joint,
+    oracle_marginal,
+    oracle_sample,
+    random_dag,
+    random_net,
+)
 
 
 @pytest.fixture
@@ -135,6 +142,12 @@ class TestJoint:
                 )
 
 
+def eliminate_ancestral(net, keep):
+    """`bayesnet._eliminate` over the `ancestral_factors` of ``keep``."""
+    _, card, position = bayesnet._factors(net)
+    return bayesnet._eliminate(ancestral_factors(net, keep), tuple(keep), card, position)
+
+
 class TestMarginal:
     def test_matches_the_dense_joint_on_random_nets(self):
         rng = np.random.default_rng(31)
@@ -147,21 +160,10 @@ class TestMarginal:
                 # the dense marginal has schema order; compare in ``keep`` order
                 order = [full.schema.subset(keep).names.index(n) for n in keep]
                 expected = full.marginalize(keep).probs.transpose(order)
-                got = bayesnet.marginal(net, keep)
+                got = eliminate_ancestral(net, keep)
                 np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
                 # the heap-kept order multiplies what the min scan did, in its order
                 assert np.array_equal(got, oracle_marginal(net, keep))
-
-    def test_barren_nodes_are_left_out(self):
-        # b's first row sums to 1 only within the CPT tolerance: had b's
-        # factor been multiplied in and summed out, P(a=0) would carry that slack
-        schema = VariableSchema(("a", "b"), (2, 2))
-        cpts = {
-            "a": Cpt("a", (), np.array([0.7, 0.3])),
-            "b": Cpt("b", ("a",), np.array([[0.8, 0.2 + 5e-10], [0.1, 0.9]])),
-        }
-        net = BayesNet(Dag(schema, (("a", "b"),)), cpts)
-        assert np.array_equal(bayesnet.marginal(net, ["a"]), cpts["a"].table)
 
     def test_equals_the_min_scan_bit_for_bit_on_a_long_chain_with_skips(self):
         # 60 binary nodes, v_i -> v_i+1 and v_i -> v_i+2: long ancestral sets
@@ -173,7 +175,28 @@ class TestMarginal:
         queries = [net.dag.parents(n) + (n,) for n in names]
         queries += [[str(n) for n in rng.permutation(names)[:size]] for size in (1, 2, 3, 4) * 3]
         for keep in queries:
-            assert np.array_equal(bayesnet.marginal(net, keep), oracle_marginal(net, keep))
+            assert np.array_equal(eliminate_ancestral(net, keep), oracle_marginal(net, keep))
+
+    def test_dense_tables_are_the_oracle_products_bit_for_bit(self):
+        # joint and do_intervene eliminate every CPT, barren ones included:
+        # the product must still be the ancestral oracle's, and a do-table
+        # that product over its sum in C order.  Under do(a), a has no
+        # children and adjacent parents: its summed-out factor is one more
+        # operand of the product, and einsum lays that product out otherwise
+        schema = VariableSchema(("a", "b", "c", "d", "e"), (3, 2, 3, 3, 3))
+        dag = Dag(schema, (("c", "b"), ("d", "a"), ("d", "c"), ("e", "a"), ("e", "d")))
+        nets = [random_net(dag, np.random.default_rng(0))]
+        rng = np.random.default_rng(7)
+        nets += [random_net(random_dag(rng), rng) for _ in range(300)]
+        for net in nets:
+            names = net.schema.names
+            assert np.array_equal(joint(net).probs, oracle_marginal(net, names))
+            for node in names:
+                rest = [n for n in names if n != node]
+                for value in range(net.schema.cardinality(node)):
+                    w = oracle_marginal(bayesnet._mutilate(net, node, value), rest)
+                    w = np.asarray(w, order="C")
+                    assert np.array_equal(do_intervene(net, node, value).probs, w / w.sum())
 
 
 class TestDoIntervene:

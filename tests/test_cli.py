@@ -786,7 +786,7 @@ class TestScore:
                 assert float(r["weight"]) > 0
 
     def test_score_does_not_import_bayesnet(self, workdir):
-        # only exact tables from a net need bayesnet.marginal
+        # only exact tables from a net need bayesnet
         assert run_synth(workdir, n_obs="200", n_do="50") == 0
         argv = ["score", "--graph", str(workdir / "gpd.json"),
                 "--manifest", str(workdir / "data" / "manifest.json"),

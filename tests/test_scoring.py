@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -908,12 +910,19 @@ def test_exact_family_sum_rounds_as_fsum(values):
     assert families.conditional_entropy(FAMILY_PARENTS).hex() == math.fsum(terms).hex()
 
 
-def fsum_or_nan(values):
-    """`math.fsum`, or nan where it raises on -inf + inf."""
+def exact_sum(values):
+    """The float nearest the exact sum of ``values`` on the extended reals:
+    the sum of the infinite ones where there are any (nan where -inf meets
+    +inf), else the `Fraction` sum rounded once, ±inf past the largest float."""
+    values = list(values)
+    infinite = [x for x in values if not math.isfinite(x)]
+    if infinite:
+        return math.nan if len(set(infinite)) > 1 else infinite[0]
+    exact = sum(Fraction(x) for x in values)
     try:
-        return math.fsum(values)
-    except ValueError:
-        return math.nan
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 # a - b, a - c and b - d undirected, c -> d directed: 8 candidates, of which
@@ -926,17 +935,24 @@ SUM_TABLES = InterventionTables.from_net(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.floats(0.0, 1e300), st.just(math.inf)), min_size=4, max_size=4),
+@given(st.lists(st.one_of(st.floats(0.0, sys.float_info.max), st.just(math.inf)),
+                min_size=4, max_size=4),
        st.sampled_from(["pd", "all"]))
 # D of a, b, c, d: candidate "000" holds the signed terms +1e16, +1, -1e16
 # and -1, in sorted edge order; added left to right they read 0.0 (GCF's
 # numerator on "pd") and -1.0 (gcf_abs), where the exact sums are 1 and 0
 @example([0.0, 1e16, 1.0, 0.0], "pd")
 @example([0.0, 1e16, 1.0, 0.0], "all")
+# "000" holds +1e308, 0, 0, +1e308, whose sum is past the largest float
+# (inf), and +1e308, +1e308, -5e307, -5e307, whose sum is 1e308 although
+# that of its first two terms is past it; fsum raises on both
+@example([0.0, 1e308, 0.0, 1e308], "all")
+@example([0.0, 1e308, 1e308, 5e307], "all")
 def test_edge_sums_round_as_fsum(values, edges_policy):
     # GCF's numerator and denominator and gcf_abs are each the float nearest
     # the exact sum of their edge terms, on the one-DAG functions and on the
-    # walk's split sums; opposite infinite terms give nan, as
+    # walk's split sums; a finite sum past the largest float is that
+    # infinity, and opposite infinite terms give nan, as
     # test_opposite_infinite_distances_give_nan has it
     dmap = dict(zip(SUM_GRAPH.schema.names, values))
     walk = _walk_scores(EdgeRanks(SUM_GRAPH), iter_orientations(SUM_GRAPH), SUM_TABLES, dmap,
@@ -947,13 +963,13 @@ def test_edge_sums_round_as_fsum(values, edges_policy):
         assert vec == member.orientation
         signed = [(1 if dmap[h] >= dmap[t] else -1) * dodiv_distance(dmap[t], dmap[h])
                   for t, h in dag.edges]
-        assert gcf_abs(dag, dmap).hex() == walk_abs.hex() == fsum_or_nan(signed).hex()
+        assert gcf_abs(dag, dmap).hex() == walk_abs.hex() == exact_sum(signed).hex()
         scored = dag.edges if edges_policy == "all" else SUM_GRAPH.undirected
         value, details, flags = gcf_detail(dag, scored, dmap)
         expected, expected_flags = _gcf_value(
             len(details),
-            fsum_or_nan(s * d for _, s, d in details),
-            fsum_or_nan(d for _, _, d in details),
+            exact_sum(s * d for _, s, d in details),
+            exact_sum(d for _, _, d in details),
             flags.count(FLAG_UNDEFINED_DISTANCE),
         )
         assert (value.hex(), flags) == (walk_gcf.hex(), walk_flags) == (expected.hex(), expected_flags)
