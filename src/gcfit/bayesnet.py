@@ -16,12 +16,11 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GcfitError, ParseError, SchemaMismatch
-from .graphs import Dag, VariableSchema, check_names, json_object, read_text
+from .graphs import Dag, VariableSchema, _Record, check_names, json_object, read_text
 from .graphs import schema_from_obj, schema_to_obj
 from .tables import (
     NORMALIZATION_TOL,
@@ -35,8 +34,7 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True)
-class Cpt:
+class Cpt(_Record):
     """Conditional distribution of one node given its parents.
 
     ``parents`` is a tuple or list of names.  ``table`` has shape
@@ -44,20 +42,20 @@ class Cpt:
     a normalized distribution over child states, given as numbers.
     """
 
-    child: str
-    parents: tuple[str, ...]
-    table: np.ndarray = field(repr=False)
-    _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("child", "parents", "table")
+    __slots__ = _fields + ("_thresholds",)
+    _hidden = ("table",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parents", check_names(self.parents, f"parents of {self.child!r}"))
-        arr = float_array(self.table, f"CPT for {self.child!r}").copy()
+    def __init__(self, child: str, parents: tuple[str, ...], table: np.ndarray):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "parents", check_names(parents, f"parents of {child!r}"))
+        arr = float_array(table, f"CPT for {child!r}").copy()
         # written as what is accepted, so that NaN fails both checks
         if not np.all(arr >= 0):
-            raise GcfitError(f"CPT for {self.child!r} has negative or NaN entries")
+            raise GcfitError(f"CPT for {child!r} has negative or NaN entries")
         sums = arr.sum(axis=-1)
         if not np.all(np.abs(sums - 1.0) <= NORMALIZATION_TOL):
-            raise GcfitError(f"CPT rows for {self.child!r} do not sum to 1")
+            raise GcfitError(f"CPT rows for {child!r} do not sum to 1")
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
         # inverse-CDF thresholds, one row per parent configuration: the
@@ -75,24 +73,24 @@ class Cpt:
         object.__setattr__(self, "_thresholds", cum[:, :-1])
 
 
-@dataclass(frozen=True)
-class BayesNet:
+class BayesNet(_Record):
     """A DAG plus one CPT per node; the joint is the product of the CPTs."""
 
-    dag: Dag
-    cpts: dict[str, Cpt]
+    _fields = __slots__ = ("dag", "cpts")
 
-    def __post_init__(self):
-        schema = self.dag.schema
-        if set(self.cpts) != set(schema.names):
+    def __init__(self, dag: Dag, cpts: dict[str, Cpt]):
+        object.__setattr__(self, "dag", dag)
+        object.__setattr__(self, "cpts", cpts)
+        schema = dag.schema
+        if set(cpts) != set(schema.names):
             raise GcfitError("need exactly one CPT per node")
-        for node, cpt in self.cpts.items():
+        for node, cpt in cpts.items():
             if cpt.child != node:
                 raise GcfitError(f"CPT keyed {node!r} describes {cpt.child!r}")
-            if cpt.parents != self.dag.parents(node):
+            if cpt.parents != dag.parents(node):
                 raise GcfitError(
                     f"CPT parents {cpt.parents} differ from DAG parents "
-                    f"{self.dag.parents(node)} for {node!r}"
+                    f"{dag.parents(node)} for {node!r}"
                 )
             expected = tuple(schema.cardinality(p) for p in cpt.parents) + (
                 schema.cardinality(node),

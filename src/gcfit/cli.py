@@ -3,7 +3,8 @@ observational + interventional data, synthesize ground-truth datasets.
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 enumeration
 cap exceeded.  The numeric layers are imported by the commands that use
-them, so ``--version`` and ``enumerate`` never import numpy.
+them, so ``--version`` and ``enumerate`` never import numpy; nor, since
+no gcfit module imports ``dataclasses``, ``inspect``.
 """
 
 from __future__ import annotations

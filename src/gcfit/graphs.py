@@ -14,8 +14,7 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 from .errors import EnumerationLimit, GcfitError, InvalidState, ParseError, UnknownVariable
 
@@ -26,8 +25,52 @@ DEFAULT_ENUMERATION_CAP = 24
 _BLOCK_MEMO = 64
 
 
-@dataclass(frozen=True)
-class VariableSchema:
+class _Record:
+    """Base of the immutable records.  A subclass lists its constructor's
+    arguments, in order, as ``_fields`` (two or more), and those that repr
+    leaves out (arrays) as ``_hidden``; its ``__init__`` checks the
+    arguments and sets each slot once, through ``object.__setattr__``.  A
+    record compares and hashes as the tuple of its fields, as a frozen
+    dataclass does, and copies and pickles by calling the constructor on
+    them again, so a copy is checked as the original was and rebuilds what
+    the constructor derives."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = staticmethod(operator.attrgetter(*cls._fields))  # record -> field tuple
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable "
+                             f"{type(self).__name__}")
+
+    def __eq__(self, other):
+        if other is self:  # what the tuples give, since a tuple compares identical items equal
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields
+                 if name not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class VariableSchema(_Record):
     """Ordered list of named categorical variables.
 
     Variable ``name`` with cardinality ``c`` takes states ``0..c-1``.
@@ -35,22 +78,23 @@ class VariableSchema:
     array axis order and serialization order everywhere.
     """
 
-    names: tuple[str, ...]
-    cardinalities: tuple[int, ...]
-    _position: dict = field(init=False, repr=False, compare=False)
+    _fields = ("names", "cardinalities")
+    __slots__ = _fields + ("_position",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", check_names(self.names, "variable names"))
-        cards = tuple(map(_integer, self.cardinalities))
+    def __init__(self, names: tuple[str, ...], cardinalities: tuple[int, ...]):
+        names = check_names(names, "variable names")
+        object.__setattr__(self, "names", names)
+        cards = tuple(map(_integer, cardinalities))
         if None in cards:
-            raise GcfitError(f"cardinalities must be integers, not {self.cardinalities!r}")
+            raise GcfitError(f"cardinalities must be integers, not {cardinalities!r}")
         object.__setattr__(self, "cardinalities", cards)
-        if len(self.names) != len(self.cardinalities):
+        if len(names) != len(cards):
             raise GcfitError("names and cardinalities must have equal length")
-        object.__setattr__(self, "_position", {n: i for i, n in enumerate(self.names)})
-        if len(self._position) != len(self.names):
+        position = {n: i for i, n in enumerate(names)}
+        object.__setattr__(self, "_position", position)
+        if len(position) != len(names):
             raise GcfitError("variable names must be unique")
-        if any(c < 2 for c in self.cardinalities):
+        if any(c < 2 for c in cards):
             raise GcfitError("every cardinality must be >= 2")
 
     @property
@@ -167,18 +211,18 @@ def is_acyclic(schema: VariableSchema, edges) -> bool:
     return topological_order(schema, edges) is not None
 
 
-@dataclass(frozen=True)
-class Dag:
+class Dag(_Record):
     """Directed acyclic graph over a schema's variables."""
 
-    schema: VariableSchema
-    edges: tuple[tuple[str, str], ...]
+    _fields = ("schema", "edges")
+    __slots__ = _fields + ("_parents",)
 
-    def __post_init__(self):
-        edges = tuple(sorted(_checked_edges(self.schema, self.edges)))
+    def __init__(self, schema: VariableSchema, edges: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "schema", schema)
+        edges = tuple(sorted(_checked_edges(schema, edges)))
         if len(set(edges)) != len(edges):
             raise GcfitError("duplicate edge")
-        if not is_acyclic(self.schema, edges):
+        if not is_acyclic(schema, edges):
             raise GcfitError("edge set contains a directed cycle")
         object.__setattr__(self, "edges", edges)
 
@@ -196,15 +240,15 @@ class Dag:
 
     def parents(self, node: str) -> tuple[str, ...]:
         self.schema.index(node)
-        return self._parents[node]
-
-    @cached_property
-    def _parents(self) -> dict[str, tuple[str, ...]]:
-        """Each node's parents in schema order, built once."""
-        ps = {n: [] for n in self.schema.names}
-        for a, b in self.edges:
-            ps[b].append(a)
-        return {n: tuple(sorted(p, key=self.schema.index)) for n, p in ps.items()}
+        try:
+            parents = self._parents
+        except AttributeError:  # the first call builds each node's parents, in schema order
+            ps = {n: [] for n in self.schema.names}
+            for a, b in self.edges:
+                ps[b].append(a)
+            parents = {n: tuple(sorted(p, key=self.schema.index)) for n, p in ps.items()}
+            object.__setattr__(self, "_parents", parents)
+        return parents[node]
 
     def topological_order(self) -> list[str]:
         order = topological_order(self.schema, self.edges)
@@ -215,17 +259,16 @@ class Dag:
         return Dag(self.schema, tuple((b, a) for a, b in self.edges))
 
 
-@dataclass(frozen=True)
-class PdGraph:
+class PdGraph(_Record):
     """Graph with both directed and undirected edges."""
 
-    schema: VariableSchema
-    directed: tuple[tuple[str, str], ...]
-    undirected: tuple[tuple[str, str], ...]
+    _fields = __slots__ = ("schema", "directed", "undirected")
 
-    def __post_init__(self):
-        directed = tuple(sorted(_checked_edges(self.schema, self.directed)))
-        undirected = _checked_edges(self.schema, self.undirected)
+    def __init__(self, schema: VariableSchema, directed: tuple[tuple[str, str], ...],
+                 undirected: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "schema", schema)
+        directed = tuple(sorted(_checked_edges(schema, directed)))
+        undirected = _checked_edges(schema, undirected)
         undirected = tuple(sorted(tuple(sorted(e)) for e in undirected))
         if len(set(directed)) != len(directed) or len(set(undirected)) != len(undirected):
             raise GcfitError("duplicate edge")
@@ -234,14 +277,13 @@ class PdGraph:
             raise GcfitError("edge appears both directed and undirected")
         if len(seen) != len(directed):
             raise GcfitError("pair appears twice in directed part")
-        if not is_acyclic(self.schema, directed):
+        if not is_acyclic(schema, directed):
             raise GcfitError("directed part contains a cycle")
         object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "undirected", undirected)
 
 
-@dataclass(frozen=True)
-class TaggedDag:
+class TaggedDag(_Record):
     """A DAG plus the orientation vector that produced it.
 
     ``orientation`` has one character per undirected edge of the source
@@ -250,17 +292,23 @@ class TaggedDag:
     prefixed with 'G', stable across runs.
     """
 
-    graph_id: str
-    orientation: str
-    dag: Dag
+    _fields = __slots__ = ("graph_id", "orientation", "dag")
+
+    def __init__(self, graph_id: str, orientation: str, dag: Dag):
+        object.__setattr__(self, "graph_id", graph_id)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "dag", dag)
 
 
-@dataclass(frozen=True)
-class DagSet:
+class DagSet(_Record):
     """Ordered set of tagged DAGs generated from one PD graph."""
 
-    members: tuple[TaggedDag, ...]
-    source_undirected: tuple[tuple[str, str], ...] = ()
+    _fields = __slots__ = ("members", "source_undirected")
+
+    def __init__(self, members: tuple[TaggedDag, ...],
+                 source_undirected: tuple[tuple[str, str], ...] = ()):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "source_undirected", source_undirected)
 
     def __len__(self) -> int:
         return len(self.members)

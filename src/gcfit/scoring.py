@@ -10,7 +10,6 @@ whose intervention disturbs the rest of the system more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping
 
@@ -24,7 +23,7 @@ from .errors import (
     SchemaMismatch,
     UnknownEdge,
 )
-from .graphs import Dag, DagSet, EdgeRanks, VariableSchema
+from .graphs import Dag, DagSet, EdgeRanks, VariableSchema, _Record
 from .tables import Dataset, ProbTable, check_smoothing, row_codes, row_dtype
 
 FLAG_NO_CAUSAL_SIGNAL = "no_causal_signal"
@@ -251,27 +250,27 @@ def _smoothed_kl(p_counts, p_total, q_counts, q_total, smoothing, cells) -> floa
     return max(total, 0.0)
 
 
-@dataclass(frozen=True)
-class InterventionBundle:
+class InterventionBundle(_Record):
     """Observational dataset plus per-(node, value) interventional datasets."""
 
-    observational: Dataset
-    interventional: Mapping[tuple[str, int], Dataset]
-    smoothing: float = 0.0
+    _fields = __slots__ = ("observational", "interventional", "smoothing")
 
-    def __post_init__(self):
-        check_smoothing(self.smoothing)
-        schema = self.observational.schema
+    def __init__(self, observational: Dataset, interventional: Mapping[tuple[str, int], Dataset],
+                 smoothing: float = 0.0):
+        object.__setattr__(self, "observational", observational)
+        object.__setattr__(self, "interventional", interventional)
+        check_smoothing(smoothing)
+        schema = observational.schema
         try:  # the mass s·C that the tables add over the joint's C cells
-            finite = not self.smoothing or math.isfinite(self.smoothing * schema.n_cells)
+            finite = not smoothing or math.isfinite(smoothing * schema.n_cells)
         except OverflowError:  # a cell count, or an int mass, past the largest float
             finite = False
         if not finite:
-            raise GcfitError(f"smoothing {self.smoothing!r} times the joint's cell count "
+            raise GcfitError(f"smoothing {smoothing!r} times the joint's cell count "
                              "overflows a float")
         # an int past int64 would overflow numpy's arithmetic in the tables
-        object.__setattr__(self, "smoothing", float(self.smoothing))
-        for key, data in self.interventional.items():
+        object.__setattr__(self, "smoothing", float(smoothing))
+        for key, data in interventional.items():
             node, value = _do_key(schema, key)
             if data.schema != schema:
                 raise SchemaMismatch(
@@ -298,19 +297,25 @@ class InterventionBundle:
         return tables
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
+class ScoreRecord(_Record):
     """Per-DAG scoring result."""
 
-    graph_id: str
-    orientation: str
-    dag: Dag
-    gf: float
-    gcf: float
-    gcf_abs: float
-    edge_details: tuple[tuple[tuple[str, str], int, float], ...]
-    do_divergences: Mapping[str, float]  # node -> D(node), one map shared by the whole set
-    flags: tuple[str, ...]
+    _fields = __slots__ = ("graph_id", "orientation", "dag", "gf", "gcf", "gcf_abs",
+                           "edge_details", "do_divergences", "flags")
+
+    def __init__(self, graph_id: str, orientation: str, dag: Dag, gf: float, gcf: float,
+                 gcf_abs: float, edge_details: tuple[tuple[tuple[str, str], int, float], ...],
+                 do_divergences: Mapping[str, float], flags: tuple[str, ...]):
+        object.__setattr__(self, "graph_id", graph_id)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "dag", dag)
+        object.__setattr__(self, "gf", gf)
+        object.__setattr__(self, "gcf", gcf)
+        object.__setattr__(self, "gcf_abs", gcf_abs)
+        object.__setattr__(self, "edge_details", edge_details)
+        # node -> D(node), one map shared by the whole set
+        object.__setattr__(self, "do_divergences", do_divergences)
+        object.__setattr__(self, "flags", flags)
 
 
 def gf(dag: Dag, observational: Dataset, smoothing: float = 0.0) -> float:

@@ -11,14 +11,13 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import EmptyDataset, GcfitError, InvalidState, ParseError, SchemaMismatch
 from .errors import ZeroProbabilityEvidence
-from .graphs import VariableSchema, check_utf8, decode_utf8
+from .graphs import VariableSchema, _Record, check_utf8, decode_utf8
 
 NORMALIZATION_TOL = 1e-9
 _CSV_WRITE_ROWS = 4096
@@ -46,17 +45,17 @@ def float_array(values, what: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-@dataclass(frozen=True)
-class ProbTable:
+class ProbTable(_Record):
     """Normalized joint distribution over a schema's variables, given in
     the schema's shape or flat in row-major order."""
 
-    schema: VariableSchema
-    probs: np.ndarray = field(repr=False)
+    _fields = __slots__ = ("schema", "probs")
+    _hidden = ("probs",)
 
-    def __post_init__(self):
-        arr, cards = float_array(self.probs, "probabilities"), self.schema.cardinalities
-        if arr.shape not in ((self.schema.n_cells,), cards):
+    def __init__(self, schema: VariableSchema, probs: np.ndarray):
+        object.__setattr__(self, "schema", schema)
+        arr, cards = float_array(probs, "probabilities"), schema.cardinalities
+        if arr.shape not in ((schema.n_cells,), cards):
             raise SchemaMismatch(f"probabilities of shape {arr.shape} do not fit cells {cards}")
         arr = arr.reshape(cards).copy()
         # written as what is accepted, so that NaN fails both checks
@@ -103,8 +102,7 @@ class ProbTable:
         return ProbTable(rest, slice_ / total)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     """Complete-case dataset: one integer state per variable per row.
 
     ``rows`` is given as a 2-D array, in any layout, with one column per
@@ -117,13 +115,14 @@ class Dataset:
     rows widens them first (``rows.astype(np.int64)``).
     """
 
-    schema: VariableSchema
-    rows: np.ndarray = field(repr=False)
+    _fields = __slots__ = ("schema", "rows")
+    _hidden = ("rows",)
 
-    def __post_init__(self):
-        names, cards = self.schema.names, self.schema.cardinalities
+    def __init__(self, schema: VariableSchema, rows: np.ndarray):
+        object.__setattr__(self, "schema", schema)
+        names, cards = schema.names, schema.cardinalities
         try:
-            arr = np.asarray(self.rows)
+            arr = np.asarray(rows)
         except ValueError:  # ragged nesting
             raise SchemaMismatch(f"ragged rows are not rows of {len(names)} columns") from None
         arr = arr.reshape(0, len(names)) if arr.shape == (0,) else arr  # [] is no rows

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -59,6 +60,8 @@ class TestPublicNames:
     ],
 )
 def test_numpy_free_paths(tmp_path, code):
+    """The numpy-free paths import neither numpy nor dataclasses and
+    inspect, which cost several milliseconds of start-up each."""
     graph = tmp_path / "g.json"
     variables = [{"name": n, "cardinality": 2} for n in "abc"]
     graph.write_text(json.dumps({"variables": variables, "undirected": [["a", "b"], ["b", "c"]]}))
@@ -67,12 +70,23 @@ def test_numpy_free_paths(tmp_path, code):
         "try:",
         "    " + code.replace("GRAPH", repr(str(graph))),
         "finally:",
-        "    print('numpy' in sys.modules)",
+        "    print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    sources = sorted(Path(gcfit.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
 
 
 def test_readme_library_example_runs(capsys):

@@ -1386,6 +1386,6 @@ class TestCountTables:
 
         monkeypatch.setattr(tables_module, "empirical_from_dataset", dense)
         monkeypatch.setattr(Dataset, "select", dense)
-        monkeypatch.setattr(ProbTable, "__post_init__", dense)
+        monkeypatch.setattr(ProbTable, "__init__", dense)
         assert [record_bits(r) for r in score_set(dags, bundle)] == expected
         assert gf(dags.members[0].dag, bundle.observational, 1.0) == score_set(dags, bundle)[0].gf
