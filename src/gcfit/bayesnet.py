@@ -47,8 +47,7 @@ class Cpt(_Record):
     _hidden = ("table",)
 
     def __init__(self, child: str, parents: tuple[str, ...], table: np.ndarray):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "parents", check_names(parents, f"parents of {child!r}"))
+        parents = check_names(parents, f"parents of {child!r}")
         arr = float_array(table, f"CPT for {child!r}").copy()
         # written as what is accepted, so that NaN fails both checks
         if not np.all(arr >= 0):
@@ -57,7 +56,6 @@ class Cpt(_Record):
         if not np.all(np.abs(sums - 1.0) <= NORMALIZATION_TOL):
             raise GcfitError(f"CPT rows for {child!r} do not sum to 1")
         arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
         # inverse-CDF thresholds, one row per parent configuration: the
         # cumulative values of every state but the last, +inf from the row's
         # last state of positive probability on, so that state takes what is
@@ -71,6 +69,7 @@ class Cpt(_Record):
         cum[np.arange(card) >= last[:, None]] = np.inf
         cum.setflags(write=False)
         object.__setattr__(self, "_thresholds", cum[:, :-1])
+        super().__init__(child, parents, arr)
 
 
 class BayesNet(_Record):
@@ -79,8 +78,6 @@ class BayesNet(_Record):
     _fields = __slots__ = ("dag", "cpts")
 
     def __init__(self, dag: Dag, cpts: dict[str, Cpt]):
-        object.__setattr__(self, "dag", dag)
-        object.__setattr__(self, "cpts", cpts)
         schema = dag.schema
         if set(cpts) != set(schema.names):
             raise GcfitError("need exactly one CPT per node")
@@ -99,6 +96,7 @@ class BayesNet(_Record):
                 raise GcfitError(
                     f"CPT for {node!r} has shape {cpt.table.shape}, expected {expected}"
                 )
+        super().__init__(dag, cpts)
 
     @property
     def schema(self) -> VariableSchema:
@@ -316,11 +314,6 @@ def substream(seed, key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(base.entropy, spawn_key=base.spawn_key + (key,))
 
 
-def _node_rng(seed, position: int) -> np.random.Generator:
-    """One deterministic substream per node, keyed by topological position."""
-    return np.random.default_rng(substream(seed, position))
-
-
 def _draw_column(net: BayesNet, node: str, cols: np.ndarray, rng: np.random.Generator) -> None:
     """Inverse-CDF sample of one node into its row of ``cols``, one row per
     variable, given the already-sampled parent rows; the node's row must
@@ -339,13 +332,14 @@ def _draw_column(net: BayesNet, node: str, cols: np.ndarray, rng: np.random.Gene
 def _forward(net: BayesNet, n: int, seed) -> Dataset:
     """Ancestral sampling in topological order, in place into one
     ``(variables, n)`` array, so that each node writes and each child reads
-    a contiguous row; each node draws from its own substream."""
+    a contiguous row; each node draws from its own substream, keyed by its
+    topological position."""
     if n < 1:
         raise GcfitError("n must be >= 1")
     cards = net.schema.cardinalities
     cols = np.zeros((len(cards), n), dtype=row_dtype(cards))
     for pos, node in enumerate(net.dag.topological_order()):
-        _draw_column(net, node, cols, _node_rng(seed, pos))
+        _draw_column(net, node, cols, np.random.default_rng(substream(seed, pos)))
     return Dataset(net.schema, cols.T)
 
 

@@ -29,11 +29,12 @@ class _Record:
     """Base of the immutable records.  A subclass lists its constructor's
     arguments, in order, as ``_fields`` (two or more), and those that repr
     leaves out (arrays) as ``_hidden``; its ``__init__`` checks the
-    arguments and sets each slot once, through ``object.__setattr__``.  A
-    record compares and hashes as the tuple of its fields, as a frozen
-    dataclass does, and copies and pickles by calling the constructor on
-    them again, so a copy is checked as the original was and rebuilds what
-    the constructor derives."""
+    arguments, then passes the field values to ``_Record.__init__`` in
+    ``_fields`` order, which sets each slot once and raises TypeError on a
+    wrong count.  A record compares and hashes as the tuple of its fields,
+    as a frozen dataclass does, and copies and pickles by calling the
+    constructor on them again, so a copy is checked as the original was and
+    rebuilds what the constructor derives."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -42,6 +43,15 @@ class _Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = staticmethod(operator.attrgetter(*cls._fields))  # record -> field tuple
+        # each field's slot writer, which a loop calls as fast as a direct set
+        cls._writers = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} has {len(self._fields)} fields, "
+                            f"not {len(values)}")
+        for write, value in zip(self._writers, values):
+            write(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable "
@@ -83,11 +93,9 @@ class VariableSchema(_Record):
 
     def __init__(self, names: tuple[str, ...], cardinalities: tuple[int, ...]):
         names = check_names(names, "variable names")
-        object.__setattr__(self, "names", names)
         cards = tuple(map(_integer, cardinalities))
         if None in cards:
             raise GcfitError(f"cardinalities must be integers, not {cardinalities!r}")
-        object.__setattr__(self, "cardinalities", cards)
         if len(names) != len(cards):
             raise GcfitError("names and cardinalities must have equal length")
         position = {n: i for i, n in enumerate(names)}
@@ -96,6 +104,7 @@ class VariableSchema(_Record):
             raise GcfitError("variable names must be unique")
         if any(c < 2 for c in cards):
             raise GcfitError("every cardinality must be >= 2")
+        super().__init__(names, cards)
 
     @property
     def n_cells(self) -> int:
@@ -218,13 +227,12 @@ class Dag(_Record):
     __slots__ = _fields + ("_parents",)
 
     def __init__(self, schema: VariableSchema, edges: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "schema", schema)
         edges = tuple(sorted(_checked_edges(schema, edges)))
         if len(set(edges)) != len(edges):
             raise GcfitError("duplicate edge")
         if not is_acyclic(schema, edges):
             raise GcfitError("edge set contains a directed cycle")
-        object.__setattr__(self, "edges", edges)
+        super().__init__(schema, edges)
 
     @classmethod
     def _trusted(cls, schema: VariableSchema, edges) -> "Dag":
@@ -266,7 +274,6 @@ class PdGraph(_Record):
 
     def __init__(self, schema: VariableSchema, directed: tuple[tuple[str, str], ...],
                  undirected: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "schema", schema)
         directed = tuple(sorted(_checked_edges(schema, directed)))
         undirected = _checked_edges(schema, undirected)
         undirected = tuple(sorted(tuple(sorted(e)) for e in undirected))
@@ -279,8 +286,7 @@ class PdGraph(_Record):
             raise GcfitError("pair appears twice in directed part")
         if not is_acyclic(schema, directed):
             raise GcfitError("directed part contains a cycle")
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "undirected", undirected)
+        super().__init__(schema, directed, undirected)
 
 
 class TaggedDag(_Record):
@@ -295,6 +301,7 @@ class TaggedDag(_Record):
     _fields = __slots__ = ("graph_id", "orientation", "dag")
 
     def __init__(self, graph_id: str, orientation: str, dag: Dag):
+        # set here, not by the base: one is built per orientation enumerated
         object.__setattr__(self, "graph_id", graph_id)
         object.__setattr__(self, "orientation", orientation)
         object.__setattr__(self, "dag", dag)
@@ -307,8 +314,7 @@ class DagSet(_Record):
 
     def __init__(self, members: tuple[TaggedDag, ...],
                  source_undirected: tuple[tuple[str, str], ...] = ()):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "source_undirected", source_undirected)
+        super().__init__(members, source_undirected)
 
     def __len__(self) -> int:
         return len(self.members)

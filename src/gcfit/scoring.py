@@ -257,8 +257,6 @@ class InterventionBundle(_Record):
 
     def __init__(self, observational: Dataset, interventional: Mapping[tuple[str, int], Dataset],
                  smoothing: float = 0.0):
-        object.__setattr__(self, "observational", observational)
-        object.__setattr__(self, "interventional", interventional)
         check_smoothing(smoothing)
         schema = observational.schema
         try:  # the mass s·C that the tables add over the joint's C cells
@@ -268,8 +266,6 @@ class InterventionBundle(_Record):
         if not finite:
             raise GcfitError(f"smoothing {smoothing!r} times the joint's cell count "
                              "overflows a float")
-        # an int past int64 would overflow numpy's arithmetic in the tables
-        object.__setattr__(self, "smoothing", float(smoothing))
         for key, data in interventional.items():
             node, value = _do_key(schema, key)
             if data.schema != schema:
@@ -281,6 +277,8 @@ class InterventionBundle(_Record):
                 raise GcfitError(
                     f"intervened column {node!r} is not constant {value} in its dataset"
                 )
+        # an int past int64 would overflow numpy's arithmetic in the tables
+        super().__init__(observational, interventional, float(smoothing))
 
     @property
     def schema(self) -> VariableSchema:
@@ -306,16 +304,9 @@ class ScoreRecord(_Record):
     def __init__(self, graph_id: str, orientation: str, dag: Dag, gf: float, gcf: float,
                  gcf_abs: float, edge_details: tuple[tuple[tuple[str, str], int, float], ...],
                  do_divergences: Mapping[str, float], flags: tuple[str, ...]):
-        object.__setattr__(self, "graph_id", graph_id)
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "dag", dag)
-        object.__setattr__(self, "gf", gf)
-        object.__setattr__(self, "gcf", gcf)
-        object.__setattr__(self, "gcf_abs", gcf_abs)
-        object.__setattr__(self, "edge_details", edge_details)
-        # node -> D(node), one map shared by the whole set
-        object.__setattr__(self, "do_divergences", do_divergences)
-        object.__setattr__(self, "flags", flags)
+        # do_divergences: node -> D(node), one map shared by the whole set
+        super().__init__(graph_id, orientation, dag, gf, gcf, gcf_abs, edge_details,
+                         do_divergences, flags)
 
 
 def gf(dag: Dag, observational: Dataset, smoothing: float = 0.0) -> float:
@@ -699,7 +690,8 @@ def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, ed
 
     # GCF: an edge's distance and undefined flag do not depend on its
     # direction, so of its sums only the signed one over und depends on the bits
-    terms = dict(zip(ranks.edges, _edge_terms(ranks.edges, dmap, {})))  # per oriented edge
+    terms = {}  # per oriented edge, as `_edge_terms` memoizes it
+    _edge_terms(ranks.edges, dmap, terms)
     scored = [terms[e] for e in (und if edges_policy == "pd" else g.directed + und)]
     den, bad = _total(d for _, d, _ in scored), sum(u for _, _, u in scored)
     signed = {e: _split(s * d) for e, (s, d, _) in terms.items()}
@@ -724,8 +716,6 @@ def _walk_scores(ranks: EdgeRanks, vectors, tables: InterventionTables, dmap, ed
             exact[i + 1] = exact[i] + e
             special[i + 1] = special[i] + x
         gcf_abs = _joined(base_exact + exact[k], base_special + special[k])
-        if edges_policy == "pd":
-            value, flags = _gcf_value(k, _joined(exact[k], special[k]), den, bad)
-        else:
-            value, flags = _gcf_value(len(scored), gcf_abs, den, bad)
+        num = gcf_abs if edges_policy == "all" else _joined(exact[k], special[k])
+        value, flags = _gcf_value(len(scored), num, den, bad)
         yield vec, text, _gf(_rounded(acc[k]), joint), value, gcf_abs, flags

@@ -53,7 +53,6 @@ class ProbTable(_Record):
     _hidden = ("probs",)
 
     def __init__(self, schema: VariableSchema, probs: np.ndarray):
-        object.__setattr__(self, "schema", schema)
         arr, cards = float_array(probs, "probabilities"), schema.cardinalities
         if arr.shape not in ((schema.n_cells,), cards):
             raise SchemaMismatch(f"probabilities of shape {arr.shape} do not fit cells {cards}")
@@ -64,7 +63,7 @@ class ProbTable(_Record):
         if not abs(arr.sum() - 1.0) <= NORMALIZATION_TOL:
             raise GcfitError(f"probabilities sum to {arr.sum()!r}, not 1")
         arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        super().__init__(schema, arr)
 
     @classmethod
     def from_weights(cls, schema: VariableSchema, weights) -> "ProbTable":
@@ -119,7 +118,6 @@ class Dataset(_Record):
     _hidden = ("rows",)
 
     def __init__(self, schema: VariableSchema, rows: np.ndarray):
-        object.__setattr__(self, "schema", schema)
         names, cards = schema.names, schema.cardinalities
         try:
             arr = np.asarray(rows)
@@ -149,7 +147,7 @@ class Dataset(_Record):
                     raise InvalidState(f"column {name!r} has values outside 0..{card - 1}")
         arr = arr.astype(row_dtype(cards), order="C")
         arr.setflags(write=False)
-        object.__setattr__(self, "rows", arr)
+        super().__init__(schema, arr)
 
     def __len__(self) -> int:
         return self.rows.shape[0]

@@ -354,7 +354,9 @@ class TestSampling:
             def random(self, n):
                 return np.full(n, u)
 
-        monkeypatch.setattr(bayesnet, "_node_rng", lambda seed, position: Constant())
+        draw = bayesnet._draw_column
+        monkeypatch.setattr(bayesnet, "_draw_column",
+                            lambda net, node, cols, rng: draw(net, node, cols, Constant()))
         schema = VariableSchema(("a", "b"), (2, 4))
         net = BayesNet(
             Dag(schema, ()),
@@ -374,7 +376,9 @@ class TestSampling:
             def random(self, n):
                 return np.full(n, np.nextafter(1.0, 0.0))
 
-        monkeypatch.setattr(bayesnet, "_node_rng", lambda seed, position: Constant())
+        draw = bayesnet._draw_column
+        monkeypatch.setattr(bayesnet, "_draw_column",
+                            lambda net, node, cols, rng: draw(net, node, cols, Constant()))
         schema = VariableSchema(("a",), (2,))
         net = BayesNet(Dag(schema, ()), {"a": Cpt("a", (), np.array([1 - 1e-10, 0.0]))})
         assert (sample(net, 5, seed=0).rows == 0).all()

@@ -23,6 +23,7 @@ from gcfit import (
     enumerate_orientations,
     score_set,
 )
+from gcfit.graphs import _Record
 
 SCHEMA = VariableSchema(("a", "b"), (2, 3))
 CPT = Cpt("b", ("a",), [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
@@ -146,3 +147,26 @@ def test_repr_lists_the_fields_and_hides_arrays():
     assert repr(DAG) == f"Dag(schema={schema}, edges=(('a', 'b'),))"
     assert repr(CPT) == "Cpt(child='b', parents=('a',))"
     assert repr(RECORDS["ProbTable"][0]) == f"ProbTable(schema={schema})"
+
+
+class Pair(_Record):
+    """A throwaway record whose constructor passes on what it is given."""
+
+    _fields = __slots__ = ("x", "y")
+
+    def __init__(self, *values):
+        super().__init__(*values)
+
+
+def test_base_constructor_sets_the_fields_in_order():
+    pair = Pair("first", ("second",))
+    assert (pair.x, pair.y) == ("first", ("second",))
+    assert repr(pair) == "Pair(x='first', y=('second',))"
+    for dup in (copy.copy(pair), pickle.loads(pickle.dumps(pair))):
+        assert type(dup) is Pair and dup == pair and hash(dup) == hash(pair)
+
+
+@pytest.mark.parametrize("values", [(1,), (1, 2, 3)], ids=["too-few", "too-many"])
+def test_base_constructor_refuses_a_wrong_count(values):
+    with pytest.raises(TypeError, match=f"Pair has 2 fields, not {len(values)}"):
+        Pair(*values)
