@@ -2,37 +2,34 @@
 observational + interventional data, synthesize ground-truth datasets.
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 enumeration
-cap exceeded.  The numeric layers are imported by the commands that use
-them, so ``--version`` and ``enumerate`` never import numpy; nor, since
-no gcfit module imports ``dataclasses``, ``inspect``.
+cap exceeded.
+
+Import rule: what a command runs (the library layers ``graphs``,
+``tables``, ``bayesnet``, ``scoring`` and ``svg``, and ``json``) is
+imported by the function that runs it, never at module level.  So
+parsing arguments, ``--version``, ``--help`` and usage errors load only
+``gcfit``, this module and ``gcfit.errors``, and ``enumerate`` adds only
+``graphs``, never numpy.  Every line on a command's import path is
+start-up cost: a run without a bytecode cache compiles each module it
+imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
 
 from . import __version__
-from .errors import EnumerationLimit, GcfitError, ParseError
-from .graphs import (
-    DEFAULT_ENUMERATION_CAP,
-    EdgeRanks,
-    iter_orientations,
-    json_object,
-    load_pdgraph,
-    read_text,
-    subset_orientations,
-)
+from .errors import DEFAULT_ENUMERATION_CAP, EnumerationLimit, GcfitError, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_ENUMERATION = 3
 
-# scores.csv rows rendered per write: the file is streamed, never held whole
+# scores.csv lines rendered per write: the file is streamed, never held whole
 WRITE_BATCH = 1024
 
 # the longest file name, in bytes, of the common file systems (NAME_MAX on Linux)
@@ -51,6 +48,7 @@ def load_manifest(path, schema):
              "interventions": [{"file": <csv path>, "node": ..., "value": ...}]}
     Relative paths resolve against the manifest's directory.
     """
+    from .graphs import json_object, read_text
     from .tables import Dataset
 
     doc = json_object(read_text(path), "observational", path)
@@ -87,6 +85,8 @@ def load_manifest(path, schema):
 
 
 def cmd_enumerate(args) -> int:
+    from .graphs import EdgeRanks, iter_orientations, load_pdgraph
+
     graph = load_pdgraph(args.graph)
     # a tab or a line break in a name would split the tab-separated lines
     ranks = EdgeRanks(graph, (";", "->", "\t", "\n", "\r"))
@@ -104,7 +104,34 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def score_lines(graph, scores, points=None):
+    """The lines of scores.csv: its header, then one line per tuple of
+    ``scores`` (`score_orientations`' stream), each as `csv_lines` renders
+    its fields.  Each candidate's (gf, gcf, graph id) is appended to
+    ``points`` unless it is None.
+
+    Only the edge list can need quoting: the vector, `format_number`'s
+    numbers and the flags hold no ``,``, ``"``, CR or LF.  Every edge list
+    names each endpoint of the graph's edges, so it is decided once: the
+    list needs quoting iff one of those names holds such a character, and
+    is then quoted as `csv.writer` quotes, in ``"`` with each ``"`` doubled.
+    """
+    from .tables import csv_lines
+
+    yield csv_lines([["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]])
+    quote = any(c in name for edge in graph.directed + graph.undirected for name in edge
+                for c in ',"\r\n')
+    for vec, text, gf, gcf, gcf_abs, flags in scores:
+        if quote:
+            text = '"' + text.replace('"', '""') + '"'
+        if points is not None:
+            points.append((gf, gcf, f"G{vec}"))
+        yield (f"G{vec},{vec or '-'},{text},{format_number(gf)},{format_number(gcf)},"
+               f"{format_number(gcf_abs)},{';'.join(flags)}\n")
+
+
 def cmd_score(args) -> int:
+    from .graphs import EdgeRanks, iter_orientations, load_pdgraph, subset_orientations
     from .scoring import InterventionBundle, score_orientations
     from .tables import check_smoothing, csv_lines
 
@@ -135,20 +162,11 @@ def cmd_score(args) -> int:
                 for value, weight, d_value in detail
             ]
         ))
-    points = []  # one per candidate, for --svg only; each row is written and dropped
+    points = [] if args.svg else None
+    lines = score_lines(graph, scores, points)
     with open(os.path.join(args.out_dir, "scores.csv"), "w", newline="", encoding="utf-8") as fh:
-        rows = [["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]]
-        for vec, text, gf, gcf, gcf_abs, flags in scores:
-            rows.append([
-                f"G{vec}", vec or "-", text, format_number(gf), format_number(gcf),
-                format_number(gcf_abs), ";".join(flags),
-            ])
-            if args.svg:
-                points.append((gf, gcf, f"G{vec}"))
-            if len(rows) == WRITE_BATCH:
-                fh.write(csv_lines(rows))
-                rows.clear()
-        fh.write(csv_lines(rows))
+        while chunk := "".join(islice(lines, WRITE_BATCH)):
+            fh.write(chunk)
 
     if args.svg:
         from .svg import scatter_svg
@@ -170,6 +188,11 @@ def _file_name_ok(name: str) -> bool:
 
 
 def cmd_synth(args) -> int:
+    import json
+
+    # graphs is compiled before bayesnet imports numpy: compiled after it,
+    # its compile memory left synth's peak RSS about 0.4 MB higher
+    from . import graphs  # noqa: F401
     from .bayesnet import load_bayesnet, sample, sample_do, substream
     from .tables import csv_header
 

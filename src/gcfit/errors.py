@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all gcfit modules."""
+"""Exception hierarchy shared by all gcfit modules, and the default cap
+that `EnumerationLimit` enforces, which the CLI parser reads without
+importing ``graphs``."""
 
 
 class GcfitError(Exception):
@@ -32,6 +34,10 @@ class ZeroProbabilityEvidence(GcfitError):
 
 class UnknownEdge(GcfitError):
     """An edge is not present in the graph, in either direction."""
+
+
+# the most undirected edges enumerated by default: at most 2**24 orientations
+DEFAULT_ENUMERATION_CAP = 24
 
 
 class EnumerationLimit(GcfitError):

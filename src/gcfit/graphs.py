@@ -16,9 +16,9 @@ import math
 import operator
 from functools import reduce
 
-from .errors import EnumerationLimit, GcfitError, InvalidState, ParseError, UnknownVariable
+from .errors import DEFAULT_ENUMERATION_CAP, EnumerationLimit, GcfitError, InvalidState
+from .errors import ParseError, UnknownVariable
 
-DEFAULT_ENUMERATION_CAP = 24
 # rendered values `EdgeRanks` keeps per edge-list block: a block reading at
 # most 6 bits keeps them all, a wider one starts over when this many are held,
 # so memory does not grow with the number of candidates

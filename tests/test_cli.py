@@ -29,10 +29,11 @@ from gcfit import (
     save_bayesnet,
     save_pdgraph,
 )
-from gcfit.cli import format_number, load_manifest, main
+from gcfit.cli import format_number, load_manifest, main, score_lines
 from gcfit.graphs import EdgeRanks, iter_orientations
 from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE, score_orientations
 from gcfit.svg import scatter_svg
+from gcfit.tables import csv_lines
 from conftest import random_net
 
 
@@ -1043,3 +1044,40 @@ class TestStreamedScores:
         )
         rows = read_scores(tmp_path / "out" / "scores.csv")
         assert rows[0]["gcf_abs"] == "nan"
+
+
+# what csv.writer quotes (",", '"', CR, LF), a space and non-ASCII text; no
+# ";" or ">", as EdgeRanks refuses a name holding ";" or "->"
+NAME_TEXT = st.text(st.sampled_from(list(',"\r\n ab-é名\u2028')), min_size=1, max_size=4)
+
+
+@st.composite
+def scored_graphs(draw):
+    """A PD graph on 1..4 variables named from NAME_TEXT, with some of each
+    kind of edge, and a score tuple per orientation, as
+    `score_orientations` streams them, of drawn numbers and flags."""
+    names = draw(st.lists(NAME_TEXT, min_size=1, max_size=4, unique=True))
+    directed, undirected = [], []
+    for edge in itertools.combinations(names, 2):  # schema order, so acyclic
+        kind = draw(st.sampled_from([[], directed, undirected]))
+        kind.append(edge)
+    pd = PdGraph(VariableSchema(tuple(names), (2,) * len(names)), directed, undirected)
+    number = st.floats(allow_nan=True, allow_infinity=True)
+    flags = st.lists(st.sampled_from([FLAG_UNDEFINED_DISTANCE, FLAG_NO_CAUSAL_SIGNAL]), max_size=2)
+    scores = [(vec, text, draw(number), draw(number), draw(number), tuple(draw(flags)))
+              for vec, _, text in EdgeRanks(pd).lists(iter_orientations(pd))]
+    return pd, scores
+
+
+class TestScoreLines:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_graphs())
+    def test_each_line_is_csv_lines_of_its_fields(self, problem):
+        pd, scores = problem
+        points = []
+        rows = [["graph_id", "orientation_vector", "edges", "gf", "gcf", "gcf_abs", "flags"]]
+        rows += [[f"G{vec}", vec or "-", text, format_number(gf), format_number(gcf),
+                  format_number(gcf_abs), ";".join(flags)]
+                 for vec, text, gf, gcf, gcf_abs, flags in scores]
+        assert list(score_lines(pd, scores, points)) == [csv_lines([row]) for row in rows]
+        assert points == [(gf, gcf, f"G{vec}") for vec, _, gf, gcf, _, _ in scores]

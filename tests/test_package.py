@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gcfit
+import gcfit.errors
 import gcfit.graphs
 import gcfit.tables
 
@@ -50,6 +51,21 @@ class TestPublicNames:
         assert gcfit.tables.VariableSchema is gcfit.graphs.VariableSchema
 
 
+def graph_file(tmp_path):
+    """A PD graph file on a, b, c with two undirected edges."""
+    graph = tmp_path / "g.json"
+    variables = [{"name": n, "cardinality": 2} for n in "abc"]
+    graph.write_text(json.dumps({"variables": variables, "undirected": [["a", "b"], ["b", "c"]]}))
+    return str(graph)
+
+
+def run_child(*lines):
+    """Run ``lines`` in a fresh interpreter on this test run's path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize(
     "code",
     [
@@ -62,20 +78,57 @@ class TestPublicNames:
 def test_numpy_free_paths(tmp_path, code):
     """The numpy-free paths import neither numpy nor dataclasses and
     inspect, which cost several milliseconds of start-up each."""
-    graph = tmp_path / "g.json"
-    variables = [{"name": n, "cardinality": 2} for n in "abc"]
-    graph.write_text(json.dumps({"variables": variables, "undirected": [["a", "b"], ["b", "c"]]}))
-    script = "\n".join([
+    proc = run_child(
         "import sys",
         "try:",
-        "    " + code.replace("GRAPH", repr(str(graph))),
+        "    " + code.replace("GRAPH", repr(graph_file(tmp_path))),
         "finally:",
         "    print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])",
-    ])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+ARGUMENT_LAYER = ["gcfit", "gcfit.cli", "gcfit.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv, status, loaded",
+    [
+        (["--version"], 0, ARGUMENT_LAYER),
+        (["--help"], 0, ARGUMENT_LAYER),
+        (["score", "--help"], 0, ARGUMENT_LAYER),
+        ([], 2, ARGUMENT_LAYER),  # the usage error
+        (["enumerate", "--graph", "GRAPH"], 0, ARGUMENT_LAYER + ["gcfit.graphs"]),
+    ],
+    ids=["version", "help", "score-help", "usage-error", "enumerate"],
+)
+def test_each_command_loads_only_its_layers(tmp_path, argv, status, loaded):
+    """A child compiles every gcfit module it imports, so parsing arguments
+    loads no library layer, and enumerate only graphs: no tables, scoring,
+    bayesnet or numpy."""
+    argv = [graph_file(tmp_path) if arg == "GRAPH" else arg for arg in argv]
+    proc = run_child(
+        "import sys",
+        "try:",
+        f"    from gcfit.cli import main; main({argv!r})",
+        "finally:",
+        "    print(sorted(m for m in sys.modules if m.partition('.')[0] in ('gcfit', 'numpy')))",
+    )
+    assert proc.returncode == status, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_enumeration_cap_has_one_definition():
+    """The parser reads the cap from errors, beside the error it bounds,
+    and graphs uses that same object."""
+    assert gcfit.graphs.DEFAULT_ENUMERATION_CAP is gcfit.errors.DEFAULT_ENUMERATION_CAP
+    sources = sorted(Path(gcfit.__file__).resolve().parent.glob("*.py"))
+    defining = [path.name for path in sources
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "DEFAULT_ENUMERATION_CAP" for t in node.targets)]
+    assert defining == ["errors.py"]
 
 
 def test_no_module_imports_dataclasses():
