@@ -6,8 +6,10 @@ replaced by a point mass at x in every parent configuration.  Every exact
 quantity runs one elimination loop, `_eliminate`, over every CPT of a net
 (`_factors`): `joint` keeps all variables, `do_intervene` every variable
 but X in the mutilated net, and `CliqueTree` keeps none, to calibrate a
-junction tree that then answers many marginals.  `sample` and `sample_do`
-are one ancestral sampler; `sample_do` samples the mutilated net.
+junction tree that then answers many marginals.  Sampling has one path,
+`sample_jobs`, which draws many datasets in shared passes; `sample` and
+`sample_do` are one-job calls of it, and an intervened column is filled
+with its value, which is what the mutilated net's point mass draws.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import GcfitError, ParseError, SchemaMismatch
-from .graphs import Dag, VariableSchema, _Record, check_names, json_object, read_text
+from .graphs import Dag, VariableSchema, _integer, _Record, check_names, json_object, read_text
 from .graphs import schema_from_obj, schema_to_obj
 from .tables import (
     NORMALIZATION_TOL,
@@ -106,8 +108,7 @@ class BayesNet(_Record):
 def _mutilate(net: BayesNet, node: str, value: int) -> BayesNet:
     """The net under do(node=value): the same DAG, ``node``'s CPT replaced
     by point-mass rows at ``value`` in every parent configuration.  The
-    incoming edges stay, so every node keeps its topological position and
-    with it its sampling substream."""
+    incoming edges stay: only ``node``'s CPT changes."""
     net.schema.check_state(node, value)
     cpt = net.cpts[node]
     table = np.zeros(cpt.table.shape)
@@ -307,54 +308,120 @@ def fit_cpts(dag: Dag, data: Dataset, smoothing: float = 0.0) -> BayesNet:
     return BayesNet(dag, cpts)
 
 
+def _seed(seed) -> np.random.SeedSequence:
+    """``seed`` as a SeedSequence: a SeedSequence as it is, or a
+    non-negative integer (a numpy one too, not a bool); anything else
+    raises GcfitError, where numpy would read 1.5 as 1 and "3" as 3."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    value = _integer(seed)
+    if value is None or value < 0:
+        raise GcfitError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
+    return np.random.SeedSequence(value)
+
+
 def substream(seed, key: int) -> np.random.SeedSequence:
-    """Child ``key`` of ``seed`` (an int or a SeedSequence): the same
-    (seed, key) always gives the same stream, distinct keys independent ones."""
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    """Child ``key`` of ``seed`` (a non-negative integer or a SeedSequence):
+    the same (seed, key) always gives the same stream, distinct keys
+    independent ones."""
+    base = _seed(seed)
     return np.random.SeedSequence(base.entropy, spawn_key=base.spawn_key + (key,))
 
 
-def _draw_column(net: BayesNet, node: str, cols: np.ndarray, rng: np.random.Generator) -> None:
-    """Inverse-CDF sample of one node into its row of ``cols``, one row per
-    variable, given the already-sampled parent rows; the node's row must
-    hold zeros."""
-    schema = net.schema
-    cpt = net.cpts[node]
-    u = rng.random(cols.shape[1])
-    # row-major index of each sample's parent configuration; a root's is 0
-    config = row_codes(cols.T, [schema.index(p) for p in cpt.parents], schema.cardinalities)
-    thresholds = cpt._thresholds
-    out = cols[schema.index(node)]
-    for k in range(thresholds.shape[1]):
-        out += thresholds[:, k].take(config) <= u
+def _uniform(seed: np.random.SeedSequence, pos: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the uniforms [0, 1) of the node at topological
+    position ``pos``: its own substream of the job's seed, drawn by the
+    generator ``np.random.default_rng`` returns for it, built directly."""
+    np.random.Generator(np.random.PCG64(substream(seed, pos))).random(out=out)
 
 
-def _forward(net: BayesNet, n: int, seed) -> Dataset:
-    """Ancestral sampling in topological order, in place into one
-    ``(variables, n)`` array, so that each node writes and each child reads
-    a contiguous row; each node draws from its own substream, keyed by its
-    topological position."""
-    if n < 1:
+def _job(schema: VariableSchema, n, seed, do) -> tuple:
+    """A sampling job, checked: (rows, seed as a SeedSequence, None or
+    (node, state))."""
+    if do is not None:
+        node, value = do
+        schema.check_state(node, value)
+        do = node, _integer(value)
+    rows = _integer(n)
+    if rows is None:
+        raise GcfitError(f"n must be an integer, got {n!r}")
+    if rows < 1:
         raise GcfitError("n must be >= 1")
-    cards = net.schema.cardinalities
-    cols = np.zeros((len(cards), n), dtype=row_dtype(cards))
-    for pos, node in enumerate(net.dag.topological_order()):
-        _draw_column(net, node, cols, np.random.default_rng(substream(seed, pos)))
-    return Dataset(net.schema, cols.T)
+    return rows, _seed(seed), do
+
+
+def sample_jobs(net: BayesNet, jobs):
+    """Ancestral sampling of many datasets: one `Dataset` per job ``(n,
+    seed, intervention)``, in order, the intervention None or ``(node,
+    value)``.  Every job is checked before anything is drawn.
+
+    Consecutive jobs share a pass while their rows add up to at most the
+    largest job's, so no pass holds more rows than one dataset.  A pass
+    samples in place into one ``(variables, rows)`` array, walking the
+    nodes once in topological order: each node writes and each child reads
+    a contiguous row, and one parent code and one threshold compare per
+    state cover every job.  A job's node draws from its own substream,
+    keyed by the node's topological position, so a job's rows do not
+    depend on the other jobs.  An intervened node is filled with its value
+    and draws no stream: the point mass of do(node=value) gives that value
+    for every u, and no other node reads the stream."""
+    schema = net.schema
+    jobs = [_job(schema, *job) for job in jobs]
+    order = net.dag.topological_order()
+    cap = max((rows for rows, _, _ in jobs), default=0)
+    start = 0
+    while start < len(jobs):
+        stop, rows = start + 1, jobs[start][0]
+        while stop < len(jobs) and rows + jobs[stop][0] <= cap:
+            rows += jobs[stop][0]
+            stop += 1
+        batch = _sample_pass(net, order, jobs[start:stop])
+        start = stop
+        while batch:  # each dataset is released once its consumer drops it
+            yield batch.pop(0)
+
+
+def _sample_pass(net: BayesNet, order, jobs) -> list[Dataset]:
+    """One pass of `sample_jobs`: the datasets of ``jobs``, drawn together,
+    each job into its own slice of the pass's rows."""
+    schema = net.schema
+    cards = schema.cardinalities
+    ends = list(itertools.accumulate(n for n, _, _ in jobs))
+    spans = [(end - n, end, seed, do) for (n, seed, do), end in zip(jobs, ends)]
+    cols = np.zeros((len(cards), ends[-1]), dtype=row_dtype(cards))
+    u = np.empty(ends[-1])
+    for pos, node in enumerate(order):
+        cpt = net.cpts[node]
+        out = cols[schema.index(node)]
+        clamped = []
+        for a, b, seed, do in spans:
+            if do is not None and do[0] == node:
+                clamped.append((a, b, do[1]))
+            else:
+                _uniform(seed, pos, u[a:b])
+        if len(clamped) < len(spans):
+            # row-major index of each row's parent configuration; a root's is 0
+            config = row_codes(cols.T, [schema.index(p) for p in cpt.parents], cards)
+            thresholds = cpt._thresholds
+            for k in range(thresholds.shape[1]):
+                out += thresholds[:, k].take(config) <= u
+        for a, b, value in clamped:
+            out[a:b] = value
+    del u  # so that the uniforms and the datasets' copies are never held at once
+    return [Dataset(schema, cols[:, a:b].T) for a, b, _, _ in spans]
 
 
 def sample(net: BayesNet, n: int, seed) -> Dataset:
-    """Forward (ancestral) sampling; identical (net, n, seed) gives an
-    identical dataset."""
-    return _forward(net, n, seed)
+    """Forward (ancestral) sampling of ``n`` rows, ``seed`` a non-negative
+    integer or a SeedSequence; identical (net, n, seed) gives an identical
+    dataset."""
+    return next(sample_jobs(net, [(n, seed, None)]))
 
 
 def sample_do(net: BayesNet, node: str, value: int, n: int, seed) -> Dataset:
-    """Forward sampling of the mutilated net.
-
-    The output keeps all columns; the intervened column is constant.
-    """
-    return _forward(_mutilate(net, node, value), n, seed)
+    """Forward sampling under do(node=value): the output keeps all columns,
+    and the intervened column is constant."""
+    return next(sample_jobs(net, [(n, seed, (node, value))]))
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def cmd_synth(args) -> int:
     # graphs is compiled before bayesnet imports numpy: compiled after it,
     # its compile memory left synth's peak RSS about 0.4 MB higher
     from . import graphs  # noqa: F401
-    from .bayesnet import load_bayesnet, sample, sample_do, substream
+    from .bayesnet import load_bayesnet, sample_jobs, substream
     from .tables import csv_header
 
     if args.n_obs < 1 or args.n_do < 1:
@@ -214,13 +214,15 @@ def cmd_synth(args) -> int:
     csv_header(schema.names)  # every CSV's header
     os.makedirs(args.out_dir, exist_ok=True)
 
-    obs = sample(net, args.n_obs, substream(args.seed, 0))
-    obs.write_csv(os.path.join(args.out_dir, "obs.csv"))
-
-    for k, entry in enumerate(entries, start=1):
-        # substream 0 drew obs.csv; each (node, value) takes the next, in schema order
-        data = sample_do(net, entry["node"], entry["value"], args.n_do, substream(args.seed, k))
-        data.write_csv(os.path.join(args.out_dir, entry["file"]))
+    # substream 0 draws obs.csv; each (node, value) takes the next, in schema order
+    jobs = [(args.n_obs, substream(args.seed, 0), None)] + [
+        (args.n_do, substream(args.seed, k), (entry["node"], entry["value"]))
+        for k, entry in enumerate(entries, start=1)
+    ]
+    datasets = sample_jobs(net, jobs)
+    for name in ["obs.csv"] + [entry["file"] for entry in entries]:
+        # no name keeps the dataset written: it is freed before the next pass
+        next(datasets).write_csv(os.path.join(args.out_dir, name))
     manifest = {"observational": "obs.csv", "interventions": entries}
     with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

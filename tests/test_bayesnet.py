@@ -323,6 +323,61 @@ class TestSampling:
         with pytest.raises(GcfitError, match="^n must be >= 1$"):
             sample(chain_net, 0, seed=1)
 
+    @pytest.mark.parametrize("n", [True, 2.5, np.float64(3.0), "3", None])
+    def test_rows_must_be_an_integer(self, chain_net, n):
+        # numpy would raise its own TypeError, or read True as 1
+        for draw in (lambda: sample(chain_net, n, seed=1),
+                     lambda: sample_do(chain_net, "a", 1, n, seed=1)):
+            with pytest.raises(GcfitError, match="^n must be an integer, got "):
+                draw()
+
+    @pytest.mark.parametrize("n", [0, -1, np.int64(0)])
+    def test_rows_below_one_rejected(self, chain_net, n):
+        with pytest.raises(GcfitError, match="^n must be >= 1$"):
+            sample_do(chain_net, "a", 1, n, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", -1, np.int64(-2), True, np.float64(1.0), None])
+    def test_seed_must_be_a_non_negative_integer(self, chain_net, seed):
+        # numpy would read 1.5 as 1 and "3" as 3, and raise its own ValueError at -1
+        message = "^seed must be a non-negative integer or a SeedSequence, got "
+        for draw in (lambda: sample(chain_net, 5, seed=seed),
+                     lambda: sample_do(chain_net, "a", 1, 5, seed=seed),
+                     lambda: bayesnet.substream(seed, 0)):
+            with pytest.raises(GcfitError, match=message):
+                draw()
+
+    def test_numpy_integer_counts_and_seeds(self, chain_net):
+        rows = sample(chain_net, 5, seed=3).rows
+        assert np.array_equal(sample(chain_net, np.int64(5), seed=np.uint8(3)).rows, rows)
+        assert np.array_equal(sample(chain_net, 5, seed=np.random.SeedSequence(3)).rows, rows)
+        assert np.array_equal(sample_do(chain_net, "a", np.int64(1), np.int32(5), np.int64(3)).rows,
+                              sample_do(chain_net, "a", 1, 5, seed=3).rows)
+
+    def test_jobs_are_the_one_job_draws(self):
+        # passes hold jobs whose rows add up to at most the largest job's:
+        # each job's rows are those of its own one-job call, wherever the
+        # pass boundaries fall
+        rng = np.random.default_rng(5)
+        net = random_net(random_dag(rng, max_card=4), rng)
+        schema = net.schema
+        jobs = [(n, 10 + k, None if k % 3 == 0 else (schema.names[k % len(schema.names)], 1))
+                for k, n in enumerate([7, 30, 3, 3, 24, 1, 30, 12, 19, 5])]
+        datasets = list(bayesnet.sample_jobs(net, jobs))
+        assert len(datasets) == len(jobs)
+        for (n, seed, do), data in zip(jobs, datasets):
+            one = sample(net, n, seed) if do is None else sample_do(net, *do, n, seed)
+            assert data.schema == schema
+            assert np.array_equal(data.rows, one.rows)
+
+    def test_every_job_is_checked_before_any_draw(self, chain_net, monkeypatch):
+        def fail(*args):
+            raise AssertionError("drew before every job was checked")
+
+        monkeypatch.setattr(bayesnet, "_uniform", fail)
+        jobs = [(5, 1, None), (5, 2, ("b", 0)), (5, 3, ("b", 2))]
+        with pytest.raises(InvalidState):
+            next(bayesnet.sample_jobs(chain_net, jobs))
+
     def test_deterministic_cpts_force_assignment(self, fig1_schema):
         dag = Dag(fig1_schema, ())
         net = BayesNet(
@@ -350,13 +405,7 @@ class TestSampling:
         # Generator.random draws from [0, 1), so u = 0.0 can occur; it must
         # not select a state of probability 0, and a u past the row's
         # cumulative sum selects the last state
-        class Constant:
-            def random(self, n):
-                return np.full(n, u)
-
-        draw = bayesnet._draw_column
-        monkeypatch.setattr(bayesnet, "_draw_column",
-                            lambda net, node, cols, rng: draw(net, node, cols, Constant()))
+        monkeypatch.setattr(bayesnet, "_uniform", lambda seed, pos, out: out.fill(u))
         schema = VariableSchema(("a", "b"), (2, 4))
         net = BayesNet(
             Dag(schema, ()),
@@ -372,16 +421,17 @@ class TestSampling:
     def test_zero_last_state_is_never_drawn(self, monkeypatch):
         # the row sums to 1 - 1e-10 (within Cpt's tolerance), so u may pass
         # its cumulative sum: the last state of positive probability takes it
-        class Constant:
-            def random(self, n):
-                return np.full(n, np.nextafter(1.0, 0.0))
+        drawn = []
 
-        draw = bayesnet._draw_column
-        monkeypatch.setattr(bayesnet, "_draw_column",
-                            lambda net, node, cols, rng: draw(net, node, cols, Constant()))
+        def last_below_one(seed, pos, out):
+            drawn.append(pos)
+            out.fill(np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(bayesnet, "_uniform", last_below_one)
         schema = VariableSchema(("a",), (2,))
         net = BayesNet(Dag(schema, ()), {"a": Cpt("a", (), np.array([1 - 1e-10, 0.0]))})
         assert (sample(net, 5, seed=0).rows == 0).all()
+        assert drawn == [0]  # the u above, not a generator's
 
     def test_matches_the_reference_block_sampler(self):
         # cardinalities 2..12 with zero-probability states and rows summing

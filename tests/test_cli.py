@@ -29,12 +29,13 @@ from gcfit import (
     save_bayesnet,
     save_pdgraph,
 )
+from gcfit.bayesnet import substream
 from gcfit.cli import format_number, load_manifest, main, score_lines
 from gcfit.graphs import EdgeRanks, iter_orientations
 from gcfit.scoring import FLAG_NO_CAUSAL_SIGNAL, FLAG_UNDEFINED_DISTANCE, score_orientations
 from gcfit.svg import scatter_svg
 from gcfit.tables import csv_lines
-from conftest import random_net
+from conftest import oracle_sample, random_dag, random_net
 
 
 @pytest.fixture
@@ -364,6 +365,54 @@ class TestSynth:
         rc = main(["synth", "--net", net, flag, value, "--out-dir", str(workdir)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # --n-obs below, equal to and above --n-do, so that the jobs' passes
+    # (rows adding up to at most the largest dataset's) end in several places
+    @pytest.mark.parametrize("n_obs, n_do", [(9, 20), (20, 20), (45, 20), (60, 20), (41, 6)])
+    def test_files_are_the_reference_samplers_rows(self, tmp_path, n_obs, n_do):
+        # obs.csv is substream 0 of the seed and each (node, value) the next
+        # one, in schema order: every file holds the rows the reference
+        # sampler draws from that substream
+        rng = np.random.default_rng(n_obs * 100 + n_do)
+        for seed in range(3):
+            dag = random_dag(rng, min_nodes=2, max_nodes=4, max_card=12)
+            # one node of 11 or 12 states, so the multi-digit writer runs
+            cards = (int(rng.integers(11, 13)),) + dag.schema.cardinalities[1:]
+            schema = VariableSchema(dag.schema.names, cards)
+            net = random_net(Dag(schema, dag.edges), rng)
+            save_bayesnet(net, tmp_path / "truth.json")
+            out = f"data{seed}"
+            assert run_synth(tmp_path, out=out, seed=str(seed), n_obs=str(n_obs),
+                             n_do=str(n_do)) == 0
+            files = [("obs.csv", n_obs, None)] + [
+                (f"do_{node}_{value}.csv", n_do, (node, value))
+                for node in schema.names for value in range(schema.cardinality(node))
+            ]
+            assert len(os.listdir(tmp_path / out)) == len(files) + 1  # and the manifest
+            for k, (name, n, do) in enumerate(files):
+                data = Dataset.read_csv(tmp_path / out / name, schema)
+                assert np.array_equal(data.rows, oracle_sample(net, n, substream(seed, k), do=do))
+
+    def test_memory_is_bounded_by_the_largest_dataset(self, tmp_path):
+        # six chained nodes of 2 and of 10 states: 12 and 60 do-sets of 200
+        # rows beside 20 000 observational rows.  Datasets are drawn
+        # together only while their rows fit in the largest one's, so the
+        # traced peak does not grow with the number of do-sets (one pass of
+        # every dataset would hold 22 400 and 32 000 rows)
+        names = tuple(f"v{i}" for i in range(6))
+        peaks = []
+        for card in (2, 10):
+            dag = Dag(VariableSchema(names, (card,) * 6), tuple(zip(names, names[1:])))
+            save_bayesnet(random_net(dag, np.random.default_rng(card)), tmp_path / "truth.json")
+            assert run_synth(tmp_path, out="warm", n_obs="20000", n_do="200") == 0
+            tracemalloc.start()
+            try:
+                assert run_synth(tmp_path, out=f"data{card}", n_obs="20000", n_do="200") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(os.listdir(tmp_path / f"data{card}")) == 6 * card + 2
+        assert peaks[1] < 1.1 * peaks[0]
 
 
 class TestScore:
