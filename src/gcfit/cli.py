@@ -4,6 +4,10 @@ observational + interventional data, synthesize ground-truth datasets.
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 enumeration
 cap exceeded.
 
+``run`` is the process entry of ``python -m gcfit.cli`` and of the ``gcf``
+console script.  ``main`` is for callers that go on running: it leaves
+the garbage collector as it found it.
+
 Import rule: what a command runs (the library layers ``graphs``,
 ``tables``, ``bayesnet``, ``scoring`` and ``svg``, and ``json``) is
 imported by the function that runs it, never at module level.  So
@@ -17,6 +21,7 @@ imports.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from itertools import islice
@@ -100,7 +105,9 @@ def cmd_enumerate(args) -> int:
     except BrokenPipeError:
         # the reader has closed the pipe: stop quietly, with stdout on devnull
         # so that the flush at exit has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 
@@ -286,5 +293,21 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def run():
+    """Run ``main`` on the process's arguments and exit with its code.
+
+    Once ``main`` has returned or raised (argparse's SystemExit too), every
+    object is moved to the permanent generation, which the collections at
+    interpreter shutdown skip: over what numpy, argparse and gcfit made
+    they free nothing, and took about 10 ms.  atexit handlers, the flush
+    of stdout and stderr, tracebacks and exit codes are as without the
+    freeze.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

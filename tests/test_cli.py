@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import itertools
 import json
@@ -976,6 +977,97 @@ class TestScore:
         )
         assert proc.returncode == 0, proc.stderr
         assert tree_digest(tmp_path / "out_c") == tree_digest(tmp_path / "out")
+
+
+def cli_child(argv, **kwargs):
+    """A `python -m gcfit.cli` child, the process entry `run`, on ``argv``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "gcfit.cli", *argv], env=env, **kwargs)
+
+
+class TestProcessEntry:
+    """`run` ends a process as in-process `main` returns, then freezes the
+    collector; `main` leaves the collector as it was."""
+
+    @staticmethod
+    def argv(workdir, case):
+        if case == "semicolon":
+            schema = VariableSchema(("a;b", "c"), (2, 2))
+            save_pdgraph(PdGraph(schema, (), (("a;b", "c"),)), workdir / "semicolon.json")
+        return {
+            "version": ["--version"],
+            "usage": ["score"],
+            "missing graph": ["enumerate", "--graph", str(workdir / "nope.json")],
+            "semicolon": ["enumerate", "--graph", str(workdir / "semicolon.json")],
+            "cap": ["enumerate", "--graph", str(path_graph(workdir, 3)), "--max-undirected", "2"],
+            "enumerate": ["enumerate", "--graph", str(workdir / "gpd.json")],
+        }[case]
+
+    @staticmethod
+    def in_process(argv, capsys):
+        """(exit code, stdout, stderr) of ``main(argv)``, which must leave
+        the collector as it was."""
+        before = gc.get_freeze_count(), gc.isenabled()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --version and usage errors
+            code = exc.code
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("case, code", [
+        ("version", 0), ("usage", 2), ("missing graph", 1), ("semicolon", 2), ("cap", 3),
+        ("enumerate", 0),
+    ])
+    def test_exit_parity(self, workdir, capsys, case, code):
+        argv = self.argv(workdir, case)
+        proc = cli_child(argv, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == self.in_process(argv, capsys)
+        assert proc.returncode == code
+
+    @pytest.mark.parametrize("command", ["synth", "score"])
+    def test_tree_parity(self, workdir, capsys, command):
+        if command == "synth":
+            argv = ["synth", "--net", str(workdir / "truth.json"), "--n-obs", "500",
+                    "--n-do", "50", "--seed", "7", "--out-dir"]
+        else:
+            assert run_synth(workdir, n_obs="500", n_do="50") == 0
+            argv = ["score", "--graph", str(workdir / "gpd.json"), "--svg",
+                    "--manifest", str(workdir / "data" / "manifest.json"), "--out-dir"]
+        proc = cli_child([*argv, str(workdir / "child")], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert self.in_process([*argv, str(workdir / "main")], capsys) == (0, "", "")
+        assert tree_digest(workdir / "child") == tree_digest(workdir / "main")
+
+    def test_atexit_sees_the_frozen_heap(self, workdir):
+        assert run_synth(workdir, n_obs="500", n_do="50") == 0
+        argv = ["gcf", "score", "--graph", str(workdir / "gpd.json"),
+                "--manifest", str(workdir / "data" / "manifest.json"),
+                "--out-dir", str(workdir / "out")]
+        code = (
+            "import atexit, gc, sys\n"
+            "from gcfit.cli import run\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = {argv!r}\n"
+            "run()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "frozen True\n", "")
+        assert len(read_scores(workdir / "out" / "scores.csv")) == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_flush_at_exit_exits_120(self):
+        # --version's line waits in stdout's buffer; Python's flush at exit
+        # fails on the full device, reports it and exits 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "gcfit.cli", "--version"], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 120
+        assert proc.stderr.startswith("Exception ignored ")
+        assert "OSError: [Errno 28] " in proc.stderr
 
 
 def expected_scores(pd, obs, inter, smoothing, edges_policy, vectors):
